@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .dynamics import Code, iterate, select_vertex
+from .dynamics import Code, float_select, iterate, select_vertex
 from .errors import AtlasFormatError, CodeNotRealizableError, ObcError
 from .field import CycloNum
 from .geometry import (
@@ -25,7 +25,7 @@ from .geometry import (
     point_xy,
     regular_ngon,
 )
-from .periodic import analyze_tile, iterate_tiles, tile_from_code
+from .periodic import analyze_tile, follows_code, iterate_tiles, tile_from_code
 
 
 @dataclass(frozen=True)
@@ -85,39 +85,20 @@ class Atlas:
         return [self.entries[k] for k in sorted(self.entries)]
 
 
-class _FloatNgon:
-    """Hardware-float mirror of the polygon map, for candidate screening."""
-
-    def __init__(self, P):
-        self.verts = [(v.to_complex().real, v.to_complex().imag) for v in P.vertices]
-
-    def select(self, x, y):
-        vs = self.verts
-        m = len(vs)
-        for i in range(m):
-            vx, vy = vs[i]
-            dx, dy = vx - x, vy - y
-            nx, ny = vs[(i + 1) % m]
-            px, py = vs[(i - 1) % m]
-            c1 = dx * (ny - y) - dy * (nx - x)
-            c2 = dx * (py - y) - dy * (px - x)
-            if c1 > 1e-12 and c2 > 1e-12:
-                return i + 1
-        return None
-
-    def periodic_code(self, x, y, max_period):
-        x0, y0 = x, y
-        code = []
-        for k in range(max_period):
-            lbl = self.select(x, y)
-            if lbl is None:
-                return None
-            vx, vy = self.verts[lbl - 1]
-            x, y = 2 * vx - x, 2 * vy - y
-            code.append(lbl)
-            if abs(x - x0) < 1e-9 and abs(y - y0) < 1e-9:
-                return code
-        return None
+def _float_periodic_code(verts, x, y, max_period):
+    """Float orbit of the uncontracted map until it returns to (x, y)."""
+    x0, y0 = x, y
+    code = []
+    for _ in range(max_period):
+        lbl = float_select(verts, x, y)
+        if lbl is None:
+            return None
+        vx, vy = verts[lbl - 1]
+        x, y = 2 * vx - x, 2 * vy - y
+        code.append(lbl)
+        if abs(x - x0) < 1e-9 and abs(y - y0) < 1e-9:
+            return code
+    return None
 
 
 def search_tiles(window, polygon=None):
@@ -143,7 +124,7 @@ def search_tiles(window, polygon=None):
         "seeds": 0,
     }
     cover = []  # (tile polygons over the orbit) for cheap skip tests
-    fl = _FloatNgon(P) if window.mode == "float_then_certify" else None
+    screen = window.mode == "float_then_certify"
     xs, ts = window.grid()
     for tx in ts:
         for x in xs:
@@ -158,8 +139,9 @@ def search_tiles(window, polygon=None):
             if covered:
                 continue
             code = None
-            if fl is not None:
-                fcode = fl.periodic_code(zf.real, zf.imag, window.max_period)
+            if screen:
+                fcode = _float_periodic_code(P.float_vertices(), zf.real, zf.imag,
+                                             window.max_period)
                 if fcode is None:
                     atlas.provenance["undecided"] += 1
                     continue
@@ -181,7 +163,7 @@ def search_tiles(window, polygon=None):
             except CodeNotRealizableError:
                 atlas.provenance["undecided"] += 1
                 continue
-            if fl is not None and not _certify(P, tile):
+            if screen and not follows_code(P, 1, tile.center(), tile.code):
                 atlas.provenance["undecided"] += 1
                 continue
             analyze_tile(P, tile)
@@ -189,18 +171,6 @@ def search_tiles(window, polygon=None):
             for poly in [tile.polygon] + iterate_tiles(P, tile):
                 cover.append(poly.float_vertices())
     return atlas
-
-
-def _certify(P, tile):
-    """Exact check that the tile's centroid reproduces the tile code."""
-    x = tile.polygon.centroid()
-    for a in Code(tile.code.doubled_even()).word:
-        sel = select_vertex(P, x)
-        if sel.kind != "vertex" or sel.label != a:
-            return False
-        v = P.vertices[a - 1]
-        x = v * 2 - x
-    return True
 
 
 def _float_inside(poly_pts, x, y, margin=1e-9):
@@ -283,7 +253,7 @@ def scr_region(n, lam, x, depth, polygon=None):
     return SCRegion(x, lam, depth, res.polygon)
 
 
-def picture_convergence(n, x, lambdas, depth=None, tol=1e-9, polygon=None):
+def picture_convergence(n, x, lambdas, depth=None, polygon=None):
     """Hausdorff distance of truncated same-code regions to the tile of x.
 
     x must be periodic for the uncontracted map; returns [(lam, dist)] in
@@ -304,7 +274,7 @@ def picture_convergence(n, x, lambdas, depth=None, tol=1e-9, polygon=None):
             out.append((lam, 0.0))
             continue
         region = scr_region(n, lam, x, depth, polygon=polygon)
-        out.append((lam, hausdorff_distance(region.polygon, tile.polygon, tol)))
+        out.append((lam, hausdorff_distance(region.polygon, tile.polygon)))
     return out
 
 
@@ -324,14 +294,14 @@ def save_atlas(atlas, path):
     lines = [f"{_HEADER_PREFIX}{atlas.n}"]
     for key in sorted(atlas.entries):
         t = atlas.entries[key]
-        verdict = t.stability.verdict if t.stability else "unstable"
-        sym = 1 if t.symmetric else 0
+        if t.stability is None or t.symmetric is None:
+            raise ObcError(f"tile {t.code.serialize()} was never analysed; see analyze_tile")
         lines.append(
             "code=" + ",".join(str(a) for a in t.code.word)
             + f";period={t.period}"
             + ";vertices=" + t.polygon.serialize()
-            + f";symmetric={sym}"
-            + f";stable={verdict}"
+            + f";symmetric={int(t.symmetric)}"
+            + f";stable={t.stability.verdict}"
         )
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")

@@ -40,23 +40,27 @@ def _wedge_signs(P, x, label):
     return s1, s2
 
 
-def _float_guess(P, x):
-    fx = x.to_complex()
-    vs = [v.to_complex() for v in P.vertices]
-    m = len(vs)
-    best = None
+_FLOAT_MARGIN = 1e-12
+
+
+def float_select(verts, x, y):
+    """Label of the vertex whose wedge holds the float point (x, y) with both
+    orientations above _FLOAT_MARGIN, else None.
+
+    ``verts`` are the polygon's ``float_vertices()``.  A screen, never a
+    verdict: select_vertex confirms the label exactly (None sends it to the
+    exhaustive path), and float-screened codes are certified exactly later.
+    """
+    m = len(verts)
     for i in range(m):
-        v = vs[i]
-        dx, dy = v.real - fx.real, v.imag - fx.imag
-        nx = vs[(i + 1) % m]
-        pv = vs[(i - 1) % m]
-        c1 = dx * (nx.imag - fx.imag) - dy * (nx.real - fx.real)
-        c2 = dx * (pv.imag - fx.imag) - dy * (pv.real - fx.real)
-        if c1 > 0.0 and c2 > 0.0:
+        vx, vy = verts[i]
+        nx, ny = verts[(i + 1) % m]
+        px, py = verts[i - 1]
+        dx, dy = vx - x, vy - y
+        if (dx * (ny - y) - dy * (nx - x) > _FLOAT_MARGIN
+                and dx * (py - y) - dy * (px - x) > _FLOAT_MARGIN):
             return i + 1
-        if best is None and c1 > -1e-12 and c2 > -1e-12:
-            best = i + 1
-    return best
+    return None
 
 
 def select_vertex(P, x):
@@ -66,7 +70,8 @@ def select_vertex(P, x):
     strictly positive) selects that vertex; that certificate also proves x
     is outside the closed polygon and off the singular set.
     """
-    guess = _float_guess(P, x)
+    fx = x.to_complex()
+    guess = float_select(P.float_vertices(), fx.real, fx.imag)
     if guess is not None:
         s1, s2 = _wedge_signs(P, x, guess)
         if s1 > 0 and s2 > 0:
@@ -279,6 +284,11 @@ class Code:
 
     def __repr__(self):
         return f"Code({','.join(str(a) for a in self.word)})"
+
+    @classmethod
+    def coerce(cls, code):
+        """The code itself, or a Code of the given labels."""
+        return code if isinstance(code, cls) else cls(code)
 
     def validate_labels(self, n):
         if any(a > n for a in self.word):

@@ -399,18 +399,15 @@ def _pt_poly_dist(p, poly_pts):
     )
 
 
-def hausdorff_distance(A, B, tol=1e-9):
-    """Hausdorff distance between convex polygons, within tol.
+def hausdorff_distance(A, B):
+    """Hausdorff distance between convex polygons, in floats.
 
     For convex sets the directed distance is attained at a vertex of the
     source polygon, so vertex-to-polygon projections are exhaustive; the
-    only error is floating-point evaluation of certified coordinates, far
-    below any tol >= 1e-9.
+    only error is floating-point evaluation of certified coordinates.
     """
     if A is None or B is None:
         raise GeometryError("hausdorff_distance needs nonempty polygons")
-    if tol <= 0:
-        raise GeometryError("tol must be positive")
     pa = A.float_vertices()
     pb = B.float_vertices()
     d1 = max(_pt_poly_dist(p, pb) for p in pa)

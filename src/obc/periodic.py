@@ -25,9 +25,10 @@ from .errors import (
     CodeNotRealizableError,
     IndeterminateFixedPointError,
     StabilityPreconditionError,
+    StepDomainError,
 )
 from .field import CycloNum
-from .dynamics import Code, select_vertex, step
+from .dynamics import Code, step
 from .geometry import ConvexPolygon, halfplane_left_of, intersect_halfplanes
 
 
@@ -81,7 +82,7 @@ def _code_vertices(P, code):
 
 def code_fixed_point(P, code, lam):
     """The unique fixed point of the code's composed affine map, exactly."""
-    code = code if isinstance(code, Code) else Code(code)
+    code = Code.coerce(code)
     code.validate_labels(len(P.vertices))
     lam = Fraction(lam)
     if not 0 < lam <= 1:
@@ -102,7 +103,7 @@ def code_fixed_point(P, code, lam):
 def compose_code_map(P, code, lam, z):
     """Apply the k coded reflection-contractions to z, in code order."""
     lam = Fraction(lam)
-    for v in _code_vertices(P, code.word if isinstance(code, Code) else code):
+    for v in _code_vertices(P, Code.coerce(code).word):
         z = v * (1 + lam) - z * lam
     return z
 
@@ -113,22 +114,29 @@ def validate_periodic(P, code, lam):
     At lam = 1 with even-length code the fixed point is indeterminate; the
     orbit of the tile centroid decides instead.
     """
-    code = code if isinstance(code, Code) else Code(code)
+    code = Code.coerce(code)
     lam = Fraction(lam)
     try:
         q = code_fixed_point(P, code, lam)
     except IndeterminateFixedPointError:
         try:
-            t = tile_from_code(P, code)
+            q = tile_from_code(P, code).center()
         except CodeNotRealizableError:
             return False
-        q = t.polygon.centroid()
+    return follows_code(P, lam, q, code)
+
+
+def follows_code(P, lam, q, code):
+    """True iff the orbit of q follows the code symbol by symbol and is
+    back at q after the last one (exact)."""
     x = q
-    for a in code.word:
-        sel = select_vertex(P, x)
-        if sel.kind != "vertex" or sel.label != a:
+    for a in Code.coerce(code).word:
+        try:
+            x, label = step(P, lam, x)
+        except StepDomainError:
             return False
-        x, _ = step(P, lam, x)
+        if label != a:
+            return False
     return x == q
 
 
@@ -139,7 +147,7 @@ def unfold(P, code, base=None):
     w_i = p_i-to-apex (equal to (-1)^i v_i when the base is the center), and
     the chain of reflected polygons.
     """
-    code = code if isinstance(code, Code) else Code(code)
+    code = Code.coerce(code)
     code.validate_labels(len(P.vertices))
     if base is None:
         base = P.centroid()
@@ -170,7 +178,7 @@ def _selection_wedge_constraints(apex, nxt, prv):
 def tile_constraints(P, code):
     """Two half-planes per code symbol, carving the set of points whose
     first len(code) symbols match the code (uncontracted map)."""
-    code = code if isinstance(code, Code) else Code(code)
+    code = Code.coerce(code)
     n = len(P.vertices)
     cons = []
     cur_vertices = list(P.vertices)
@@ -183,18 +191,6 @@ def tile_constraints(P, code):
     return cons
 
 
-def _tile_box_half_width(cons):
-    w = 8.0
-    for hp in cons:
-        av = hp.a.to_complex().real
-        bv = hp.b.to_complex().real
-        cv = hp.c.to_complex().real
-        h = (av * av + bv * bv) ** 0.5
-        if h > 1e-12:
-            w = max(w, abs(cv) / h)
-    return Fraction(int(2 * w) + 4)
-
-
 def tile_from_code(P, code):
     """The open tile of points whose periodic itinerary is the given code.
 
@@ -203,10 +199,9 @@ def tile_from_code(P, code):
     tile corresponds to the code's own phase: rotating the code yields the
     tile's image under the map.
     """
-    code = code if isinstance(code, Code) else Code(code)
+    code = Code.coerce(code)
     even = Code(code.doubled_even())
-    cons = tile_constraints(P, even)
-    res = intersect_halfplanes(cons, half_width=_tile_box_half_width(cons))
+    res = intersect_halfplanes(tile_constraints(P, even))
     if res.kind != "polygon":
         raise CodeNotRealizableError(f"code not realizable ({res.kind})")
     return Tile(polygon=res.polygon, code=code, period=code.period)
@@ -214,7 +209,7 @@ def tile_from_code(P, code):
 
 def alternating_vertex_sum(P, code):
     """sum_i (-1)^(k-1-i) v_i; must vanish for the limit point to exist."""
-    word = code.word if isinstance(code, Code) else tuple(code)
+    word = Code.coerce(code).word
     acc = CycloNum.zero(P.vertices[0].n)
     k = len(word)
     for i, v in enumerate(_code_vertices(P, word)):
@@ -228,7 +223,7 @@ def stability_limit(P, code):
     Equals (2/k) * sum_i (k-1-i) * (-1)^i * v_i, and also the barycenter
     (1/k) * sum_j p_j of any unfolded chain.
     """
-    code = code if isinstance(code, Code) else Code(code)
+    code = Code.coerce(code)
     word = code.doubled_even()
     if not alternating_vertex_sum(P, word).is_zero():
         raise StabilityPreconditionError(
@@ -245,12 +240,13 @@ def stability_limit(P, code):
 def is_lambda_stable(P, code, base=None):
     """Stability verdict by exact location of the chain barycenter
     relative to the open tile: interior = stable, boundary = marginal."""
-    code = code if isinstance(code, Code) else Code(code)
-    tile = tile_from_code(P, code)
-    even = Code(code.doubled_even())
-    chain = unfold(P, even, base=base)
+    return _stability(P, tile_from_code(P, code), base)
+
+
+def _stability(P, tile, base):
+    chain = unfold(P, Code(tile.code.doubled_even()), base=base)
     bary = chain.barycenter()
-    limit = stability_limit(P, code)
+    limit = stability_limit(P, tile.code)
     if bary != limit:  # pragma: no cover - equality is a theorem
         raise AssertionError("chain barycenter disagrees with the limit point")
     membership = tile.polygon.locate(bary)
@@ -284,5 +280,5 @@ def is_symmetric(P, tile):
 def analyze_tile(P, tile, base=None):
     """Attach symmetry and stability verdicts to a tile (in place)."""
     tile.symmetric = is_symmetric(P, tile)
-    tile.stability = is_lambda_stable(P, tile.code, base=base)
+    tile.stability = _stability(P, tile, base)
     return tile

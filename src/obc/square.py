@@ -14,8 +14,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dynamics import Code, iterate
-from .field import CycloNum
+from .dynamics import Code, float_select, iterate
+from .field import CycloNum, _poly_mul
 from .geometry import ConvexPolygon, cross_scaled, from_scaled, imag_scaled, real_part
 from .periodic import validate_periodic
 
@@ -51,15 +51,6 @@ def p_coeffs(k):
     out[k - 1] -= 1
     out[k] -= 1
     out[2 * k] += 1
-    return out
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
     return out
 
 
@@ -266,39 +257,20 @@ def degenerate_orbit(k, lam):
 # -- attractor counting -------------------------------------------------------
 
 
-class _FloatSquare:
-    """Hardware-float mirror of the square dynamics, for screening only."""
-
-    VERTS = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))
-
-    @classmethod
-    def select(cls, x, y):
-        vs = cls.VERTS
-        for i in range(4):
-            vx, vy = vs[i]
-            nx, ny = vs[(i + 1) % 4]
-            px, py = vs[(i - 1) % 4]
-            dx, dy = vx - x, vy - y
-            c1 = dx * (ny - y) - dy * (nx - x)
-            c2 = dx * (py - y) - dy * (px - x)
-            if c1 > 0.0 and c2 > 0.0:
-                return i + 1
-        return None
-
-    @classmethod
-    def orbit_code(cls, x, y, lam, max_steps):
-        code = []
-        for _ in range(max_steps):
-            lbl = cls.select(x, y)
-            if lbl is None:
-                return code, False
-            vx, vy = cls.VERTS[lbl - 1]
-            x = (1 + lam) * vx - lam * x
-            y = (1 + lam) * vy - lam * y
-            code.append(lbl)
-            if len(code) % 512 == 0 and _tail_period(code) is not None:
-                return code, True
-        return code, _tail_period(code) is not None
+def _float_orbit_code(verts, x, y, lam, max_steps):
+    """Float orbit code of the contracted map, stopped once its tail is periodic."""
+    code = []
+    for _ in range(max_steps):
+        lbl = float_select(verts, x, y)
+        if lbl is None:
+            return code, False
+        vx, vy = verts[lbl - 1]
+        x = (1 + lam) * vx - lam * x
+        y = (1 + lam) * vy - lam * y
+        code.append(lbl)
+        if len(code) % 512 == 0 and _tail_period(code) is not None:
+            return code, True
+    return code, _tail_period(code) is not None
 
 
 def _tail_period(code, window=240, max_period=120):
@@ -330,6 +302,7 @@ def count_attractors_detail(lam, samples=200, max_steps=10_000, seed=0):
     lamf = float(lam)
     radius = float(Fraction(1 + lam, 1 - lam)) * 2**0.5
     rng = random.Random(seed)
+    verts = _sq().float_vertices()
     candidates = {}
     undecided = 0
     for _ in range(samples):
@@ -338,7 +311,7 @@ def count_attractors_detail(lam, samples=200, max_steps=10_000, seed=0):
             y = rng.uniform(-radius, radius)
             if x * x + y * y <= radius * radius and max(abs(x), abs(y)) > 1.0:
                 break
-        code, ok = _FloatSquare.orbit_code(x, y, lamf, max_steps)
+        code, ok = _float_orbit_code(verts, x, y, lamf, max_steps)
         p = _tail_period(code) if ok else None
         if p is None:
             undecided += 1

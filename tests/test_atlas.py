@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+import obc.atlas
+import obc.periodic
 from obc.atlas import (
+    Atlas,
     SearchWindow,
     load_atlas,
     picture_convergence,
@@ -13,7 +16,8 @@ from obc.atlas import (
     search_tiles,
 )
 from obc.errors import AtlasFormatError, ObcError
-from obc.geometry import from_scaled, point_xy
+from obc.geometry import from_scaled, point_xy, regular_ngon
+from obc.periodic import analyze_tile, tile_from_code
 from obc.square import square_polygon
 
 
@@ -148,6 +152,42 @@ def test_non_canonical_frame_not_persistable(tmp_path, square):
     )
     with pytest.raises(ObcError):
         save_atlas(atlas, tmp_path / "x.atlas")
+
+
+def test_unanalysed_tile_not_persistable(tmp_path):
+    atlas = Atlas(n=4)
+    atlas.add(tile_from_code(regular_ngon(4), [1, 2, 3, 4]))
+    path = tmp_path / "x.atlas"
+    with pytest.raises(ObcError):
+        save_atlas(atlas, path)
+    assert not path.exists()
+
+
+def test_each_tile_built_once(tmp_path, monkeypatch):
+    builds = []
+
+    def counting(P, code):
+        builds.append(code)
+        return tile_from_code(P, code)
+
+    monkeypatch.setattr(obc.periodic, "tile_from_code", counting)
+    monkeypatch.setattr(obc.atlas, "tile_from_code", counting)
+    window = SearchWindow(4, (Fraction(2, 5), Fraction(4), Fraction(2, 5), Fraction(4)),
+                          Fraction(1, 2), 60)
+    atlas = search_tiles(window)
+    assert len(atlas.entries) == 4
+    assert len(builds) == 4
+    path = tmp_path / "n4.atlas"
+    save_atlas(atlas, path)
+    builds.clear()
+    loaded = load_atlas(path)
+    assert loaded.provenance["diagnostics"] == []
+    assert len(builds) == len(loaded.entries) == 4
+    builds.clear()
+    P = regular_ngon(4)
+    tile = analyze_tile(P, counting(P, [1, 2, 4, 1, 3, 4, 2, 3]))
+    assert tile.stability.verdict == "stable"
+    assert len(builds) == 1
 
 
 def test_septagon_fixture(septagon_atlas):

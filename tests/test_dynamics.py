@@ -8,6 +8,7 @@ import pytest
 
 from obc.dynamics import (
     Code,
+    float_select,
     iterate,
     least_rotation,
     orbit_bound,
@@ -28,6 +29,18 @@ SQ = square_polygon()
 
 def pt4(x, y):
     return from_scaled(4, Fraction(x), Fraction(y))
+
+
+def test_float_select_screens_with_margin():
+    verts = SQ.float_vertices()
+    assert float_select(verts, 3.0, 0.0) == select_vertex(SQ, pt4(3, 0)).label
+    assert float_select(verts, 3.0, 1.0) is None        # on the singular ray
+    assert float_select(verts, 0.0, 0.0) is None        # inside the polygon
+    # within the margin of the singular ray the screen abstains; the exact
+    # path still decides the point
+    near = pt4(3, 1 - Fraction(1, 10**14))
+    assert float_select(verts, 3.0, 1.0 - 1e-14) is None
+    assert select_vertex(SQ, near).kind == "vertex"
 
 
 def test_select_vertex_square_examples():

@@ -16,6 +16,7 @@ from obc.periodic import (
     alternating_vertex_sum,
     code_fixed_point,
     compose_code_map,
+    follows_code,
     is_lambda_stable,
     is_symmetric,
     iterate_tiles,
@@ -53,6 +54,8 @@ def test_code_fixed_point_square_example():
     q = code_fixed_point(SQ, C1, Fraction(1, 2))
     assert q == pt4(Fraction(-9, 5), Fraction(3, 5))
     assert compose_code_map(SQ, C1, Fraction(1, 2), q) == q
+    # plain label lists are accepted wherever a Code is
+    assert compose_code_map(SQ, [3, 4, 1, 2], Fraction(1, 2), q) == q
 
 
 def test_fixed_point_property_random_codes():
@@ -84,6 +87,16 @@ def test_validate_periodic_examples():
     # lam = 1 semantics via the tile
     assert validate_periodic(SQ, C1, 1) is True
     assert validate_periodic(SQ, Code([1, 1]), 1) is False
+
+
+def test_follows_code_needs_labels_and_return():
+    lam = Fraction(1, 2)
+    q = code_fixed_point(SQ, C1, lam)
+    assert follows_code(SQ, lam, q, C1) is True
+    assert follows_code(SQ, lam, q, C1.shifted(1)) is False      # wrong first label
+    assert follows_code(SQ, lam, q, [3, 4, 1, 2, 3]) is False    # labels match, no return
+    assert follows_code(SQ, 1, tile_from_code(SQ, C1).center(), C1) is True
+    assert follows_code(SQ, lam, pt4(3, 1), C1) is False         # singular start
 
 
 def test_unfold_closure_and_step_vectors():
