@@ -13,19 +13,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .dynamics import Code, float_select, iterate, select_vertex
-from .errors import AtlasFormatError, CodeNotRealizableError, ObcError
+from .dynamics import Code, float_select, iterate, step
+from .errors import AtlasFormatError, CodeNotRealizableError, ObcError, StepDomainError
 from .field import CycloNum
 from .geometry import (
     ConvexPolygon,
     from_scaled,
-    halfplane_left_of,
     hausdorff_distance,
     intersect_halfplanes,
     point_xy,
     regular_ngon,
 )
-from .periodic import analyze_tile, follows_code, iterate_tiles, tile_from_code
+from .periodic import (
+    analyze_tile,
+    code_constraints,
+    follows_code,
+    iterate_tiles,
+    tile_from_code,
+)
 
 
 @dataclass(frozen=True)
@@ -197,42 +202,20 @@ class SCRegion:
 
 
 def scr_constraints(n, lam, x, depth, polygon=None):
-    """Half-planes carving the set of points sharing x's first code symbols.
-
-    Step i's selection wedge is pulled back through the inverse of the
-    composed affine step map, which keeps every boundary line exactly
-    representable.
-    """
-    lam = Fraction(lam)
+    """Half-planes carving the set of points sharing x's first ``depth``
+    code symbols: code_constraints of the word x's orbit reads."""
     P = polygon if polygon is not None else regular_ngon(n)
-    m = len(P.vertices)
-    sel = select_vertex(P, x)
-    if sel.kind != "vertex":
-        raise ObcError(f"point is {sel.kind}; its code is undefined")
-    cons = []
-    # inverse orbit map G_i(z) = alpha*z + beta, exact
-    alpha = Fraction(1)
-    beta = CycloNum.zero(x.n)
+    word = []
     cur = x
     for i in range(depth):
-        sel = select_vertex(P, cur)
-        if sel.kind != "vertex":
-            raise ObcError(f"orbit hits the singular set at step {i}")
-        a = sel.label
-        v = P.vertices[a - 1]
-        # pulled-back wedge: the inverse map has scalar linear part, so
-        # orientation is preserved and mapping the three defining points
-        # suffices
-        apex = v * alpha + beta
-        nxt = P.vertices[a % m] * alpha + beta
-        prv = P.vertices[(a - 2) % m] * alpha + beta
-        cons.append(halfplane_left_of(apex, nxt))
-        cons.append(halfplane_left_of(apex, prv))
-        cur = v * (1 + lam) - cur * lam
-        # next inverse map: z -> G_i(((1+lam) v - z)/lam)
-        beta = beta + v * (alpha * (1 + lam) / lam)
-        alpha = -alpha / lam
-    return cons
+        try:
+            cur, label = step(P, lam, cur)
+        except StepDomainError as exc:
+            if i == 0:
+                raise ObcError(f"point is {exc.kind}; its code is undefined") from exc
+            raise ObcError(f"orbit hits the singular set at step {i}") from exc
+        word.append(label)
+    return code_constraints(P, lam, word)
 
 
 def scr_region(n, lam, x, depth, polygon=None):

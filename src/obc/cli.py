@@ -98,8 +98,6 @@ def _code_from_args(args, P):
         code = Code.parse(args.code)
         code.validate_labels(len(P.vertices))
         return code
-    if not args.seed:
-        raise ObcError("need --seed or --code")
     x = parse_seed(args.seed, args.n)
     rec = iterate(P, 1, x, args.max_steps)
     if rec.termination != "exact_repeat":
@@ -243,12 +241,20 @@ def build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, seed=True):
+    def add_common(p, *alternatives):
+        """--n, --square-frame and a required --seed, or else exactly one of
+        --seed and the (flag, help) alternatives."""
         p.add_argument("--n", type=int, default=4, help="polygon order (vertices at roots of unity)")
         p.add_argument("--square-frame", action="store_true",
                        help="use the axis-aligned square with vertices (+-1,+-1) (n=4 only)")
-        if seed:
-            p.add_argument("--seed", help="decimal point 'x,y'")
+        seed_help = "decimal point 'x,y'"
+        if not alternatives:
+            p.add_argument("--seed", required=True, help=seed_help)
+            return
+        g = p.add_mutually_exclusive_group(required=True)
+        g.add_argument("--seed", help=seed_help)
+        for flag, help_text in alternatives:
+            g.add_argument(flag, help=help_text)
 
     p = sub.add_parser("orbit", help="iterate the map and dump the orbit")
     add_common(p)
@@ -258,14 +264,12 @@ def build_parser():
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("tile", help="build the tile for a seed or a code")
-    add_common(p)
-    p.add_argument("--code", help="comma-separated vertex labels")
+    add_common(p, ("--code", "comma-separated vertex labels"))
     p.add_argument("--max-steps", type=int, default=4096)
     p.set_defaults(func=cmd_tile)
 
     p = sub.add_parser("stability", help="symmetry and stability report for a tile")
-    add_common(p)
-    p.add_argument("--code", help="comma-separated vertex labels")
+    add_common(p, ("--code", "comma-separated vertex labels"))
     p.add_argument("--max-steps", type=int, default=4096)
     p.set_defaults(func=cmd_stability)
 
@@ -295,8 +299,7 @@ def build_parser():
     p.set_defaults(func=cmd_scr)
 
     p = sub.add_parser("render", help="render an atlas or an orbit to SVG")
-    add_common(p)
-    p.add_argument("--atlas", help="atlas file to draw")
+    add_common(p, ("--atlas", "atlas file to draw"))
     p.add_argument("--lambda", dest="lam", default="1")
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--out", required=True)

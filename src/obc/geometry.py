@@ -13,6 +13,11 @@ quantities (norms, Hausdorff distances) are computed from certified numeric
 enclosures of the true coordinates instead.  Half-plane coefficients
 (a, b, c) are real field elements in these (x, ytilde) coordinates; for
 n = 4 the scale factor is 1 and ytilde is the true ordinate.
+
+Half-plane intersection clips (x, ytilde) pairs of real field elements
+directly, so each clip evaluates a*x + b*ytilde + c once per vertex;
+identical half-planes are clipped once, and the pairs become points
+x + i*sin(2*pi/n)*ytilde once, at the end.
 """
 
 from __future__ import annotations
@@ -230,7 +235,7 @@ def regular_ngon(n):
 
 @dataclass(frozen=True)
 class HalfPlane:
-    """{z : a*x + b*ytilde + c > 0} (or >= 0 when closed).
+    """{z : a*x + b*ytilde + c > 0}.
 
     a, b, c are real field elements in (x, ytilde) coordinates.
     """
@@ -238,7 +243,6 @@ class HalfPlane:
     a: CycloNum
     b: CycloNum
     c: CycloNum
-    closed: bool = False
 
     def __post_init__(self):
         if self.a.is_zero() and self.b.is_zero():
@@ -250,12 +254,8 @@ class HalfPlane:
     def side(self, z):
         return sign_of_real(self.value(z), _checked=True)
 
-    def admits(self, z):
-        s = self.side(z)
-        return s > 0 or (self.closed and s == 0)
 
-
-def halfplane_left_of(p, q, closed=False):
+def halfplane_left_of(p, q):
     """Half-plane strictly left of the directed line p -> q.
 
     Its value functional at z equals cross(q - p, z - p) / sin(2*pi/n).
@@ -265,7 +265,7 @@ def halfplane_left_of(p, q, closed=False):
     a = imag_scaled(dc)
     b = real_part(d)
     c = -(a * real_part(p) + b * imag_scaled(p))
-    return HalfPlane(a, b, c, closed)
+    return HalfPlane(a, b, c)
 
 
 @dataclass(frozen=True)
@@ -276,27 +276,30 @@ class RegionResult:
     polygon: ConvexPolygon | None = None
 
 
-def _clip(points, hp):
-    """Sutherland-Hodgman clip of a convex CCW chain by a half-plane (closed)."""
+def _clip(pairs, hp):
+    """Sutherland-Hodgman clip of a convex CCW chain of (x, ytilde) pairs by
+    the closed half-plane."""
     out = []
-    m = len(points)
-    vals = [hp.value(z) for z in points]
+    m = len(pairs)
+    a, b, c = hp.a, hp.b, hp.c
+    vals = [a * x + b * t + c for x, t in pairs]
     sides = [sign_of_real(v, _checked=True) for v in vals]
     for i in range(m):
-        cur, nxt = points[i], points[(i + 1) % m]
-        sc, sn = sides[i], sides[(i + 1) % m]
+        j = (i + 1) % m
+        sc, sn = sides[i], sides[j]
         if sc >= 0:
-            out.append(cur)
+            out.append(pairs[i])
         if (sc > 0 and sn < 0) or (sc < 0 and sn > 0):
-            # boundary crossing: cur + t*(nxt - cur) with t = f(cur)/(f(cur)-f(nxt))
-            t = vals[i] / (vals[i] - vals[(i + 1) % m])
-            out.append(cur + (nxt - cur) * t)
+            # boundary crossing: cur + s*(nxt - cur) with s = f(cur)/(f(cur)-f(nxt))
+            s = vals[i] / (vals[i] - vals[j])
+            (x0, t0), (x1, t1) = pairs[i], pairs[j]
+            out.append((x0 + (x1 - x0) * s, t0 + (t1 - t0) * s))
     return out
 
 
-def _dedupe_collinear(points):
+def _dedupe_collinear(pairs):
     cleaned = []
-    for p in points:
+    for p in pairs:
         if not cleaned or cleaned[-1] != p:
             cleaned.append(p)
     if len(cleaned) > 1 and cleaned[0] == cleaned[-1]:
@@ -306,22 +309,15 @@ def _dedupe_collinear(points):
         changed = False
         m = len(cleaned)
         for i in range(m):
-            a, b, c = cleaned[(i - 1) % m], cleaned[i], cleaned[(i + 1) % m]
-            if orientation(a, b, c) == 0:
+            (ax, at), (bx, bt), (cx, ct) = (
+                cleaned[(i - 1) % m], cleaned[i], cleaned[(i + 1) % m])
+            # cross(b - a, c - a) / sin(2*pi/n), the value orientation() signs
+            cross = (bx - ax) * (ct - at) - (bt - at) * (cx - ax)
+            if sign_of_real(cross, _checked=True) == 0:
                 cleaned.pop(i)
                 changed = True
                 break
     return cleaned
-
-
-def _bounding_box(n, half_width):
-    w = Fraction(half_width)
-    return [
-        from_scaled(n, -w, -w),
-        from_scaled(n, w, -w),
-        from_scaled(n, w, w),
-        from_scaled(n, -w, w),
-    ]
 
 
 def _auto_half_width(constraints):
@@ -337,33 +333,35 @@ def _auto_half_width(constraints):
 def intersect_halfplanes(constraints, half_width=None):
     """Exact intersection of half-planes, clipped against a large box.
 
-    Returns a RegionResult; "unbounded" means the true intersection was
-    truncated by the box (some output vertex lies on it).  Openness flags
-    on constraints are ignored while clipping (vertices on boundary lines
-    are kept); interior membership tests handle strictness.
+    Clipping works on (x, ytilde) pairs, the coordinates the half-planes
+    are written in, and each distinct half-plane clips once; the pairs
+    become points only at the end.  Returns a RegionResult; "unbounded"
+    means the true intersection was truncated by the box (some output
+    vertex lies on it).  Each half-plane is clipped as closed (vertices on
+    boundary lines are kept); interior membership tests handle strictness.
     """
-    constraints = list(constraints)
+    # a second clip by the same closed half-plane changes nothing
+    constraints = list(dict.fromkeys(constraints))
     if not constraints:
         return RegionResult("unbounded", None)
     n = constraints[0].a.n
     if half_width is None:
         half_width = _auto_half_width(constraints)
-    w = Fraction(half_width)
-    pts = _bounding_box(n, w)
+    w = CycloNum.from_rational(n, Fraction(half_width))
+    pairs = [(-w, -w), (w, -w), (w, w), (-w, w)]
     for hp in constraints:
-        pts = _clip(pts, hp)
-        if not pts:
+        pairs = _clip(pairs, hp)
+        if not pairs:
             return RegionResult("empty", None)
-    pts = _dedupe_collinear(pts)
-    if len(pts) < 3:
+    pairs = _dedupe_collinear(pairs)
+    if len(pairs) < 3:
         return RegionResult("lower_dimensional", None)
-    wq = CycloNum.from_rational(n, w)
-    for z in pts:
-        x = real_part(z)
-        t = imag_scaled(z)
-        if x == wq or x == -wq or t == wq or t == -wq:
-            return RegionResult("unbounded", ConvexPolygon(pts, validate=False))
-    return RegionResult("polygon", ConvexPolygon(pts, validate=False))
+    half_eta = _eta(n) * _HALF
+    poly = ConvexPolygon([x + half_eta * t for x, t in pairs], validate=False)
+    for x, t in pairs:
+        if x == w or x == -w or t == w or t == -w:
+            return RegionResult("unbounded", poly)
+    return RegionResult("polygon", poly)
 
 
 # -- approximate metric utilities -------------------------------------------

@@ -167,41 +167,44 @@ def unfold(P, code, base=None):
     return UnfoldingChain(base, tuple(pts), tuple(ws), tuple(polys[:-1]))
 
 
-def _selection_wedge_constraints(apex, nxt, prv):
-    # {y : orientation(y, apex, nxt) > 0 and orientation(y, apex, prv) > 0}
-    return (
-        halfplane_left_of(apex, nxt),
-        halfplane_left_of(apex, prv),
-    )
+def code_constraints(P, lam, word):
+    """Two half-planes per label, carving the set of points whose first
+    len(word) labels under the map with rate lam are the word.
 
-
-def tile_constraints(P, code):
-    """Two half-planes per code symbol, carving the set of points whose
-    first len(code) symbols match the code (uncontracted map)."""
-    code = Code.coerce(code)
-    n = len(P.vertices)
+    Step i's selection wedge is pulled back through the inverse of the first
+    i steps, G_i(z) = alpha*z + beta, which keeps every boundary line exactly
+    representable.  Tiles (lam = 1) and same-code regions (lam < 1) are both
+    intersections of these half-planes.
+    """
+    lam = Fraction(lam)
+    vs = P.vertices
+    m = len(vs)
     cons = []
-    cur_vertices = list(P.vertices)
-    for a in code.word:
-        apex = cur_vertices[a - 1]
-        nxt = cur_vertices[a % n]
-        prv = cur_vertices[(a - 2) % n]
-        cons.extend(_selection_wedge_constraints(apex, nxt, prv))
-        cur_vertices = [apex * 2 - z for z in cur_vertices]
+    alpha = Fraction(1)
+    beta = CycloNum.zero(vs[0].n)
+    for a in word:
+        v = vs[a - 1]
+        # G_i has scalar linear part, so it preserves orientation and
+        # mapping the three points that define the wedge suffices
+        apex = v * alpha + beta
+        cons.append(halfplane_left_of(apex, vs[a % m] * alpha + beta))
+        cons.append(halfplane_left_of(apex, vs[(a - 2) % m] * alpha + beta))
+        # next inverse map: z -> G_i(((1+lam) v - z)/lam)
+        beta = beta + v * (alpha * (1 + lam) / lam)
+        alpha = -alpha / lam
     return cons
 
 
 def tile_from_code(P, code):
     """The open tile of points whose periodic itinerary is the given code.
 
-    The polygon is the exact intersection of the per-step selection wedges
-    over one period (the code is doubled first when its length is odd).  The
-    tile corresponds to the code's own phase: rotating the code yields the
+    The polygon is the intersection of code_constraints at lam = 1 over one
+    period (the code is doubled first when its length is odd).  The tile
+    corresponds to the code's own phase: rotating the code yields the
     tile's image under the map.
     """
     code = Code.coerce(code)
-    even = Code(code.doubled_even())
-    res = intersect_halfplanes(tile_constraints(P, even))
+    res = intersect_halfplanes(code_constraints(P, 1, code.doubled_even()))
     if res.kind != "polygon":
         raise CodeNotRealizableError(f"code not realizable ({res.kind})")
     return Tile(polygon=res.polygon, code=code, period=code.period)

@@ -12,12 +12,13 @@ from obc.atlas import (
     load_atlas,
     picture_convergence,
     save_atlas,
+    scr_constraints,
     scr_region,
     search_tiles,
 )
 from obc.errors import AtlasFormatError, ObcError
 from obc.geometry import from_scaled, point_xy, regular_ngon
-from obc.periodic import analyze_tile, tile_from_code
+from obc.periodic import analyze_tile, code_constraints, tile_from_code
 from obc.square import square_polygon
 
 
@@ -90,6 +91,23 @@ def test_scr_rejects_bad_seed():
         scr_region(4, 1, from_scaled(4, 0, 0), 4)  # inside the polygon
     with pytest.raises(ObcError):
         scr_region(4, 1, from_scaled(4, 3, 1), 4, polygon=square_polygon())  # singular
+
+
+def test_scr_rejects_rate_outside_unit_interval():
+    with pytest.raises(ValueError):
+        scr_region(4, 2, from_scaled(4, 3, 0), 4)
+
+
+def test_scr_at_rate_one_is_the_tile(septagon_atlas):
+    # tiles and same-code regions are one pull-back construction
+    P = regular_ngon(7)
+    short = [t for t in septagon_atlas.tiles() if len(t.code.doubled_even()) <= 42]
+    assert len(short) == 4
+    for t in short:
+        word = t.code.doubled_even()
+        cons = scr_constraints(7, 1, t.center(), len(word))
+        assert cons == code_constraints(P, 1, word)
+        assert scr_region(7, 1, t.center(), len(word)).polygon == t.polygon
 
 
 def test_picture_convergence_square_frame(square):

@@ -92,9 +92,16 @@ def test_scr_picture_mode(capsys):
     assert "hausdorff_to_tile" in out
 
 
-def test_usage_error_exit_2(capsys):
+def test_usage_error_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "orbit", "--n", "4", "--badflag")
     assert code == 2
+    # a missing --seed (or its alternative --code / --atlas) is a usage error
+    svg = str(tmp_path / "f.svg")
+    for argv in (["orbit"], ["scr"], ["render", "--out", svg], ["tile"], ["stability"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "required" in errors[0], (argv, err)
 
 
 def test_domain_error_exit_1(capsys):

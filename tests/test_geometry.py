@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import obc.geometry
 from obc.errors import GeometryError
 from obc.field import CycloNum
 from obc.geometry import (
@@ -111,10 +114,65 @@ def test_halfplane_intersection_empty_and_degenerate():
     res = intersect_halfplanes([HalfPlane(one, zero, zero), HalfPlane(-one, zero, zero)])
     assert res.kind in ("empty", "lower_dimensional")
     assert res.polygon is None
-    res2 = intersect_halfplanes([HalfPlane(one, zero, zero, closed=True),
-                                 HalfPlane(-one, zero, zero, closed=True),
+    res2 = intersect_halfplanes([HalfPlane(one, zero, zero),
+                                 HalfPlane(-one, zero, zero),
                                  HalfPlane(zero, one, one), HalfPlane(zero, -one, one)])
     assert res2.kind == "lower_dimensional"
+
+
+def test_identical_halfplanes_clip_once(monkeypatch):
+    clips = []
+    clip = obc.geometry._clip
+
+    def counting(pairs, hp):
+        clips.append(hp)
+        return clip(pairs, hp)
+
+    monkeypatch.setattr(obc.geometry, "_clip", counting)
+    cons = _strip_constraints()
+    cons = cons + [cons[0]]
+    res = intersect_halfplanes(cons + cons)
+    assert len(clips) == len(set(cons)) == 4
+    pts = sorted(point_xy(v) for v in res.polygon.vertices)
+    assert pts == [(-3.0, -1.0), (-3.0, 1.0), (-1.0, -1.0), (-1.0, 1.0)]
+
+
+# p/d + (q/d)*(zeta + conj(zeta)): a real field element, irrational for n = 5, 7
+# when q != 0
+_coeff = st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(1, 3))
+# rational parts of the offsets c lean positive, so the origin often survives
+# and about a quarter of the draws are bounded polygons
+_offset = st.tuples(st.integers(-1, 6), st.integers(-6, 6), st.integers(1, 3))
+
+
+def _real(n, coeff):
+    p, q, d = coeff
+    two_cos = CycloNum.zeta(n) + CycloNum.zeta(n, n - 1)
+    return (CycloNum.from_rational(n, p) + two_cos * q) * Fraction(1, d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((4, 5, 7)),
+       st.lists(st.tuples(_coeff, _coeff, _offset), min_size=1, max_size=7))
+def test_halfplane_intersection_property(n, planes):
+    cons = []
+    for ca, cb, cc in planes:
+        a, b, c = (_real(n, x) for x in (ca, cb, cc))
+        if not (a.is_zero() and b.is_zero()):
+            cons.append(HalfPlane(a, b, c))
+    if not cons:
+        return
+    res = intersect_halfplanes(cons)
+    if res.polygon is None:
+        assert res.kind in ("empty", "lower_dimensional")
+        return
+    vs = res.polygon.vertices
+    for hp in cons:
+        assert all(hp.side(v) >= 0 for v in vs)
+    ConvexPolygon(vs, validate=True)
+    if res.kind == "polygon":
+        for p, q in res.polygon.edges():
+            assert any(hp.side(p) == 0 and hp.side(q) == 0 for hp in cons)
 
 
 def test_halfplane_intersection_unbounded():
