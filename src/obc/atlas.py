@@ -10,6 +10,7 @@ of tiles; results are independent of traversal order.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -268,7 +269,11 @@ _HEADER_PREFIX = "obc-atlas v1 n="
 
 def save_atlas(atlas, path):
     """Write the atlas in its line format: a header then one sorted entry
-    per line (code, period, exact vertices, symmetry flag, verdict)."""
+    per line (code, period, exact vertices, symmetry flag, verdict).
+
+    The file is written to a temporary file beside ``path`` and then renamed
+    over it, so a failed write leaves any existing atlas at ``path`` intact.
+    """
     if not atlas.canonical_frame:
         raise ObcError(
             "only canonical-frame atlases are persistable; the file format "
@@ -286,8 +291,15 @@ def save_atlas(atlas, path):
             + f";symmetric={int(t.symmetric)}"
             + f";stable={t.stability.verdict}"
         )
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            f.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_atlas(path):

@@ -1,27 +1,35 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_n).
 
-Elements are stored in the power basis {1, zeta, ..., zeta^(phi(n)-1)} with
-Fraction coefficients, reduced modulo the n-th cyclotomic polynomial.  The
-representation is a canonical normal form: an element is zero exactly when
-every coefficient is zero, which is what makes certified sign evaluation
-possible (refinement only ever runs on provably nonzero inputs).
+Elements are stored in the power basis {1, zeta, ..., zeta^(phi(n)-1)},
+reduced modulo the n-th cyclotomic polynomial, as a tuple of integer
+numerators over one positive common denominator that shares no factor with
+all of them.  The representation is a canonical normal form: an element is
+zero exactly when every numerator is zero, which is what makes certified
+sign evaluation possible (refinement only ever runs on provably nonzero
+inputs).  Ring operations work on the integers; Fraction coefficients are
+formed only where they are read (``coeffs``, ``serialize``, ``inverse``).
 
 Numeric enclosures come from interval evaluations of cos(2*pi*k/n) and
-sin(2*pi*k/n) (mpmath's interval module supplies those constants); all the
-remaining interval arithmetic is exact rational endpoint arithmetic, so the
-enclosures are mathematically guaranteed.
+sin(2*pi*k/n) (mpmath's interval module supplies those constants), rounded
+outward once per precision to fixed-point integers; an enclosure is then an
+exact integer dot product, so it is mathematically guaranteed.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 from mpmath import iv
 
 from .errors import ConductorMismatchError, NotRealError
 
-_MAX_SIGN_PREC = 1 << 16
+# mpmath evaluates the trig tables this many bits past the fixed-point grid,
+# so each rounded table entry is at most 2^_TRIG_WIDTH_BITS units of 2^-prec
+# wide (checked where the table is built); ``_sign_cap`` relies on that width.
+_TRIG_GUARD_BITS = 8
+_TRIG_WIDTH_BITS = 1
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -63,14 +71,16 @@ def cyclotomic_polynomial(n):
     return poly
 
 
-def _mpf_tuple_to_fraction(t):
+def _fixed_point(t, prec, ceil):
+    """floor (or ceil) of 2^prec times the mpf value tuple ``t``."""
     sign, man, exp, _ = t
-    man = int(man)
-    if exp >= 0:
-        v = Fraction(man * (1 << exp))
-    else:
-        v = Fraction(man, 1 << -exp)
-    return -v if sign else v
+    man = -int(man) if sign else int(man)
+    shift = exp + prec
+    if shift >= 0:
+        return man << shift
+    if ceil:
+        return -((-man) >> -shift)
+    return man >> -shift
 
 
 class RatInterval:
@@ -81,14 +91,6 @@ class RatInterval:
     def __init__(self, lo, hi):
         self.lo = lo
         self.hi = hi
-
-    def __add__(self, other):
-        return RatInterval(self.lo + other.lo, self.hi + other.hi)
-
-    def scaled(self, c):
-        if c >= 0:
-            return RatInterval(self.lo * c, self.hi * c)
-        return RatInterval(self.hi * c, self.lo * c)
 
     def contains(self, v):
         return self.lo <= v <= self.hi
@@ -101,11 +103,16 @@ class RatInterval:
         return f"RatInterval({self.lo}, {self.hi})"
 
 
+def _nonzero(row):
+    return tuple((j, r) for j, r in enumerate(row) if r)
+
+
 class Cyclotomic:
     """Per-conductor context: modulus, reduction tables, trig caches."""
 
     __slots__ = (
-        "n", "phi", "modulus", "red_rows", "zeta_rows", "_trig", "_float_trig",
+        "n", "phi", "modulus", "zeta_rows", "_red_sparse", "_conj_sparse",
+        "_fixed_trig", "_float_trig",
     )
 
     def __init__(self, n):
@@ -127,7 +134,6 @@ class Cyclotomic:
             if carry:
                 shifted = [s + carry * b for s, b in zip(shifted, base)]
             rows[m] = shifted
-        self.red_rows = rows
         zrows = []
         for k in range(n):
             if k < phi:
@@ -137,32 +143,45 @@ class Cyclotomic:
                 row = list(rows[k])
             zrows.append(tuple(row))
         self.zeta_rows = zrows
-        self._trig = {}
+        # x^m -> its reduction, for the top half of a product, highest first
+        self._red_sparse = tuple(
+            (m, _nonzero(rows[m])) for m in range(2 * phi - 2, phi - 1, -1)
+        )
+        # zeta^j -> conj(zeta^j) = zeta^(n-j), an integer involution
+        self._conj_sparse = tuple(_nonzero(zrows[(n - j) % n]) for j in range(phi))
+        self._fixed_trig = {}
         self._float_trig = [
             (math.cos(2.0 * math.pi * k / n), math.sin(2.0 * math.pi * k / n))
             for k in range(phi)
         ]
 
-    def trig(self, prec):
-        """Certified (cos, sin) enclosures of zeta^k for k < phi at ``prec`` bits."""
-        cached = self._trig.get(prec)
+    def fixed_trig(self, prec):
+        """Certified fixed-point (cos, sin) of zeta^k for k < phi at ``prec`` bits.
+
+        Entry k is integers (clo, chi, slo, shi) with clo <= 2^prec cos(2 pi k/n)
+        <= chi and slo <= 2^prec sin(2 pi k/n) <= shi, each pair at most
+        2^_TRIG_WIDTH_BITS apart.
+        """
+        cached = self._fixed_trig.get(prec)
         if cached is not None:
             return cached
         old = iv.prec
         try:
-            iv.prec = prec
+            iv.prec = prec + _TRIG_GUARD_BITS
             out = []
             for k in range(self.phi):
                 theta = 2 * iv.pi * k / self.n
-                c = iv.cos(theta)
-                s = iv.sin(theta)
-                clo, chi = (_mpf_tuple_to_fraction(t) for t in c._mpi_)
-                slo, shi = (_mpf_tuple_to_fraction(t) for t in s._mpi_)
-                out.append((RatInterval(clo, chi), RatInterval(slo, shi)))
+                entry = []
+                for val in (iv.cos(theta), iv.sin(theta)):
+                    lo, hi = val._mpi_
+                    entry += (_fixed_point(lo, prec, False), _fixed_point(hi, prec, True))
+                if max(entry[1] - entry[0], entry[3] - entry[2]) > 1 << _TRIG_WIDTH_BITS:
+                    raise ArithmeticError(f"mpmath trig enclosure too wide at {prec} bits")
+                out.append(tuple(entry))
         finally:
             iv.prec = old
         out = tuple(out)
-        self._trig[prec] = out
+        self._fixed_trig[prec] = out
         return out
 
 
@@ -185,14 +204,60 @@ def _as_fraction(v):
     raise TypeError(f"expected int or Fraction, got {type(v).__name__}")
 
 
+def _raw(n, num, den):
+    """A CycloNum from a tuple ``num`` over ``den > 0`` already in normal form."""
+    z = object.__new__(CycloNum)
+    z.n = n
+    z.num = num
+    z.den = den
+    z._coeffs = None
+    z._hash = None
+    z._cfloat = None
+    return z
+
+
+def _reduced(n, num, den):
+    """A CycloNum from integer numerators over ``den > 0``, divided by their gcd."""
+    g = math.gcd(den, *num)
+    if g != 1:
+        return _raw(n, tuple(a // g for a in num), den // g)
+    return _raw(n, tuple(num), den)
+
+
+def _sum(n, anum, aden, bnum, bden):
+    """anum/aden + bnum/bden for numerator tuples of two normal forms."""
+    if aden == bden:
+        num = tuple(a + b for a, b in zip(anum, bnum))
+        return _raw(n, num, 1) if aden == 1 else _reduced(n, num, aden)
+    g = math.gcd(aden, bden)
+    fa, fb = bden // g, aden // g
+    num = tuple(a * fa + b * fb for a, b in zip(anum, bnum))
+    # coprime denominators leave the sum in lowest terms
+    return _raw(n, num, aden * bden) if g == 1 else _reduced(n, num, aden * fa)
+
+
+def _dec_int(text):
+    """int(text) for a decimal literal of any length.
+
+    Read through ``Decimal``, which has no int-to-str digit limit; the literal
+    must be plain ASCII digits after an optional sign.
+    """
+    body = text[1:] if text[:1] in "+-" else text
+    if not (body.isascii() and body.isdigit()):
+        raise ValueError(f"invalid integer literal {text[:40]!r} ({len(text)} characters)")
+    return int(Decimal(text))
+
+
 class CycloNum:
     """An element of Q(zeta_n) in reduced power-basis normal form.
 
-    Immutable; all operations return new values.  Mixed arithmetic with int
-    and Fraction scalars is supported.
+    The value is sum(num[k] * zeta^k) / den with integer ``num``, ``den > 0``
+    and gcd(den, *num) == 1; zero is (0, ..., 0)/1.  Immutable; all
+    operations return new values.  Mixed arithmetic with int and Fraction
+    scalars is supported.
     """
 
-    __slots__ = ("n", "coeffs", "_hash", "_cfloat")
+    __slots__ = ("n", "num", "den", "_coeffs", "_hash", "_cfloat")
 
     def __init__(self, n, coeffs):
         ctx = context(n)
@@ -201,8 +266,12 @@ class CycloNum:
             raise ValueError(
                 f"need {ctx.phi} coefficients for conductor {n}, got {len(coeffs)}"
             )
+        # lcm of lowest-terms denominators: the numerators share no factor with it
+        den = math.lcm(*(c.denominator for c in coeffs))
         self.n = n
-        self.coeffs = coeffs
+        self.num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self.den = den
+        self._coeffs = coeffs
         self._hash = None
         self._cfloat = None
 
@@ -210,32 +279,38 @@ class CycloNum:
 
     @classmethod
     def zero(cls, n):
-        return cls(n, (_ZERO,) * context(n).phi)
+        return _raw(n, (0,) * context(n).phi, 1)
 
     @classmethod
     def one(cls, n):
-        return cls.from_rational(n, _ONE)
+        return cls.from_rational(n, 1)
 
     @classmethod
     def from_rational(cls, n, q):
-        ctx = context(n)
-        coeffs = [_ZERO] * ctx.phi
-        coeffs[0] = _as_fraction(q)
-        return cls(n, coeffs)
+        q = _as_fraction(q)
+        return _raw(n, (q.numerator,) + (0,) * (context(n).phi - 1), q.denominator)
 
     @classmethod
     def zeta(cls, n, k=1):
-        ctx = context(n)
-        row = ctx.zeta_rows[k % n]
-        return cls(n, tuple(Fraction(c) for c in row))
+        return _raw(n, context(n).zeta_rows[k % n], 1)
 
     # -- basics ------------------------------------------------------------
 
+    @property
+    def coeffs(self):
+        """Power-basis coefficients as lowest-terms Fractions (read-only)."""
+        c = self._coeffs
+        if c is None:
+            den = self.den
+            c = tuple(Fraction(a, den) for a in self.num)
+            self._coeffs = c
+        return c
+
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self):
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def is_real(self):
         return self == self.conj()
@@ -243,12 +318,12 @@ class CycloNum:
     def __eq__(self, other):
         if not isinstance(other, CycloNum):
             return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
+        return self.n == other.n and self.den == other.den and self.num == other.num
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.n, self.coeffs))
+            h = hash((self.n, self.den, self.num))
             self._hash = h
         return h
 
@@ -261,58 +336,58 @@ class CycloNum:
                 f"conductor mismatch: {self.n} vs {other.n}"
             )
 
+    def _operand(self, other):
+        if isinstance(other, CycloNum):
+            self._check(other)
+            return other
+        if isinstance(other, (int, Fraction)):
+            return CycloNum.from_rational(self.n, other)
+        return None
+
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycloNum.from_rational(self.n, other)
-        elif not isinstance(other, CycloNum):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        self._check(other)
-        return CycloNum(self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return _sum(self.n, self.num, self.den, other.num, other.den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycloNum.from_rational(self.n, other)
-        elif not isinstance(other, CycloNum):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        self._check(other)
-        return CycloNum(self.n, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return _sum(self.n, self.num, self.den, tuple(-b for b in other.num), other.den)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return CycloNum(self.n, tuple(-a for a in self.coeffs))
+        return _raw(self.n, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
-            return CycloNum(self.n, tuple(a * c for a in self.coeffs))
+            return _reduced(self.n, tuple(a * c.numerator for a in self.num),
+                            self.den * c.denominator)
         if not isinstance(other, CycloNum):
             return NotImplemented
         self._check(other)
         ctx = context(self.n)
         phi = ctx.phi
-        a, b = self.coeffs, other.coeffs
-        conv = [_ZERO] * (2 * phi - 1)
-        for i, x in enumerate(a):
+        b = [(j, y) for j, y in enumerate(other.num) if y]
+        conv = [0] * (2 * phi - 1)
+        for i, x in enumerate(self.num):
             if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
-        rows = ctx.red_rows
-        for m in range(2 * phi - 2, phi - 1, -1):
+                for j, y in b:
+                    conv[i + j] += x * y
+        for m, row in ctx._red_sparse:
             c = conv[m]
             if c:
-                row = rows[m]
-                for j in range(phi):
-                    r = row[j]
-                    if r:
-                        conv[j] += c * r
-        return CycloNum(self.n, tuple(conv[:phi]))
+                for j, r in row:
+                    conv[j] += c * r
+        return _reduced(self.n, conv[:phi], self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -331,11 +406,12 @@ class CycloNum:
         return out
 
     def inverse(self):
+        """1/self: extended Euclid over Q on the numerator polynomial, times den."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
         ctx = context(self.n)
         mod = [Fraction(c) for c in ctx.modulus]
-        r0, r1 = mod, _trim(list(self.coeffs))
+        r0, r1 = mod, _trim([Fraction(a) for a in self.num])
         s0, s1 = [], [_ONE]
         while len(r1) > 1:
             q, r = _poly_divmod(r0, r1)
@@ -343,7 +419,7 @@ class CycloNum:
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
         if not r1:
             raise ZeroDivisionError("element not invertible")  # pragma: no cover
-        inv_c = 1 / r1[0]
+        inv_c = self.den / r1[0]
         s1 = [c * inv_c for c in s1]
         # reduce s1 mod the modulus (degree may reach phi for tiny inputs)
         out = [_ZERO] * ctx.phi
@@ -356,7 +432,7 @@ class CycloNum:
                     for j, r in enumerate(row):
                         if r:
                             out[j] += c * r
-        return CycloNum(self.n, tuple(out))
+        return CycloNum(self.n, out)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -373,39 +449,48 @@ class CycloNum:
         return self.inverse() * other
 
     def conj(self):
-        """Complex conjugation (zeta -> zeta^(n-1)); a field automorphism."""
+        """Complex conjugation (zeta -> zeta^(n-1)); a field automorphism.
+
+        It is an integer involution on the numerators, so their gcd with the
+        denominator stays 1 and no reduction is needed.
+        """
         ctx = context(self.n)
-        out = [_ZERO] * ctx.phi
-        for j, c in enumerate(self.coeffs):
+        out = [0] * ctx.phi
+        for c, row in zip(self.num, ctx._conj_sparse):
             if c:
-                row = ctx.zeta_rows[(self.n - j) % self.n]
-                for i, r in enumerate(row):
-                    if r:
-                        out[i] += c * r
-        return CycloNum(self.n, tuple(out))
+                for i, r in row:
+                    out[i] += c * r
+        return _raw(self.n, tuple(out), self.den)
 
     # -- numeric evaluation --------------------------------------------------
 
     def enclosure(self, prec):
         """(re, im) RatIntervals guaranteed to contain this element's value."""
-        ctx = context(self.n)
-        trig = ctx.trig(prec)
-        re = RatInterval(_ZERO, _ZERO)
-        im = RatInterval(_ZERO, _ZERO)
-        for c, (ck, sk) in zip(self.coeffs, trig):
-            if c:
-                re = re + ck.scaled(c)
-                im = im + sk.scaled(c)
-        return re, im
+        lo = hi = ilo = ihi = 0
+        for a, (clo, chi, slo, shi) in zip(self.num, context(self.n).fixed_trig(prec)):
+            if a > 0:
+                lo += a * clo
+                hi += a * chi
+                ilo += a * slo
+                ihi += a * shi
+            elif a < 0:
+                lo += a * chi
+                hi += a * clo
+                ilo += a * shi
+                ihi += a * slo
+        scale = self.den << prec
+        return (RatInterval(Fraction(lo, scale), Fraction(hi, scale)),
+                RatInterval(Fraction(ilo, scale), Fraction(ihi, scale)))
 
     def to_complex(self):
         v = self._cfloat
         if v is None:
             ctx = context(self.n)
+            den = self.den
             re = im = 0.0
-            for c, (ck, sk) in zip(self.coeffs, ctx._float_trig):
-                if c:
-                    f = float(c)
+            for a, (ck, sk) in zip(self.num, ctx._float_trig):
+                if a:
+                    f = a / den  # correctly rounded, as float(Fraction(a, den))
                     re += f * ck
                     im += f * sk
             v = complex(re, im)
@@ -416,7 +501,9 @@ class CycloNum:
 
     def serialize(self):
         """``n:c0/d0,c1/d1,...`` with coefficients in lowest terms."""
-        body = ",".join(f"{c.numerator}/{c.denominator}" for c in self.coeffs)
+        # via Decimal: int-to-str conversion has an interpreter-wide digit limit
+        body = ",".join(f"{Decimal(c.numerator)}/{Decimal(c.denominator)}"
+                        for c in self.coeffs)
         return f"{self.n}:{body}"
 
     @classmethod
@@ -431,7 +518,7 @@ class CycloNum:
             num, sep, den = p.partition("/")
             if not sep:
                 raise ValueError(f"bad coefficient {p!r} in {text!r}")
-            coeffs.append(Fraction(int(num), int(den)))
+            coeffs.append(Fraction(_dec_int(num), _dec_int(den)))
         return cls(n, coeffs)
 
 
@@ -472,30 +559,48 @@ def _poly_divmod(a, b):
     return _trim(q), _trim(a[: len(b) - 1])
 
 
+def _sign_cap(z):
+    """Precision in bits at which the enclosure of a real z != 0 excludes zero.
+
+    Write z = beta/den with beta = sum a_k zeta^k and integers a_k, and let
+    A = sum |a_k| < 2^L with L = A.bit_length().  beta is a nonzero algebraic
+    integer, so its norm, the product of sigma(beta) over the phi embeddings
+    sigma of Q(zeta_n), is a nonzero rational integer: |N(beta)| >= 1.  Each
+    sigma(beta) = sum a_k sigma(zeta)^k has |sigma(beta)| <= A, hence
+    |beta| >= A^-(phi-1) > 2^-((phi-1) L).  At precision p the real part of
+    the enclosure of beta is sum |a_k| times table intervals at most
+    2^(W-p) wide, W = _TRIG_WIDTH_BITS, so its width is below 2^(L+W-p).
+    An interval holding beta that is narrower than |beta| excludes zero, and
+    2^(L+W-p) <= 2^-((phi-1) L) once p >= phi L + W.
+    """
+    return context(z.n).phi * sum(abs(a) for a in z.num).bit_length() + _TRIG_WIDTH_BITS
+
+
 def sign_of_real(z, _checked=False):
     """Exact sign of a real field element under zeta -> exp(2*pi*i/n).
 
     Zero is decided by the normal form alone; for provably nonzero input the
-    enclosure is refined with doubling precision until it excludes zero.
+    enclosure is refined with doubling precision until it excludes zero,
+    which it does once the precision reaches ``_sign_cap(z)`` bits.
     """
     if not _checked and not z.is_real():
         raise NotRealError(f"element is not real: {z.serialize()}")
     if z.is_zero():
         return 0
     if z.is_rational():
-        c = z.coeffs[0]
-        return 1 if c > 0 else -1
+        return 1 if z.num[0] > 0 else -1
+    cap = _sign_cap(z)
     prec = 64
-    while prec <= _MAX_SIGN_PREC:
+    while True:
         re, _ = z.enclosure(prec)
         if re.lo > 0:
             return 1
         if re.hi < 0:
             return -1
+        if prec >= cap:
+            # unreachable while the trig tables keep the width _sign_cap assumes
+            raise ArithmeticError(f"sign undecided at the proved {cap} bits: {z.serialize()}")
         prec *= 2
-    raise ArithmeticError(  # pragma: no cover - unreachable for normal forms
-        f"sign undecided at {_MAX_SIGN_PREC} bits: {z.serialize()}"
-    )
 
 
 def approximate(z, precision_bits):
@@ -509,7 +614,7 @@ def approximate(z, precision_bits):
     if z.is_zero():
         zz = (_ZERO, _ZERO)
         return zz, zz
-    msum = sum(abs(c) for c in z.coeffs)
+    msum = Fraction(sum(abs(a) for a in z.num), z.den)
     mbits = max(0, msum.numerator.bit_length() - msum.denominator.bit_length() + 1)
     work = precision_bits + 16 + mbits
     re, im = z.enclosure(work)

@@ -177,7 +177,7 @@ class ConvexPolygon:
         """Rotation-invariant vertex key; equal keys <=> equal polygons."""
         k = self._key
         if k is None:
-            raw = [(v.n, v.coeffs) for v in self.vertices]
+            raw = [(v.n, v.num, v.den) for v in self.vertices]
             best = min(range(len(raw)), key=lambda i: raw[i:] + raw[:i])
             k = tuple(raw[best:] + raw[:best])
             self._key = k

@@ -162,6 +162,40 @@ def test_atlas_header_required(tmp_path):
         load_atlas(path)
 
 
+def test_failed_save_keeps_existing_atlas(tmp_path, monkeypatch):
+    atlas = search_tiles(SearchWindow(4, (Fraction(2, 5), Fraction(4), Fraction(2, 5), Fraction(4)),
+                                      Fraction(1, 2), 60))
+    path = tmp_path / "n4.atlas"
+    save_atlas(atlas, path)
+    before = path.read_bytes()
+
+    class Interrupted(Exception):
+        pass
+
+    class HalfWriter:
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, text):
+            self.f.write(text[: len(text) // 2])
+            raise Interrupted
+
+    real_open = open
+    monkeypatch.setattr(obc.atlas, "open", lambda *a, **k: HalfWriter(real_open(*a, **k)),
+                        raising=False)
+    with pytest.raises(Interrupted):
+        save_atlas(Atlas(n=4), path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["n4.atlas"]
+
+
 def test_non_canonical_frame_not_persistable(tmp_path, square):
     atlas = search_tiles(
         SearchWindow(4, (Fraction(-3), Fraction(-1), Fraction(-1), Fraction(1)),

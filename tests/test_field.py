@@ -1,6 +1,7 @@
 """Cyclotomic field arithmetic, certified signs, enclosures, serialization."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from mpmath import mp
 from obc.errors import ConductorMismatchError, NotRealError
 from obc.field import (
     CycloNum,
+    _sign_cap,
     approximate,
     cyclotomic_polynomial,
     euler_phi,
@@ -174,3 +176,54 @@ def test_pow_and_scalars():
     a = rand_elt(7)
     assert a * 3 == a + a + a
     assert a * Fraction(1, 2) + a * Fraction(1, 2) == a
+
+
+def _golden_gap(m):
+    """(zeta + conj zeta) - F_m/F_(m+1) in Q(zeta_5): 2 cos(2 pi/5) = 1/golden ratio."""
+    a, b = 0, 1  # F_0, F_1
+    for _ in range(m):
+        a, b = b, a + b
+    r = CycloNum.zeta(5)
+    return r + r.conj() - Fraction(a, b)
+
+
+def test_sign_cap_is_derived_from_height():
+    # this input needs about 2^17 bits, past the old fixed cap of 2^16
+    assert _sign_cap(_golden_gap(48000)) > 1 << 16
+
+
+def test_sign_exact_near_golden_ratio():
+    # F_(m+1)/F_m overshoots the golden ratio for even m and undershoots for odd m
+    assert sign_of_real(_golden_gap(2000)) == 1
+    assert sign_of_real(_golden_gap(2001)) == -1
+
+
+_HUGE = 7**118000  # about 10^5 digits
+
+
+def _huge_element():
+    return CycloNum(7, [Fraction(-_HUGE, 3), 0, Fraction(1, _HUGE + 2), 5, 0, Fraction(_HUGE, 11)])
+
+
+def test_serialization_past_int_digit_limit():
+    big = CycloNum.from_rational(5, 10**5000)
+    assert CycloNum.parse(big.serialize()) == big
+    z = _huge_element()
+    assert CycloNum.parse(z.serialize()) == z
+    with pytest.raises(ValueError):
+        CycloNum.parse("5:" + "1" * 5000 + "x/1,0/1,0/1,0/1")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="interpreter has no int-to-str digit limit")
+def test_huge_serialization_matches_str_and_keeps_limit():
+    limit = sys.get_int_max_str_digits()
+    z = _huge_element()
+    text = z.serialize()
+    CycloNum.parse(text)
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert text == f"7:{-_HUGE}/3,0/1,1/{_HUGE + 2},5/1,0/1,{_HUGE}/11"
+    finally:
+        sys.set_int_max_str_digits(limit)
