@@ -311,9 +311,9 @@ def load_atlas(path):
         raise AtlasFormatError("missing atlas header", lineno=1)
     try:
         n = int(lines[0][len(_HEADER_PREFIX):])
+        P = regular_ngon(n)
     except ValueError as exc:
         raise AtlasFormatError(f"bad conductor: {exc}", lineno=1) from exc
-    P = regular_ngon(n)
     atlas = Atlas(n=n)
     atlas.provenance = {"loaded_from": str(path)}
     diagnostics = []

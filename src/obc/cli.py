@@ -20,7 +20,7 @@ from .atlas import (
 )
 from .dynamics import Code, iterate, orbit_to_text
 from .errors import ObcError
-from .field import CycloNum
+from .field import CycloNum, check_conductor
 from .geometry import from_xy_approx, hausdorff_distance, point_xy, regular_ngon
 from .periodic import analyze_tile, tile_from_code
 from .render import RenderSpec, render_svg
@@ -31,6 +31,24 @@ from .square import (
     lambda_k,
     square_polygon,
 )
+
+
+def _conductor(text):
+    """argparse type of --n: an int that ``field.check_conductor`` accepts."""
+    n = int(text)
+    try:
+        check_conductor(n)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return n
+
+
+def _positive_int(text):
+    """argparse type of step, period, depth and sample counts: an int >= 1."""
+    v = int(text)
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {v}")
+    return v
 
 
 def parse_lambda(text):
@@ -244,7 +262,8 @@ def build_parser():
     def add_common(p, *alternatives):
         """--n, --square-frame and a required --seed, or else exactly one of
         --seed and the (flag, help) alternatives."""
-        p.add_argument("--n", type=int, default=4, help="polygon order (vertices at roots of unity)")
+        p.add_argument("--n", type=_conductor, default=4,
+                       help="polygon order (vertices at roots of unity)")
         p.add_argument("--square-frame", action="store_true",
                        help="use the axis-aligned square with vertices (+-1,+-1) (n=4 only)")
         seed_help = "decimal point 'x,y'"
@@ -259,33 +278,33 @@ def build_parser():
     p = sub.add_parser("orbit", help="iterate the map and dump the orbit")
     add_common(p)
     p.add_argument("--lambda", dest="lam", default="1", help="contraction rate, p/q or decimal")
-    p.add_argument("--steps", type=int, default=100)
+    p.add_argument("--steps", type=_positive_int, default=100)
     p.add_argument("--exact", action="store_true", help="emit serialized exact points")
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("tile", help="build the tile for a seed or a code")
     add_common(p, ("--code", "comma-separated vertex labels"))
-    p.add_argument("--max-steps", type=int, default=4096)
+    p.add_argument("--max-steps", type=_positive_int, default=4096)
     p.set_defaults(func=cmd_tile)
 
     p = sub.add_parser("stability", help="symmetry and stability report for a tile")
     add_common(p, ("--code", "comma-separated vertex labels"))
-    p.add_argument("--max-steps", type=int, default=4096)
+    p.add_argument("--max-steps", type=_positive_int, default=4096)
     p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("square-verify", help="square family: thresholds and attractor counts")
-    p.add_argument("--kmax", type=int, default=6)
+    p.add_argument("--kmax", type=_positive_int, default=6)
     p.add_argument("--tol", default="1e-12", help="enclosure width (rational or scientific)")
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--max-steps", type=int, default=10000)
+    p.add_argument("--samples", type=_positive_int, default=200)
+    p.add_argument("--max-steps", type=_positive_int, default=10000)
     p.add_argument("--skip-attractors", action="store_true")
     p.set_defaults(func=cmd_square_verify)
 
     p = sub.add_parser("search", help="scan a window for periodic tiles")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_conductor, required=True)
     p.add_argument("--window", required=True, help="x0,x1,t0,t1 (scaled coordinates)")
     p.add_argument("--resolution", default="1/8")
-    p.add_argument("--max-period", type=int, default=64)
+    p.add_argument("--max-period", type=_positive_int, default=64)
     p.add_argument("--mode", choices=("exact", "float_then_certify"), default="exact")
     p.add_argument("--out", help="atlas output path")
     p.set_defaults(func=cmd_search)
@@ -294,14 +313,14 @@ def build_parser():
     add_common(p)
     p.add_argument("--lambda", dest="lam", default="1")
     p.add_argument("--lambdas", help="comma list; report distances to the tile instead")
-    p.add_argument("--depth", type=int, default=50)
+    p.add_argument("--depth", type=_positive_int, default=50)
     p.add_argument("--compare-tile", action="store_true")
     p.set_defaults(func=cmd_scr)
 
     p = sub.add_parser("render", help="render an atlas or an orbit to SVG")
     add_common(p, ("--atlas", "atlas file to draw"))
     p.add_argument("--lambda", dest="lam", default="1")
-    p.add_argument("--steps", type=int, default=100)
+    p.add_argument("--steps", type=_positive_int, default=100)
     p.add_argument("--out", required=True)
     p.add_argument("--viewport", default="-8,8,-8,8")
     p.add_argument("--precision-bits", type=int, default=53)

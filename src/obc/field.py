@@ -7,7 +7,10 @@ all of them.  The representation is a canonical normal form: an element is
 zero exactly when every numerator is zero, which is what makes certified
 sign evaluation possible (refinement only ever runs on provably nonzero
 inputs).  Ring operations work on the integers; Fraction coefficients are
-formed only where they are read (``coeffs``, ``serialize``, ``inverse``).
+formed only where values enter or leave (constructors, ``coeffs``,
+``serialize``, ``approximate``).  ``inverse`` is the Galois norm: with
+z = w/den, 1/z = den * prod / N(w), where prod is the product of the other
+conjugates sigma_k(w) and N(w) = w * prod is a positive integer.
 
 Numeric enclosures come from interval evaluations of cos(2*pi*k/n) and
 sin(2*pi*k/n) (mpmath's interval module supplies those constants), rounded
@@ -31,8 +34,9 @@ from .errors import ConductorMismatchError, NotRealError
 _TRIG_GUARD_BITS = 8
 _TRIG_WIDTH_BITS = 1
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+# Largest conductor a context is built for: a context holds O(n * phi) table
+# entries and the Galois-norm inverse takes phi - 1 products.
+MAX_CONDUCTOR = 1000
 
 
 def euler_phi(n):
@@ -83,77 +87,57 @@ def _fixed_point(t, prec, ceil):
     return man >> -shift
 
 
-class RatInterval:
-    """Closed interval with exact rational endpoints."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo, hi):
-        self.lo = lo
-        self.hi = hi
-
-    def contains(self, v):
-        return self.lo <= v <= self.hi
-
-    @property
-    def width(self):
-        return self.hi - self.lo
-
-    def __repr__(self):
-        return f"RatInterval({self.lo}, {self.hi})"
-
-
 def _nonzero(row):
     return tuple((j, r) for j, r in enumerate(row) if r)
 
 
+def check_conductor(n):
+    """Raise ValueError unless 3 <= n <= MAX_CONDUCTOR."""
+    if not 3 <= n <= MAX_CONDUCTOR:
+        raise ValueError(f"conductor must be in [3, {MAX_CONDUCTOR}], got {n}")
+
+
 class Cyclotomic:
-    """Per-conductor context: modulus, reduction tables, trig caches."""
+    """Per-conductor context: reduction, automorphism and trig tables."""
 
     __slots__ = (
-        "n", "phi", "modulus", "zeta_rows", "_red_sparse", "_conj_sparse",
-        "_fixed_trig", "_float_trig",
+        "n", "phi", "zeta_rows", "_red_sparse", "_sigma", "_fixed_trig", "_float_trig",
     )
 
     def __init__(self, n):
-        if n < 3:
-            raise ValueError("conductor must be >= 3")
+        check_conductor(n)
         self.n = n
         mod = cyclotomic_polynomial(n)
         phi = len(mod) - 1
         self.phi = phi
-        self.modulus = mod
-        top = max(2 * phi - 2, n - 1)
-        rows = {}
+        # rows[m]: power-basis numerators of zeta^m, by zeta^m = zeta * zeta^(m-1)
+        rows = [tuple(int(j == m) for j in range(phi)) for m in range(phi)]
         base = [-c for c in mod[:phi]]
-        rows[phi] = base
-        for m in range(phi + 1, top + 1):
-            prev = rows[m - 1]
-            shifted = [0] + prev[:-1]
-            carry = prev[-1]
-            if carry:
-                shifted = [s + carry * b for s, b in zip(shifted, base)]
-            rows[m] = shifted
-        zrows = []
-        for k in range(n):
-            if k < phi:
-                row = [0] * phi
-                row[k] = 1
-            else:
-                row = list(rows[k])
-            zrows.append(tuple(row))
-        self.zeta_rows = zrows
+        for _ in range(phi, max(2 * phi - 2, n - 1) + 1):
+            prev = rows[-1]
+            rows.append(tuple(s + prev[-1] * b for s, b in zip((0,) + prev[:-1], base)))
+        self.zeta_rows = rows[:n]
         # x^m -> its reduction, for the top half of a product, highest first
         self._red_sparse = tuple(
             (m, _nonzero(rows[m])) for m in range(2 * phi - 2, phi - 1, -1)
         )
-        # zeta^j -> conj(zeta^j) = zeta^(n-j), an integer involution
-        self._conj_sparse = tuple(_nonzero(zrows[(n - j) % n]) for j in range(phi))
+        self._sigma = {}
         self._fixed_trig = {}
         self._float_trig = [
             (math.cos(2.0 * math.pi * k / n), math.sin(2.0 * math.pi * k / n))
             for k in range(phi)
         ]
+
+    def sigma(self, k):
+        """Sparse integer table of the automorphism zeta -> zeta^k, gcd(k, n) = 1.
+
+        Row j holds the nonzero power-basis entries of zeta^(j k), j < phi.
+        """
+        table = self._sigma.get(k)
+        if table is None:
+            table = tuple(_nonzero(self.zeta_rows[j * k % self.n]) for j in range(self.phi))
+            self._sigma[k] = table
+        return table
 
     def fixed_trig(self, prec):
         """Certified fixed-point (cos, sin) of zeta^k for k < phi at ``prec`` bits.
@@ -234,6 +218,16 @@ def _sum(n, anum, aden, bnum, bden):
     num = tuple(a * fa + b * fb for a, b in zip(anum, bnum))
     # coprime denominators leave the sum in lowest terms
     return _raw(n, num, aden * bden) if g == 1 else _reduced(n, num, aden * fa)
+
+
+def _apply(num, table):
+    """Numerators of sigma(w), w = sum num[j] zeta^j, from sigma's sparse table."""
+    out = [0] * len(num)
+    for c, row in zip(num, table):
+        if c:
+            for i, r in row:
+                out[i] += c * r
+    return tuple(out)
 
 
 def _dec_int(text):
@@ -406,33 +400,25 @@ class CycloNum:
         return out
 
     def inverse(self):
-        """1/self: extended Euclid over Q on the numerator polynomial, times den."""
+        """1/self by the Galois norm.
+
+        Write self = w/den with w = sum num[k] zeta^k.  prod, the product of
+        sigma_k(w) over the units k != 1 mod n, has integer coefficients, and
+        N = w * prod, the norm of w, is a rational integer.  Q(zeta_n) is
+        totally complex, so N is a product of squared absolute values and
+        N > 0; hence 1/self = den * prod / N.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        ctx = context(self.n)
-        mod = [Fraction(c) for c in ctx.modulus]
-        r0, r1 = mod, _trim([Fraction(a) for a in self.num])
-        s0, s1 = [], [_ONE]
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        if not r1:
-            raise ZeroDivisionError("element not invertible")  # pragma: no cover
-        inv_c = self.den / r1[0]
-        s1 = [c * inv_c for c in s1]
-        # reduce s1 mod the modulus (degree may reach phi for tiny inputs)
-        out = [_ZERO] * ctx.phi
-        for k, c in enumerate(s1):
-            if c:
-                row = ctx.zeta_rows[k % ctx.n] if k >= ctx.phi else None
-                if row is None:
-                    out[k] += c
-                else:
-                    for j, r in enumerate(row):
-                        if r:
-                            out[j] += c * r
-        return CycloNum(self.n, out)
+        n = self.n
+        ctx = context(n)
+        prod = None
+        for k in range(2, n):
+            if math.gcd(k, n) == 1:
+                s = _raw(n, _apply(self.num, ctx.sigma(k)), 1)
+                prod = s if prod is None else prod * s
+        norm = _raw(n, self.num, 1) * prod
+        return _reduced(n, tuple(self.den * a for a in prod.num), norm.num[0])
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -449,23 +435,22 @@ class CycloNum:
         return self.inverse() * other
 
     def conj(self):
-        """Complex conjugation (zeta -> zeta^(n-1)); a field automorphism.
+        """Complex conjugation, the automorphism zeta -> zeta^(n-1).
 
-        It is an integer involution on the numerators, so their gcd with the
-        denominator stays 1 and no reduction is needed.
+        An automorphism maps the integer numerators by an invertible integer
+        matrix, so their gcd with the denominator stays 1 and no reduction is
+        needed.
         """
-        ctx = context(self.n)
-        out = [0] * ctx.phi
-        for c, row in zip(self.num, ctx._conj_sparse):
-            if c:
-                for i, r in row:
-                    out[i] += c * r
-        return _raw(self.n, tuple(out), self.den)
+        return _raw(self.n, _apply(self.num, context(self.n).sigma(self.n - 1)), self.den)
 
     # -- numeric evaluation --------------------------------------------------
 
     def enclosure(self, prec):
-        """(re, im) RatIntervals guaranteed to contain this element's value."""
+        """Integers (lo, hi, ilo, ihi) with lo <= s * re <= hi and ilo <= s * im <= ihi.
+
+        s = den * 2^prec, and re, im are the real and imaginary parts of this
+        element's value.
+        """
         lo = hi = ilo = ihi = 0
         for a, (clo, chi, slo, shi) in zip(self.num, context(self.n).fixed_trig(prec)):
             if a > 0:
@@ -478,9 +463,7 @@ class CycloNum:
                 hi += a * clo
                 ilo += a * shi
                 ihi += a * slo
-        scale = self.den << prec
-        return (RatInterval(Fraction(lo, scale), Fraction(hi, scale)),
-                RatInterval(Fraction(ilo, scale), Fraction(ihi, scale)))
+        return lo, hi, ilo, ihi
 
     def to_complex(self):
         v = self._cfloat
@@ -522,43 +505,6 @@ class CycloNum:
         return cls(n, coeffs)
 
 
-def _trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_sub(a, b):
-    out = list(a) + [_ZERO] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _trim(out)
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim(out)
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    q = [_ZERO] * max(1, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] * inv_lead
-        q[i] = c
-        if c:
-            for j, y in enumerate(b):
-                a[i + j] -= c * y
-    return _trim(q), _trim(a[: len(b) - 1])
-
-
 def _sign_cap(z):
     """Precision in bits at which the enclosure of a real z != 0 excludes zero.
 
@@ -592,10 +538,10 @@ def sign_of_real(z, _checked=False):
     cap = _sign_cap(z)
     prec = 64
     while True:
-        re, _ = z.enclosure(prec)
-        if re.lo > 0:
+        lo, hi, _, _ = z.enclosure(prec)
+        if lo > 0:
             return 1
-        if re.hi < 0:
+        if hi < 0:
             return -1
         if prec >= cap:
             # unreachable while the trig tables keep the width _sign_cap assumes
@@ -612,19 +558,17 @@ def approximate(z, precision_bits):
     if precision_bits < 16:
         raise ValueError("precision_bits must be >= 16")
     if z.is_zero():
-        zz = (_ZERO, _ZERO)
-        return zz, zz
-    msum = Fraction(sum(abs(a) for a in z.num), z.den)
-    mbits = max(0, msum.numerator.bit_length() - msum.denominator.bit_length() + 1)
+        zero = (Fraction(0), Fraction(0))
+        return zero, zero
+    total, den = sum(abs(a) for a in z.num), z.den
+    g = math.gcd(total, den)
+    mbits = max(0, (total // g).bit_length() - (den // g).bit_length() + 1)
     work = precision_bits + 16 + mbits
-    re, im = z.enclosure(work)
+    lo, hi, ilo, ihi = z.enclosure(work)
+    scale = den << work
     grid = 1 << (precision_bits + 2)
 
-    def outward(ival):
-        lo_n = ival.lo.numerator * grid
-        lo = Fraction((lo_n // ival.lo.denominator) - 1, grid)
-        hi_n = ival.hi.numerator * grid
-        hi = Fraction(-((-hi_n) // ival.hi.denominator) + 1, grid)
-        return lo, hi
+    def outward(lo, hi):
+        return Fraction(lo * grid // scale - 1, grid), Fraction(-(-hi * grid // scale) + 1, grid)
 
-    return outward(re), outward(im)
+    return outward(lo, hi), outward(ilo, ihi)

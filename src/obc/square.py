@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dynamics import Code, float_select, iterate
-from .field import CycloNum, _poly_mul
+from .field import CycloNum
 from .geometry import ConvexPolygon, cross_scaled, from_scaled, imag_scaled, real_part
 from .periodic import validate_periodic
 
@@ -60,23 +60,23 @@ def existence_identity_holds(k):
     This is the corrected form of the threshold condition: the y-coordinate
     bound y_k(lam) <= 1 is equivalent to p_k(lam) <= 0.
     """
-    one_minus_tk = [Fraction(0)] * (k + 1)
-    one_minus_tk[0] = Fraction(1)
-    one_minus_tk[k] = Fraction(-1)
-    lhs = _poly_mul([Fraction(1), Fraction(1)], _poly_mul(one_minus_tk, one_minus_tk))
-    sub = [Fraction(0)] * (2 * k + 2)
-    # (1 - t)(1 + t^2k) = 1 - t + t^2k - t^(2k+1)
-    sub[0] += 1
-    sub[1] -= 1
-    sub[2 * k] += 1
-    sub[2 * k + 1] -= 1
-    size = max(len(lhs), len(sub))
-    lhs = lhs + [Fraction(0)] * (size - len(lhs))
-    for i, c in enumerate(sub):
-        lhs[i] -= c
-    rhs = [Fraction(0)] + [2 * c for c in p_coeffs(k)]
-    rhs = rhs + [Fraction(0)] * (size - len(rhs))
-    return lhs == rhs
+    one_minus_tk = [1] + [0] * (k - 1) + [-1]
+    lhs = _poly_mul([1, 1], _poly_mul(one_minus_tk, one_minus_tk))
+    # subtract (1 - t)(1 + t^2k) = 1 - t + t^2k - t^(2k+1)
+    lhs[0] -= 1
+    lhs[1] += 1
+    lhs[2 * k] -= 1
+    lhs[2 * k + 1] += 1
+    return lhs == [0] + [2 * c for c in p_coeffs(k)]
+
+
+def _poly_mul(a, b):
+    """Product of integer polynomials, coefficient lists low degree first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def lambda_k(k, tol=Fraction(1, 10**12)):

@@ -1,7 +1,12 @@
 """Command-line surface: subcommands, formats, exit codes."""
 
+import os
+import resource
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
+import obc
 from obc.cli import run_cli
 
 
@@ -102,6 +107,41 @@ def test_usage_error_exit_2(tmp_path, capsys):
         assert code == 2, argv
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1 and "required" in errors[0], (argv, err)
+    # out-of-range conductors and counts below 1 are usage errors too
+    for argv in (["orbit", "--n", "2", "--seed", "3,0"],
+                 ["orbit", "--n", "0", "--seed", "3,0"],
+                 ["search", "--n", "1000003", "--window", "0,1,0,1"],
+                 ["orbit", "--seed", "3,0", "--steps", "0"],
+                 ["tile", "--seed", "3,0", "--max-steps", "0"],
+                 ["search", "--n", "5", "--window", "0,1,0,1", "--max-period", "0"],
+                 ["scr", "--seed", "3,0", "--depth", "0"],
+                 ["square-verify", "--kmax", "0"],
+                 ["square-verify", "--samples", "-1"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "error: argument" in err, (argv, err)
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
+
+
+def test_out_of_range_conductor_fails_fast(tmp_path):
+    # each of these once built a context for n = 1000003, hanging while its
+    # memory grew; a subprocess with a timeout and a 2 GiB address-space
+    # limit keeps a regression from stalling the suite or the machine
+    atlas = tmp_path / "big.atlas"
+    atlas.write_text("obc-atlas v1 n=1000003\n", encoding="utf-8")
+    svg = str(tmp_path / "a.svg")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(obc.__file__)))
+    for argv, expected in ((["orbit", "--n", "1000003", "--seed", "1,1"], 2),
+                           (["orbit", "--n", "5", "--seed", "1000003:1/1"], 1),
+                           (["render", "--atlas", str(atlas), "--out", svg], 1)):
+        proc = subprocess.run([sys.executable, "-m", "obc.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60,
+                              preexec_fn=_limit_memory)
+        assert proc.returncode == expected, (argv, proc.stderr)
+        assert "conductor must be in [3, 1000]" in proc.stderr, (argv, proc.stderr)
 
 
 def test_domain_error_exit_1(capsys):

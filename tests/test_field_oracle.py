@@ -16,6 +16,8 @@ _X = sympy.Symbol("x")
 _coeff = st.one_of(
     st.integers(-60, 60),
     st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**4)),
+    # coefficients at height, where the Galois product's coefficients grow
+    st.integers(-2**200, 2**200),
 )
 
 
