@@ -51,15 +51,41 @@ def _positive_int(text):
     return v
 
 
+def _fraction(text):
+    """A rational from 'p/q', decimal or scientific text, or a usage error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+
+
+def _positive_fraction(text):
+    """argparse type of --tol and --resolution: a rational > 0."""
+    v = _fraction(text)
+    if v <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {v}")
+    return v
+
+
+def _precision_bits(text):
+    """argparse type of --precision-bits: an int >= 16, the least ``approximate`` takes."""
+    v = int(text)
+    if v < 16:
+        raise argparse.ArgumentTypeError(f"must be >= 16, got {v}")
+    return v
+
+
 def parse_lambda(text):
-    if "/" in text:
-        num, den = text.split("/", 1)
-        lam = Fraction(int(num), int(den))
-    else:
-        lam = Fraction(text)
+    """argparse type of --lambda: a contraction rate in (0, 1]."""
+    lam = _fraction(text)
     if not 0 < lam <= 1:
-        raise ObcError(f"contraction rate must be in (0, 1], got {lam}")
+        raise argparse.ArgumentTypeError(f"contraction rate must be in (0, 1], got {lam}")
     return lam
+
+
+def _lambda_list(text):
+    """argparse type of --lambdas: a comma list of contraction rates."""
+    return [parse_lambda(p) for p in text.split(",")]
 
 
 def parse_seed(text, n):
@@ -93,9 +119,8 @@ def _fmt_pt(z):
 
 def cmd_orbit(args):
     P = _polygon_for(args)
-    lam = parse_lambda(args.lam)
     x = parse_seed(args.seed, args.n)
-    rec = iterate(P, lam, x, args.steps)
+    rec = iterate(P, args.lam, x, args.steps)
     if args.exact:
         sys.stdout.write(orbit_to_text(rec))
     else:
@@ -150,13 +175,10 @@ def cmd_stability(args):
 
 
 def cmd_square_verify(args):
-    tol = Fraction(args.tol)
-    if tol <= 0:
-        raise ObcError("tolerance must be positive")
     print("k   lambda_k enclosure                          p_k<=0 at mid  identity")
     prev_hi = None
     for k in range(1, args.kmax + 1):
-        lo, hi = lambda_k(k, tol)
+        lo, hi = lambda_k(k, args.tol)
         mid = (lo + hi) / 2
         exist = existence_condition(k, (hi + 1) / 2) if hi < 1 else True
         ident = existence_identity_holds(k)
@@ -186,7 +208,7 @@ def cmd_search(args):
     window = SearchWindow(
         n=args.n,
         bounds=_parse_window(args.window),
-        grid_resolution=Fraction(args.resolution),
+        grid_resolution=args.resolution,
         max_period=args.max_period,
         mode=args.mode,
     )
@@ -212,15 +234,13 @@ def cmd_scr(args):
     P = _polygon_for(args)
     x = parse_seed(args.seed, args.n)
     if args.lambdas:
-        lams = [parse_lambda(p.strip()) for p in args.lambdas.split(",")]
-        rows = picture_convergence(args.n, x, lams, args.depth,
+        rows = picture_convergence(args.n, x, args.lambdas, args.depth,
                                    polygon=P if args.square_frame else None)
         print("lambda      hausdorff_to_tile   depth")
         for lam, d in rows:
             print(f"{str(lam):<11s} {d:<19.9f} {args.depth}")
         return 0
-    lam = parse_lambda(args.lam)
-    region = scr_region(args.n, lam, x, args.depth,
+    region = scr_region(args.n, args.lam, x, args.depth,
                         polygon=P if args.square_frame else None)
     print(f"depth={args.depth} sides={len(region.polygon.vertices)}")
     for v in region.polygon.vertices:
@@ -244,9 +264,8 @@ def cmd_render(args):
         render_svg(atlas, spec, args.out)
     else:
         P = _polygon_for(args)
-        lam = parse_lambda(args.lam)
         x = parse_seed(args.seed, args.n)
-        rec = iterate(P, lam, x, args.steps)
+        rec = iterate(P, args.lam, x, args.steps)
         render_svg(rec, spec, args.out, polygon=P)
     print(f"wrote {args.out}")
     return 0
@@ -277,7 +296,8 @@ def build_parser():
 
     p = sub.add_parser("orbit", help="iterate the map and dump the orbit")
     add_common(p)
-    p.add_argument("--lambda", dest="lam", default="1", help="contraction rate, p/q or decimal")
+    p.add_argument("--lambda", dest="lam", type=parse_lambda, default="1",
+                   help="contraction rate in (0, 1], p/q or decimal")
     p.add_argument("--steps", type=_positive_int, default=100)
     p.add_argument("--exact", action="store_true", help="emit serialized exact points")
     p.set_defaults(func=cmd_orbit)
@@ -294,7 +314,8 @@ def build_parser():
 
     p = sub.add_parser("square-verify", help="square family: thresholds and attractor counts")
     p.add_argument("--kmax", type=_positive_int, default=6)
-    p.add_argument("--tol", default="1e-12", help="enclosure width (rational or scientific)")
+    p.add_argument("--tol", type=_positive_fraction, default="1e-12",
+                   help="enclosure width (rational or scientific)")
     p.add_argument("--samples", type=_positive_int, default=200)
     p.add_argument("--max-steps", type=_positive_int, default=10000)
     p.add_argument("--skip-attractors", action="store_true")
@@ -303,7 +324,7 @@ def build_parser():
     p = sub.add_parser("search", help="scan a window for periodic tiles")
     p.add_argument("--n", type=_conductor, required=True)
     p.add_argument("--window", required=True, help="x0,x1,t0,t1 (scaled coordinates)")
-    p.add_argument("--resolution", default="1/8")
+    p.add_argument("--resolution", type=_positive_fraction, default="1/8")
     p.add_argument("--max-period", type=_positive_int, default=64)
     p.add_argument("--mode", choices=("exact", "float_then_certify"), default="exact")
     p.add_argument("--out", help="atlas output path")
@@ -311,19 +332,20 @@ def build_parser():
 
     p = sub.add_parser("scr", help="same-code region / convergence of picture")
     add_common(p)
-    p.add_argument("--lambda", dest="lam", default="1")
-    p.add_argument("--lambdas", help="comma list; report distances to the tile instead")
+    p.add_argument("--lambda", dest="lam", type=parse_lambda, default="1")
+    p.add_argument("--lambdas", type=_lambda_list,
+                   help="comma list; report distances to the tile instead")
     p.add_argument("--depth", type=_positive_int, default=50)
     p.add_argument("--compare-tile", action="store_true")
     p.set_defaults(func=cmd_scr)
 
     p = sub.add_parser("render", help="render an atlas or an orbit to SVG")
     add_common(p, ("--atlas", "atlas file to draw"))
-    p.add_argument("--lambda", dest="lam", default="1")
+    p.add_argument("--lambda", dest="lam", type=parse_lambda, default="1")
     p.add_argument("--steps", type=_positive_int, default=100)
     p.add_argument("--out", required=True)
     p.add_argument("--viewport", default="-8,8,-8,8")
-    p.add_argument("--precision-bits", type=int, default=53)
+    p.add_argument("--precision-bits", type=_precision_bits, default=53)
     p.set_defaults(func=cmd_render)
 
     return ap

@@ -5,6 +5,11 @@ The map sends x to (1 + lam) * v - lam * x, where v is the unique vertex of P
 such that P lies on the left of the ray from x through v; lam = 1 is the
 uncontracted map.  The singular set S is the union of rays extending the
 sides of P, where two vertices qualify and the choice is ambiguous.
+
+Vertex selection reads the signs of the polygon's cached integer edge forms
+(``ConvexPolygon.edge_sign``): a float screen proposes a vertex and two edge
+signs confirm it, or else one sign per edge decides the point.  A step is
+one integer combination of the numerators of v and x, reduced by one gcd.
 """
 
 from __future__ import annotations
@@ -13,8 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import GeometryError, StepDomainError
-from .field import CycloNum, sign_of_real
-from .geometry import cross_scaled, norm_sq, point_xy
+from .field import CycloNum, _reduced, sign_of_real
+from .geometry import norm_sq, point_xy
 
 
 @dataclass(frozen=True)
@@ -22,22 +27,6 @@ class Selection:
     kind: str  # "vertex" | "singular" | "inside"
     label: int | None = None
     candidates: tuple[int, ...] = ()
-
-
-def _neighbor_labels(m, label):
-    nxt = label % m + 1
-    prv = (label - 2) % m + 1
-    return nxt, prv
-
-
-def _wedge_signs(P, x, label):
-    vs = P.vertices
-    m = len(vs)
-    v = vs[label - 1]
-    nxt, prv = _neighbor_labels(m, label)
-    s1 = sign_of_real(cross_scaled(v - x, vs[nxt - 1] - x), _checked=True)
-    s2 = sign_of_real(cross_scaled(v - x, vs[prv - 1] - x), _checked=True)
-    return s1, s2
 
 
 _FLOAT_MARGIN = 1e-12
@@ -66,40 +55,33 @@ def float_select(verts, x, y):
 def select_vertex(P, x):
     """Which vertex x reflects on: a label, or Singular / Inside.
 
-    A point strictly inside a vertex wedge (both neighbor orientations
-    strictly positive) selects that vertex; that certificate also proves x
-    is outside the closed polygon and off the singular set.
+    A point strictly inside a vertex wedge selects that vertex: strictly
+    left of the edge leaving it and strictly right of the edge entering it.
+    That certificate also proves x is outside the closed polygon and off
+    the singular set.  The float screen proposes the vertex; two exact edge
+    signs confirm it.
     """
     fx = x.to_complex()
-    guess = float_select(P.float_vertices(), fx.real, fx.imag)
-    if guess is not None:
-        s1, s2 = _wedge_signs(P, x, guess)
-        if s1 > 0 and s2 > 0:
-            return Selection("vertex", guess)
+    g = float_select(P.float_vertices(), fx.real, fx.imag)
+    if g is not None and P.edge_sign(g - 1, x) > 0 and P.edge_sign(g - 2, x) < 0:
+        return Selection("vertex", g)
     return _select_exhaustive(P, x)
 
 
 def _select_exhaustive(P, x):
-    if P.locate(x) != "exterior":
+    # one exact sign per edge; edge i runs from vertex i to vertex i + 1
+    # (0-based).  Vertex i qualifies when P lies in the closed left
+    # half-plane of the ray from x through it, i.e. (P convex) when both of
+    # its neighbours do: s[i] >= 0 and s[i - 1] <= 0.
+    m = len(P.vertices)
+    s = [P.edge_sign(i, x) for i in range(m)]
+    if min(s) >= 0:
         return Selection("inside")
-    vs = P.vertices
-    m = len(vs)
-    cands = []
-    for i in range(m):
-        v = vs[i]
-        ok = True
-        for j in range(m):
-            if j == i:
-                continue
-            if sign_of_real(cross_scaled(v - x, vs[j] - x), _checked=True) < 0:
-                ok = False
-                break
-        if ok:
-            cands.append(i + 1)
+    cands = tuple(i + 1 for i in range(m) if s[i] >= 0 and s[i - 1] <= 0)
     if len(cands) == 1:
         return Selection("vertex", cands[0])
     if len(cands) == 2:
-        return Selection("singular", None, tuple(cands))
+        return Selection("singular", None, cands)
     raise GeometryError(  # pragma: no cover - impossible for convex P
         f"vertex selection found {len(cands)} candidates"
     )
@@ -121,8 +103,10 @@ def step(P, lam, x, side=None):
     side in {None, "left", "right"} resolves singular inputs; None refuses
     them.  Raises StepDomainError for inside/unresolved-singular points.
     """
-    lam = Fraction(lam)
-    if not 0 < lam <= 1:
+    if not isinstance(lam, Fraction):  # iterate passes a Fraction every step
+        lam = Fraction(lam)
+    p, q = lam.numerator, lam.denominator
+    if not 0 < p <= q:
         raise ValueError("need 0 < lam <= 1")
     sel = select_vertex(P, x)
     if sel.kind == "inside":
@@ -133,8 +117,11 @@ def step(P, lam, x, side=None):
         label = _resolve_singular(P, x, sel.candidates, side)
     else:
         label = sel.label
+    # (1 + p/q) v - (p/q) x over the common denominator q * v.den * x.den
     v = P.vertices[label - 1]
-    return v * (1 + lam) - x * lam, label
+    a, b = (p + q) * x.den, p * v.den
+    num = [a * vk - b * xk for vk, xk in zip(v.num, x.num)]
+    return _reduced(x.n, num, q * v.den * x.den), label
 
 
 @dataclass

@@ -527,7 +527,10 @@ def sign_of_real(z, _checked=False):
 
     Zero is decided by the normal form alone; for provably nonzero input the
     enclosure is refined with doubling precision until it excludes zero,
-    which it does once the precision reaches ``_sign_cap(z)`` bits.
+    which it does once the precision reaches ``_sign_cap(z)`` bits.  Neither
+    step needs the numerators in lowest terms, only that they are integers,
+    so z may also be an unreduced integer vector over denominator 1 (as
+    ``ConvexPolygon.edge_sign`` passes).
     """
     if not _checked and not z.is_real():
         raise NotRealError(f"element is not real: {z.serialize()}")

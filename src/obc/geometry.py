@@ -14,6 +14,12 @@ enclosures of the true coordinates instead.  Half-plane coefficients
 (a, b, c) are real field elements in these (x, ytilde) coordinates; for
 n = 4 the scale factor is 1 and ytilde is the true ordinate.
 
+Vertex selection and point location are signs of integer edge forms, which
+each ConvexPolygon builds once: for z = num/den, an integer matrix-vector
+product of num and den with the form of edge i gives the numerators of a
+positive multiple of cross(v[i+1] - v[i], z - v[i]) / sin(2*pi/n), and
+sign_of_real decides its sign without building any intermediate element.
+
 Half-plane intersection clips (x, ytilde) pairs of real field elements
 directly, so each clip evaluates a*x + b*ytilde + c once per vertex;
 identical half-planes are clipped once, and the pairs become points
@@ -26,8 +32,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import GeometryError
-from .field import CycloNum, approximate, sign_of_real
+from .errors import ConductorMismatchError, GeometryError
+from .field import CycloNum, _apply, _raw, approximate, context, sign_of_real
 
 # A plane point is just a CycloNum used as a complex coordinate.
 ExactPoint = CycloNum
@@ -110,10 +116,40 @@ def orientation(a, b, c):
     return sign_of_real(cross_scaled(b - a, c - a), _checked=True)
 
 
-class ConvexPolygon:
-    """Strictly convex polygon, vertices in counterclockwise order."""
+def _edge_form(p, q):
+    """Integer linear form of the directed line p -> q.
 
-    __slots__ = ("vertices", "_key", "_float")
+    Returns (rows, const), rows[j] the sparse nonzero entries of row j: for a
+    point z = num/den the integers den*const[k] + sum_j num[j]*rows[j][k]
+    are the power-basis numerators of D*den*cross(q - p, z - p)/sin(2*pi/n)
+    for one constant D > 0.  With a = conj(q - p)/(zeta - conj(zeta)),
+    cross(q - p, w)/sin(2*pi/n) = a*w + conj(a*w), so row j is the image
+    of zeta^j, a*zeta^j + conj(a)*zeta^-j: a and conj(a) shift once per row.
+    """
+    n = p.n
+    ctx = context(n)
+    phi = ctx.phi
+    zeta, zeta_inv = ctx.zeta_rows[phi], ctx.zeta_rows[n - 1]
+    a = ((q - p).conj() * _eta_inv(n)).num
+    b = _apply(a, ctx.sigma(n - 1))
+    rows = []
+    for _ in range(phi):
+        rows.append([x + y for x, y in zip(a, b)])
+        a = [x + a[-1] * t for x, t in zip([0, *a[:-1]], zeta)]
+        b = [x + b[0] * t for x, t in zip([*b[1:], 0], zeta_inv)]
+    # over the common denominator p.den: rows scale by p.den, p moves to const
+    const = tuple(-sum(c * row[k] for c, row in zip(p.num, rows)) for k in range(phi))
+    return tuple(tuple((k, x * p.den) for k, x in enumerate(row) if x) for row in rows), const
+
+
+class ConvexPolygon:
+    """Strictly convex polygon, vertices in counterclockwise order.
+
+    Vertex selection and location read the signs of integer edge forms,
+    built once per polygon on first use (``edge_sign``).
+    """
+
+    __slots__ = ("vertices", "_key", "_float", "_forms")
 
     def __init__(self, vertices, validate=True):
         vertices = tuple(vertices)
@@ -127,6 +163,7 @@ class ConvexPolygon:
         self.vertices = vertices
         self._key = None
         self._float = None
+        self._forms = None
 
     def __len__(self):
         return len(self.vertices)
@@ -144,13 +181,35 @@ class ConvexPolygon:
             s = s + v
         return s * Fraction(1, len(self.vertices))
 
+    def edge_sign(self, i, z):
+        """Exact sign of cross(v[i+1] - v[i], z - v[i]); +1 left of edge i.
+
+        One integer matrix-vector product with the cached edge form and one
+        sign_of_real on the unreduced result over denominator 1 (the sign
+        proof uses only that the numerators are integers).  Negative i
+        counts from the last edge.
+        """
+        vs = self.vertices
+        if z.n != vs[0].n:
+            raise ConductorMismatchError(f"conductor mismatch: {vs[0].n} vs {z.n}")
+        forms = self._forms
+        if forms is None:
+            forms = self._forms = tuple(
+                _edge_form(p, q) for p, q in zip(vs, vs[1:] + vs[:1]))
+        rows, const = forms[i]
+        den = z.den
+        acc = [den * c for c in const]
+        for a, row in zip(z.num, rows):
+            if a:
+                for k, r in row:
+                    acc[k] += a * r
+        return sign_of_real(_raw(z.n, tuple(acc), 1), _checked=True)
+
     def locate(self, z):
         """"interior" / "boundary" / "exterior" of the closed polygon."""
         on_edge = False
-        vs = self.vertices
-        m = len(vs)
-        for i in range(m):
-            s = orientation(vs[i], vs[(i + 1) % m], z)
+        for i in range(len(self.vertices)):
+            s = self.edge_sign(i, z)
             if s < 0:
                 return "exterior"
             if s == 0:

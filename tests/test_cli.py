@@ -107,7 +107,9 @@ def test_usage_error_exit_2(tmp_path, capsys):
         assert code == 2, argv
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1 and "required" in errors[0], (argv, err)
-    # out-of-range conductors and counts below 1 are usage errors too
+    # out-of-range conductors, counts below 1, precisions below 16 bits,
+    # nonpositive tolerances and grid steps, and rates outside (0, 1] are
+    # usage errors too
     for argv in (["orbit", "--n", "2", "--seed", "3,0"],
                  ["orbit", "--n", "0", "--seed", "3,0"],
                  ["search", "--n", "1000003", "--window", "0,1,0,1"],
@@ -116,7 +118,16 @@ def test_usage_error_exit_2(tmp_path, capsys):
                  ["search", "--n", "5", "--window", "0,1,0,1", "--max-period", "0"],
                  ["scr", "--seed", "3,0", "--depth", "0"],
                  ["square-verify", "--kmax", "0"],
-                 ["square-verify", "--samples", "-1"]):
+                 ["square-verify", "--samples", "-1"],
+                 ["render", "--seed", "3,0", "--out", svg, "--precision-bits", "8"],
+                 ["square-verify", "--tol", "0"],
+                 ["search", "--n", "5", "--window", "0,1,0,1", "--resolution", "0"],
+                 ["search", "--n", "5", "--window", "0,1,0,1", "--resolution", "1/0"],
+                 ["orbit", "--seed", "3,0", "--lambda", "0"],
+                 ["orbit", "--seed", "3,0", "--lambda", "3/2"],
+                 ["scr", "--seed", "3,0", "--lambda", "-1/2"],
+                 ["scr", "--seed", "3,0", "--lambdas", "1/2,0"],
+                 ["render", "--seed", "3,0", "--out", svg, "--lambda", "2"]):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert "error: argument" in err, (argv, err)
@@ -149,6 +160,3 @@ def test_domain_error_exit_1(capsys):
     code, _, err = run(capsys, "stability", "--n", "4", "--square-frame", "--seed", "0,0")
     assert code == 1
     assert "error:" in err
-    # bad contraction rate
-    code, _, err = run(capsys, "orbit", "--n", "4", "--lambda", "3/2", "--seed", "3,0")
-    assert code == 1

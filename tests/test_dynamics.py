@@ -1,5 +1,6 @@
 """Vertex selection, stepping, orbit iteration, codes."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 
 from obc.dynamics import (
     Code,
+    _select_exhaustive,
     float_select,
     iterate,
     least_rotation,
@@ -18,8 +20,8 @@ from obc.dynamics import (
     step,
 )
 from obc.errors import StepDomainError
-from obc.field import CycloNum
-from obc.geometry import from_scaled, point_xy, regular_ngon
+from obc.field import CycloNum, sign_of_real
+from obc.geometry import cross_scaled, from_scaled, point_xy, regular_ngon
 from obc.square import square_polygon
 
 rng = random.Random(11)
@@ -67,8 +69,6 @@ def test_select_vertex_pentagon_example():
 
 
 def test_select_vertex_matches_exhaustive_on_random_points():
-    from obc.dynamics import _select_exhaustive
-
     for n in (5, 7):
         P = regular_ngon(n)
         for _ in range(40):
@@ -77,6 +77,87 @@ def test_select_vertex_matches_exhaustive_on_random_points():
             fast = select_vertex(P, z)
             slow = _select_exhaustive(P, z)
             assert (fast.kind, fast.label) == (slow.kind, slow.label)
+
+
+def _oracle(P, x):
+    """(selection kind, candidate labels, location) from the defining predicates.
+
+    x is in the closed polygon when no edge v_i -> v_(i+1) has it strictly
+    on its right; otherwise vertex i is a candidate when
+    cross(v_i - x, v_j - x) >= 0 for every j != i.
+    """
+    vs = P.vertices
+    m = len(vs)
+    sides = [sign_of_real(cross_scaled(vs[(i + 1) % m] - vs[i], x - vs[i]))
+             for i in range(m)]
+    if min(sides) >= 0:
+        return "inside", (), ("boundary" if 0 in sides else "interior")
+    cands = tuple(
+        i + 1 for i in range(m)
+        if all(sign_of_real(cross_scaled(vs[i] - x, vs[j] - x)) >= 0
+               for j in range(m) if j != i))
+    return ("vertex" if len(cands) == 1 else "singular"), cands, "exterior"
+
+
+def _oracle_points(P, n):
+    vs = P.vertices
+    m = len(vs)
+    pts = [from_scaled(n, Fraction(rng.randint(-48, 48), 16),
+                       Fraction(rng.randint(-48, 48), 16)) for _ in range(30)]
+    for i in range(m):
+        p, q = vs[i], vs[(i + 1) % m]
+        # t outside [0, 1]: on the line of an edge, off the polygon (singular);
+        # t in [0, 1]: on the edge, t = 0 at a vertex (inside)
+        for t in (Fraction(-3), Fraction(-1, 2), Fraction(3, 2), Fraction(5),
+                  Fraction(0), Fraction(1, 3), Fraction(1, 2)):
+            pts.append(p + (q - p) * t)
+    # points with ~1000-bit coefficients from an exact lambda = 1/2 orbit
+    while True:
+        x = from_scaled(n, Fraction(rng.randint(-48, 48), 16),
+                        Fraction(rng.randint(-48, 48), 16))
+        if select_vertex(P, x).kind == "vertex":
+            break
+    rec = iterate(P, Fraction(1, 2), x, 1000)
+    pts.extend(rec.points[-1::-100])
+    return pts
+
+
+def test_selection_and_locate_match_defining_predicate():
+    kinds = {"vertex": 0, "singular": 0, "inside": 0}
+    polygons = [(n, regular_ngon(n)) for n in (3, 4, 5, 6, 7, 8, 12)]
+    polygons.append((4, SQ))
+    for n, P in polygons:
+        for x in _oracle_points(P, n):
+            kind, cands, loc = _oracle(P, x)
+            kinds[kind] += 1
+            assert P.locate(x) == loc, (n, x)
+            for sel in (select_vertex(P, x), _select_exhaustive(P, x)):
+                assert sel.kind == kind, (n, x, sel)
+                if kind == "vertex":
+                    assert (sel.label,) == cands, (n, x, sel)
+                elif kind == "singular":
+                    assert sel.candidates == cands, (n, x, sel)
+    assert min(kinds.values()) >= 50, kinds
+
+
+# sha256 of "termination;code;last point" for the first criterion-07 orbits
+# (lambda = 1/2, n = 4, 1000 steps), recorded before stepping moved to one
+# integer combination per step
+_PINNED_ORBITS = (
+    ("4:-7/16,-29/16", "49d858431a32f8b557cd9f3ee76506e782300368b351d22b5fbf93958c826c07"),
+    ("4:1/8,35/16", "2af2acd5ae0d1c89addd5431c2141a410530e26a94c4b708e5768cf92baa1c7d"),
+    ("4:-21/8,-39/16", "bce3f1c128fb93d0eb4bd710bede962ebbb3c253bd00caa5554bd501b7c5e980"),
+    ("4:5/4,-9/4", "686f805d9d7ddcc723417c000e0f03dae26232108fc49e48e84fda834ae758a5"),
+)
+
+
+def test_contracted_orbits_pinned():
+    P = regular_ngon(4)
+    for start, digest in _PINNED_ORBITS:
+        rec = iterate(P, Fraction(1, 2), CycloNum.parse(start), 1000)
+        code = ",".join(str(a) for a in rec.code)
+        text = f"{rec.termination};{code};{rec.points[-1].serialize()}"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, start
 
 
 def test_step_examples():
