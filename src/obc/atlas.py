@@ -129,7 +129,7 @@ def search_tiles(window, polygon=None):
         "undecided": 0,
         "seeds": 0,
     }
-    cover = []  # (tile polygons over the orbit) for cheap skip tests
+    cover = []  # (float bounding box, vertices) of tiles over each orbit
     screen = window.mode == "float_then_certify"
     xs, ts = window.grid()
     for tx in ts:
@@ -137,16 +137,13 @@ def search_tiles(window, polygon=None):
             z = from_scaled(n, x, tx)
             atlas.provenance["seeds"] += 1
             zf = z.to_complex()
-            covered = False
-            for polyf in cover:
-                if _float_inside(polyf, zf.real, zf.imag):
-                    covered = True
-                    break
-            if covered:
+            fx, fy = zf.real, zf.imag
+            if any(x0 <= fx <= x1 and y0 <= fy <= y1 and _float_inside(pts, fx, fy)
+                   for (x0, y0, x1, y1), pts in cover):
                 continue
             code = None
             if screen:
-                fcode = _float_periodic_code(P.float_vertices(), zf.real, zf.imag,
+                fcode = _float_periodic_code(P.float_vertices(), fx, fy,
                                              window.max_period)
                 if fcode is None:
                     atlas.provenance["undecided"] += 1
@@ -175,7 +172,9 @@ def search_tiles(window, polygon=None):
             analyze_tile(P, tile)
             atlas.add(tile)
             for poly in [tile.polygon] + iterate_tiles(P, tile):
-                cover.append(poly.float_vertices())
+                pts = poly.float_vertices()
+                px, py = zip(*pts)
+                cover.append(((min(px), min(py), max(px), max(py)), pts))
     return atlas
 
 

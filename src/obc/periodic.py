@@ -126,18 +126,24 @@ def validate_periodic(P, code, lam):
     return follows_code(P, lam, q, code)
 
 
+def code_endpoint(P, lam, z, code):
+    """The point the orbit of z reaches after following the code symbol by
+    symbol, each step strictly inside its vertex wedge (exact); None if the
+    orbit leaves the code or meets the singular set."""
+    for a in Code.coerce(code).word:
+        try:
+            z, label = step(P, lam, z)
+        except StepDomainError:
+            return None
+        if label != a:
+            return None
+    return z
+
+
 def follows_code(P, lam, q, code):
     """True iff the orbit of q follows the code symbol by symbol and is
     back at q after the last one (exact)."""
-    x = q
-    for a in Code.coerce(code).word:
-        try:
-            x, label = step(P, lam, x)
-        except StepDomainError:
-            return False
-        if label != a:
-            return False
-    return x == q
+    return code_endpoint(P, lam, q, code) == q
 
 
 def unfold(P, code, base=None):

@@ -1,7 +1,7 @@
 """Verification machinery for the square: the threshold polynomials
 p_k(t) = 1 - t^(k-1) - t^k + t^(2k), their roots lambda_k, closed-form
-periodic coordinates, empirical attractor counts, and the degenerate
-boundary orbit.
+periodic coordinates, capture-certified attractor counts, and the
+degenerate boundary orbit.
 
 The square here has vertices (+-1, +-1) in Q(i), labeled counterclockwise
 from (1, 1); the index-k orbit has period 4k and its tile is the unit-side
@@ -17,7 +17,7 @@ from fractions import Fraction
 from .dynamics import Code, float_select, iterate
 from .field import CycloNum
 from .geometry import ConvexPolygon, cross_scaled, from_scaled, imag_scaled, real_part
-from .periodic import validate_periodic
+from .periodic import code_endpoint, validate_periodic
 
 
 def square_polygon():
@@ -257,53 +257,73 @@ def degenerate_orbit(k, lam):
 # -- attractor counting -------------------------------------------------------
 
 
-def _float_orbit_code(verts, x, y, lam, max_steps):
-    """Float orbit code of the contracted map, stopped once its tail is periodic."""
+def _captured_word(P, x, y, lam, max_steps, cycles):
+    """Canonical word of the cycle that provably captures the float orbit
+    of (x, y), or None if none does within max_steps.
+
+    Every 16 float steps, p is the least period <= 120 of the recent labels
+    and W the last p labels, doubled if odd.  The orbit stops once W's
+    periodic point q_W is real (``validate_periodic``, cached per W in
+    ``cycles``) and the exact dyadic point z of the current float point
+    follows W for |W| steps.  Then q_W and z both lie in the convex region
+    R_W of points whose first |W| labels are W, and as |W| is even,
+    F_W(z) = q_W + lam^|W| (z - q_W) lies on the segment [q_W, z] inside
+    R_W: z follows W forever.
+    """
+    verts = P.float_vertices()
+    lamf = float(lam)
     code = []
-    for _ in range(max_steps):
+    for i in range(1, max_steps + 1):
         lbl = float_select(verts, x, y)
         if lbl is None:
-            return code, False
+            return None
         vx, vy = verts[lbl - 1]
-        x = (1 + lam) * vx - lam * x
-        y = (1 + lam) * vy - lam * y
+        x = (1 + lamf) * vx - lamf * x
+        y = (1 + lamf) * vy - lamf * y
         code.append(lbl)
-        if len(code) % 512 == 0 and _tail_period(code) is not None:
-            return code, True
-    return code, _tail_period(code) is not None
-
-
-def _tail_period(code, window=240, max_period=120):
-    if len(code) < 2 * window:
-        return None
-    tail = code[-2 * window :]
-    m = len(tail)
-    for p in range(1, max_period + 1):
-        if all(tail[i] == tail[i + p] for i in range(m - p)):
-            return p
+        if i % 16:
+            continue
+        p = next((p for p in range(1, min(120, i // 2) + 1)
+                  if code[-p:] == code[-2 * p : -p]), None)
+        if p is None:
+            continue
+        W = Code(code[-p:]).doubled_even()
+        ok = cycles.get(W)
+        if ok is None:
+            ok = cycles[W] = validate_periodic(P, W, lam)
+        z = from_scaled(4, Fraction(x), Fraction(y))
+        if ok and code_endpoint(P, lam, z, W) is not None:
+            return Code(W).canonical()
     return None
 
 
 def count_attractors(lam, samples=200, max_steps=10_000, seed=0):
-    """Number of distinct periodic attractors reached from random starts.
+    """Number of distinct periodic attractors that capture random starts.
 
-    Orbits are screened with hardware floats; every candidate code is then
-    certified exactly (fixed point + code reproduction) before it counts.
-    Undecided orbits are excluded from the count.
+    Each counted attractor is certified: its periodic point is real and at
+    least one sample's orbit provably follows its code forever (see
+    ``_captured_word``).  Neither the float prefix of that orbit nor the
+    absence of further attractors is proved.
     """
     count, _, _ = count_attractors_detail(lam, samples, max_steps, seed)
     return count
 
 
 def count_attractors_detail(lam, samples=200, max_steps=10_000, seed=0):
+    """(count, sorted canonical words, undecided) over ``samples`` seeded
+    starts in the trapping disc outside the square.
+
+    A sample is undecided when no cycle captures its orbit within
+    ``max_steps`` float steps, or when the float screen meets a wedge
+    boundary; every other sample counts toward exactly one word.
+    """
     lam = Fraction(lam)
     if not 0 < lam < 1:
         raise ValueError("need 0 < lam < 1")
-    lamf = float(lam)
     radius = float(Fraction(1 + lam, 1 - lam)) * 2**0.5
     rng = random.Random(seed)
-    verts = _sq().float_vertices()
-    candidates = {}
+    cycles = {}
+    found = set()
     undecided = 0
     for _ in range(samples):
         while True:
@@ -311,20 +331,9 @@ def count_attractors_detail(lam, samples=200, max_steps=10_000, seed=0):
             y = rng.uniform(-radius, radius)
             if x * x + y * y <= radius * radius and max(abs(x), abs(y)) > 1.0:
                 break
-        code, ok = _float_orbit_code(verts, x, y, lamf, max_steps)
-        p = _tail_period(code) if ok else None
-        if p is None:
+        word = _captured_word(_sq(), x, y, lam, max_steps, cycles)
+        if word is None:
             undecided += 1
-            continue
-        word = tuple(code[-p:])
-        canon = Code(word).canonical()
-        candidates.setdefault(canon, 0)
-        candidates[canon] += 1
-    P = _sq()
-    verified = set()
-    for canon in candidates:
-        c = Code(canon)
-        primitive = Code(canon[: c.period])
-        if validate_periodic(P, primitive, lam):
-            verified.add(Code(primitive.canonical()).word)
-    return len(verified), sorted(verified), undecided
+        else:
+            found.add(word)
+    return len(found), sorted(found), undecided

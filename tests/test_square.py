@@ -4,8 +4,8 @@ attractor counting."""
 import random
 from fractions import Fraction
 
-from obc.geometry import imag_scaled, point_xy
-from obc.periodic import code_fixed_point, validate_periodic
+from obc.geometry import imag_scaled, intersect_halfplanes, point_xy
+from obc.periodic import code_constraints, code_fixed_point, validate_periodic
 from obc.square import (
     count_attractors_detail,
     degenerate_orbit,
@@ -175,3 +175,35 @@ def test_count_attractors_small_sample():
     assert cnt == 1
     assert undecided == 0
     assert [len(w) for w in codes] == [4]
+
+
+P4 = (1, 2, 3, 4)
+P8 = (1, 2, 4, 1, 3, 4, 2, 3)
+P12 = (1, 2, 4, 2, 3, 1, 3, 4, 2, 4, 1, 3)
+# count_attractors_detail(lam, 1000, 10_000, seed=s) for s = 1, 2, 3,
+# recorded when each count still ran a fixed 512-step float tail
+PINNED_COUNTS = {
+    Fraction(1, 2): (1, [P4], 0),
+    Fraction(4, 5): (2, [P4, P8], 0),
+    Fraction(9, 10): (3, [P4, P8, P12], 0),
+}
+
+
+def test_attractor_counts_pinned():
+    for seed in (1, 2, 3):
+        for lam, want in PINNED_COUNTS.items():
+            assert count_attractors_detail(lam, 1000, 10_000, seed=seed) == want, (seed, lam)
+
+
+def test_counted_words_carry_a_capture_certificate():
+    # the capture certificate needs q_W real and inside the convex region
+    # R_W of points whose first |W| labels are W
+    for lam, (_, words, _) in PINNED_COUNTS.items():
+        for w in words:
+            assert validate_periodic(SQ, w, lam)
+            region = intersect_halfplanes(code_constraints(SQ, lam, w))
+            assert region.polygon.locate(code_fixed_point(SQ, w, lam)) == "interior"
+
+
+def test_orbits_stopped_before_first_capture_attempt_are_undecided():
+    assert count_attractors_detail(Fraction(1, 2), 5, 8) == (0, [], 5)
