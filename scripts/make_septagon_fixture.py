@@ -33,7 +33,6 @@ def main():
         bounds=(Fraction(11, 10), Fraction(2), Fraction(1, 10), Fraction(1)),
         grid_resolution=Fraction(1, 10),
         max_period=600,
-        mode="float_then_certify",
     )
     atlas = search_tiles(window)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -2,10 +2,12 @@
 convergence-of-picture measurements.
 
 Search seeds a rational grid (in (x, ytilde) coordinates, which are exact
-field points for every n), iterates the uncontracted map to exact
-repetition, and builds each newly seen tile from its canonical code.  An
-atlas keys tiles by canonical code, so one entry stands for a whole orbit
-of tiles; results are independent of traversal order.
+field points for every n).  A float orbit of the uncontracted map proposes
+each seed's code; the exact orbit decides only the seeds whose float orbit
+comes too close to a wedge boundary.  Each newly seen code is certified by
+building its tile exactly and checking that the tile centre follows it.
+An atlas keys tiles by canonical code, so one entry stands for a whole
+orbit of tiles; results are independent of traversal order.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ class SearchWindow:
     bounds: tuple  # (x0, x1, t0, t1) Fractions
     grid_resolution: Fraction
     max_period: int
-    mode: str = "exact"  # "exact" | "float_then_certify"
+    # accepted for old callers; selects nothing, every search runs one pipeline
+    mode: str = "exact"
 
     def grid(self):
         x0, x1, t0, t1 = (Fraction(b) for b in self.bounds)
@@ -92,7 +95,9 @@ class Atlas:
 
 
 def _float_periodic_code(verts, x, y, max_period):
-    """Float orbit of the uncontracted map until it returns to (x, y)."""
+    """Float orbit of the uncontracted map from (x, y): its code once it is
+    back at (x, y); [] if it is not back within max_period steps; None if
+    it comes within the screen margin of a wedge boundary."""
     x0, y0 = x, y
     code = []
     for _ in range(max_period):
@@ -104,70 +109,64 @@ def _float_periodic_code(verts, x, y, max_period):
         code.append(lbl)
         if abs(x - x0) < 1e-9 and abs(y - y0) < 1e-9:
             return code
-    return None
+    return []
 
 
 def search_tiles(window, polygon=None):
     """Scan the window grid for periodic tiles of the uncontracted map.
 
-    Grid points falling inside known tiles are skipped; points hitting the
-    singular set are counted and skipped.  In float_then_certify mode a
-    float orbit proposes the code and exact tile construction plus code
-    reproduction certifies it before admission.  ``polygon`` overrides the
-    standard regular n-gon (e.g. the axis-aligned square frame); such
-    atlases stay in memory only.
+    Grid points falling inside known tiles are skipped.  A float orbit
+    proposes each remaining seed's code; only where it meets the screen
+    margin does the exact orbit decide, counting seeds that hit the
+    singular set as ``singular_skipped``.  Every proposed code is then
+    certified exactly: its tile is built and the tile centre must follow
+    the code.  Seeds left without a certified code count as ``undecided``.
+    ``polygon`` overrides the standard regular n-gon (e.g. the axis-aligned
+    square frame); such atlases stay in memory only.
     """
     n = window.n
     P = polygon if polygon is not None else regular_ngon(n)
+    verts = P.float_vertices()
     atlas = Atlas(n=n, canonical_frame=polygon is None)
-    atlas.provenance = {
+    prov = atlas.provenance = {
         "bounds": tuple(str(Fraction(b)) for b in window.bounds),
         "grid_resolution": str(Fraction(window.grid_resolution)),
         "max_period": window.max_period,
-        "mode": window.mode,
         "singular_skipped": 0,
         "undecided": 0,
         "seeds": 0,
     }
     cover = []  # (float bounding box, vertices) of tiles over each orbit
-    screen = window.mode == "float_then_certify"
     xs, ts = window.grid()
     for tx in ts:
         for x in xs:
             z = from_scaled(n, x, tx)
-            atlas.provenance["seeds"] += 1
+            prov["seeds"] += 1
             zf = z.to_complex()
             fx, fy = zf.real, zf.imag
             if any(x0 <= fx <= x1 and y0 <= fy <= y1 and _float_inside(pts, fx, fy)
                    for (x0, y0, x1, y1), pts in cover):
                 continue
-            code = None
-            if screen:
-                fcode = _float_periodic_code(P.float_vertices(), fx, fy,
-                                             window.max_period)
-                if fcode is None:
-                    atlas.provenance["undecided"] += 1
-                    continue
-                code = Code(fcode)
-            else:
+            word = _float_periodic_code(verts, fx, fy, window.max_period)
+            if word is None:
                 rec = iterate(P, 1, z, window.max_period)
                 if rec.termination == "hit_singular":
-                    atlas.provenance["singular_skipped"] += 1
+                    prov["singular_skipped"] += 1
                     continue
-                if rec.termination != "exact_repeat":
-                    atlas.provenance["undecided"] += 1
-                    continue
-                code = Code(rec.cycle_code())
-            canon = Code(code.canonical())
-            if canon.canonical() in atlas.entries:
+                word = rec.cycle_code() if rec.termination == "exact_repeat" else []
+            if not word:
+                prov["undecided"] += 1
+                continue
+            canon = Code(word).canonical_code()
+            if canon.word in atlas.entries:
                 continue
             try:
                 tile = tile_from_code(P, canon)
             except CodeNotRealizableError:
-                atlas.provenance["undecided"] += 1
+                prov["undecided"] += 1
                 continue
-            if screen and not follows_code(P, 1, tile.center(), tile.code):
-                atlas.provenance["undecided"] += 1
+            if not follows_code(P, 1, tile.center(), canon):
+                prov["undecided"] += 1
                 continue
             analyze_tile(P, tile)
             atlas.add(tile)

@@ -210,7 +210,6 @@ def cmd_search(args):
         bounds=_parse_window(args.window),
         grid_resolution=args.resolution,
         max_period=args.max_period,
-        mode=args.mode,
     )
     atlas = search_tiles(window)
     print(
@@ -326,7 +325,6 @@ def build_parser():
     p.add_argument("--window", required=True, help="x0,x1,t0,t1 (scaled coordinates)")
     p.add_argument("--resolution", type=_positive_fraction, default="1/8")
     p.add_argument("--max-period", type=_positive_int, default=64)
-    p.add_argument("--mode", choices=("exact", "float_then_certify"), default="exact")
     p.add_argument("--out", help="atlas output path")
     p.set_defaults(func=cmd_search)
 

@@ -35,8 +35,11 @@ _TRIG_GUARD_BITS = 8
 _TRIG_WIDTH_BITS = 1
 
 # Largest conductor a context is built for: a context holds O(n * phi) table
-# entries and the Galois-norm inverse takes phi - 1 products.
-MAX_CONDUCTOR = 1000
+# entries and the Galois-norm inverse takes phi - 1 products, about phi^3.3
+# in all (under a second at n = 127 for 7-bit coefficients, minutes near
+# n = 1000).
+# The regular polygons of interest have n <= 12.
+MAX_CONDUCTOR = 128
 
 
 def euler_phi(n):

@@ -88,9 +88,10 @@ def from_xy_approx(n, x, y, bits=20):
     return from_scaled(n, x, t)
 
 
-def point_xy(z):
-    """True coordinates of z as floats (from a certified enclosure)."""
-    (rl, rh), (il, ih) = approximate(z, 60)
+def point_xy(z, bits=60):
+    """True coordinates of z as floats: the midpoints of its certified
+    enclosure at ``bits`` bits."""
+    (rl, rh), (il, ih) = approximate(z, bits)
     return (float(rl + rh) / 2.0, float(il + ih) / 2.0)
 
 

@@ -34,13 +34,11 @@ from .geometry import ConvexPolygon, halfplane_left_of, intersect_halfplanes
 
 @dataclass(frozen=True)
 class UnfoldingChain:
-    """Base-point chain p_0..p_k with step vectors w_i (p_{i+1} = p_i + 2 w_i)
-    and the reflected polygon copies, one per code symbol."""
+    """Base-point chain p_0..p_k with step vectors w_i (p_{i+1} = p_i + 2 w_i)."""
 
     base: CycloNum
     points: tuple
     step_vectors: tuple
-    reflected_polygons: tuple
 
     def closes(self):
         return self.points[0] == self.points[-1]
@@ -149,9 +147,10 @@ def follows_code(P, lam, q, code):
 def unfold(P, code, base=None):
     """Reflect P along the code, keeping the point fixed.
 
-    Produces the chain p_0..p_k of base-point copies, the step vectors
-    w_i = p_i-to-apex (equal to (-1)^i v_i when the base is the center), and
-    the chain of reflected polygons.
+    After i reflections the copy of P is z -> (-1)^i z + c_i, so the base
+    point's copy p_i reaches the copy of the coded vertex v_{a_i} by the step
+    vector w_i = (-1)^i (v_{a_i} - base), and p_{i+1} = p_i + 2 w_i.  Returns
+    the chain p_0..p_k with its step vectors.
     """
     code = Code.coerce(code)
     code.validate_labels(len(P.vertices))
@@ -159,18 +158,11 @@ def unfold(P, code, base=None):
         base = P.centroid()
     pts = [base]
     ws = []
-    polys = [P]
-    cur_vertices = list(P.vertices)
-    cur_p = base
-    for a in code.word:
-        apex = cur_vertices[a - 1]
-        w = apex - cur_p
+    for i, v in enumerate(_code_vertices(P, code.word)):
+        w = v - base if i % 2 == 0 else base - v
         ws.append(w)
-        cur_p = cur_p + w * 2
-        pts.append(cur_p)
-        cur_vertices = [apex * 2 - z for z in cur_vertices]
-        polys.append(ConvexPolygon(cur_vertices, validate=False))
-    return UnfoldingChain(base, tuple(pts), tuple(ws), tuple(polys[:-1]))
+        pts.append(pts[-1] + w * 2)
+    return UnfoldingChain(base, tuple(pts), tuple(ws))
 
 
 def code_constraints(P, lam, word):

@@ -11,8 +11,7 @@ import hashlib
 from dataclasses import dataclass
 
 from .dynamics import OrbitRecord
-from .field import approximate
-from .geometry import regular_ngon
+from .geometry import point_xy, regular_ngon
 from .periodic import iterate_tiles
 
 
@@ -50,11 +49,6 @@ def _hsl_hex(h, s, l):
                3: (0, x, c), 4: (x, 0, c), 5: (c, 0, x)}[int(hp) % 6]
     m = l - c / 2
     return "#%02x%02x%02x" % tuple(round((v + m) * 255) for v in (r, g, b))
-
-
-def _vertex_xy(z, bits):
-    (rl, rh), (il, ih) = approximate(z, bits)
-    return float(rl + rh) / 2.0, float(il + ih) / 2.0
 
 
 def _clip_viewport(pts, viewport):
@@ -106,7 +100,7 @@ def render_atlas_svg(atlas, spec, path, polygon=None):
     P = polygon if polygon is not None else regular_ngon(atlas.n)
     bits = spec.precision_bits
     body = []
-    ppts = _clip_viewport([_vertex_xy(v, bits) for v in P.vertices], spec.viewport)
+    ppts = _clip_viewport([point_xy(v, bits) for v in P.vertices], spec.viewport)
     if ppts:
         body.append(_poly_element(ppts, spec, spec.polygon_fill))
     for key in sorted(atlas.entries):
@@ -114,7 +108,7 @@ def render_atlas_svg(atlas, spec, path, polygon=None):
         color = code_color(key)
         polys = [tile.polygon] + iterate_tiles(P, tile)
         for poly in polys:
-            pts = _clip_viewport([_vertex_xy(v, bits) for v in poly.vertices], spec.viewport)
+            pts = _clip_viewport([point_xy(v, bits) for v in poly.vertices], spec.viewport)
             if len(pts) >= 3:
                 body.append(_poly_element(pts, spec, color))
     doc = _svg_document(spec, body)
@@ -128,10 +122,10 @@ def render_orbit_svg(record, spec, path, polygon=None, n=None):
     P = polygon if polygon is not None else regular_ngon(n if n else record.start.n)
     bits = spec.precision_bits
     body = []
-    ppts = _clip_viewport([_vertex_xy(v, bits) for v in P.vertices], spec.viewport)
+    ppts = _clip_viewport([point_xy(v, bits) for v in P.vertices], spec.viewport)
     if ppts:
         body.append(_poly_element(ppts, spec, spec.polygon_fill))
-    pts = [_vertex_xy(z, bits) for z in record.points]
+    pts = [point_xy(z, bits) for z in record.points]
     px = [spec.to_px(x, y) for x, y in pts]
     if len(px) >= 2:
         coords = " ".join("%.6f,%.6f" % p for p in px)

@@ -16,7 +16,8 @@ from obc.atlas import (
     scr_region,
     search_tiles,
 )
-from obc.errors import AtlasFormatError, ObcError
+from obc.dynamics import Code, iterate
+from obc.errors import AtlasFormatError, CodeNotRealizableError, ObcError
 from obc.geometry import from_scaled, point_xy, regular_ngon
 from obc.periodic import analyze_tile, code_constraints, tile_from_code
 from obc.square import square_polygon
@@ -258,8 +259,42 @@ def test_septagon_fixture(septagon_atlas):
             assert t.stability.verdict == "stable"
 
 
-def test_float_mode_agrees_with_exact_mode():
-    bounds = (Fraction(2, 5), Fraction(3), Fraction(2, 5), Fraction(3))
-    exact = search_tiles(SearchWindow(4, bounds, Fraction(1, 4), 60, mode="exact"))
-    scr = search_tiles(SearchWindow(4, bounds, Fraction(1, 4), 60, mode="float_then_certify"))
-    assert exact.codes() == scr.codes()
+def _exact_reference(window, P):
+    # the exact lambda=1 orbit of every grid seed: the realizable canonical
+    # codes of the seeds that come back, and the number of singular seeds
+    codes, singular = set(), 0
+    xs, ts = window.grid()
+    for tx in ts:
+        for x in xs:
+            rec = iterate(P, 1, from_scaled(window.n, x, tx), window.max_period)
+            if rec.termination == "hit_singular":
+                singular += 1
+            elif rec.termination == "exact_repeat":
+                code = Code(rec.cycle_code()).canonical_code()
+                try:
+                    tile_from_code(P, code)
+                except CodeNotRealizableError:
+                    continue
+                codes.add(code.word)
+    return codes, singular
+
+
+@pytest.mark.parametrize("n, bounds, res, max_period, frame, singular", [
+    (4, (Fraction(2, 5), Fraction(3), Fraction(2, 5), Fraction(3)), Fraction(1, 4), 60,
+     False, 15),
+    (5, (Fraction(3, 10), Fraction(33, 10), Fraction(3, 10), Fraction(33, 10)), Fraction(2, 7),
+     120, False, 5),
+    (4, (Fraction(-9), Fraction(-1), Fraction(-1), Fraction(1)), Fraction(1, 4), 64,
+     True, 101),
+], ids=["n4", "n5", "square_frame"])
+def test_search_agrees_with_exact_orbit_of_every_seed(n, bounds, res, max_period, frame,
+                                                       singular):
+    # the float screen proposes, the exact orbit decides only the seeds the
+    # screen cannot: the atlas holds exactly the codes the exact orbit
+    # of every seed finds, and counts exactly its singular seeds
+    P = square_polygon() if frame else regular_ngon(n)
+    window = SearchWindow(n, bounds, res, max_period)
+    atlas = search_tiles(window, polygon=P if frame else None)
+    codes, ref_singular = _exact_reference(window, P)
+    assert atlas.codes() == codes
+    assert atlas.provenance["singular_skipped"] == ref_singular == singular

@@ -113,6 +113,7 @@ def test_usage_error_exit_2(tmp_path, capsys):
     for argv in (["orbit", "--n", "2", "--seed", "3,0"],
                  ["orbit", "--n", "0", "--seed", "3,0"],
                  ["search", "--n", "1000003", "--window", "0,1,0,1"],
+                 ["search", "--n", "129", "--window", "0,1,0,1"],
                  ["orbit", "--seed", "3,0", "--steps", "0"],
                  ["tile", "--seed", "3,0", "--max-steps", "0"],
                  ["search", "--n", "5", "--window", "0,1,0,1", "--max-period", "0"],
@@ -152,7 +153,7 @@ def test_out_of_range_conductor_fails_fast(tmp_path):
                               capture_output=True, text=True, timeout=60,
                               preexec_fn=_limit_memory)
         assert proc.returncode == expected, (argv, proc.stderr)
-        assert "conductor must be in [3, 1000]" in proc.stderr, (argv, proc.stderr)
+        assert "conductor must be in [3, 128]" in proc.stderr, (argv, proc.stderr)
 
 
 def test_domain_error_exit_1(capsys):
