@@ -117,11 +117,16 @@ def step(P, lam, x, side=None):
         label = _resolve_singular(P, x, sel.candidates, side)
     else:
         label = sel.label
-    # (1 + p/q) v - (p/q) x over the common denominator q * v.den * x.den
-    v = P.vertices[label - 1]
+    return reflect_contract(P.vertices[label - 1], p, q, x), label
+
+
+def reflect_contract(v, p, q, x):
+    """(1 + p/q) v - (p/q) x, exactly: one integer combination of the
+    numerators of v and x over the common denominator q * v.den * x.den,
+    reduced by one gcd."""
     a, b = (p + q) * x.den, p * v.den
     num = [a * vk - b * xk for vk, xk in zip(v.num, x.num)]
-    return _reduced(x.n, num, q * v.den * x.den), label
+    return _reduced(x.n, num, q * v.den * x.den)
 
 
 @dataclass

@@ -47,6 +47,7 @@ def _eta(n):
 
 
 _ETA_INV = {}
+_HALF_ETA = {}
 
 
 def _eta_inv(n):
@@ -54,6 +55,15 @@ def _eta_inv(n):
     if v is None:
         v = _eta(n).inverse()
         _ETA_INV[n] = v
+    return v
+
+
+def _half_eta(n):
+    # i sin(2*pi/n): the point with Re = 0 and ytilde = 1
+    v = _HALF_ETA.get(n)
+    if v is None:
+        v = _eta(n) * _HALF
+        _HALF_ETA[n] = v
     return v
 
 
@@ -69,8 +79,7 @@ def imag_scaled(z):
 
 def from_scaled(n, x, ytilde):
     """Point with Re = x and Im = ytilde * sin(2*pi/n); x, ytilde rational."""
-    half_eta = _eta(n) * _HALF
-    return CycloNum.from_rational(n, x) + half_eta * Fraction(ytilde)
+    return CycloNum.from_rational(n, x) + _half_eta(n) * Fraction(ytilde)
 
 
 def from_xy_approx(n, x, y, bits=20):
@@ -416,7 +425,7 @@ def intersect_halfplanes(constraints, half_width=None):
     pairs = _dedupe_collinear(pairs)
     if len(pairs) < 3:
         return RegionResult("lower_dimensional", None)
-    half_eta = _eta(n) * _HALF
+    half_eta = _half_eta(n)
     poly = ConvexPolygon([x + half_eta * t for x, t in pairs], validate=False)
     for x, t in pairs:
         if x == w or x == -w or t == w or t == -w:

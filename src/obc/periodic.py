@@ -25,10 +25,9 @@ from .errors import (
     CodeNotRealizableError,
     IndeterminateFixedPointError,
     StabilityPreconditionError,
-    StepDomainError,
 )
 from .field import CycloNum
-from .dynamics import Code, step
+from .dynamics import Code, reflect_contract
 from .geometry import ConvexPolygon, halfplane_left_of, intersect_halfplanes
 
 
@@ -127,14 +126,22 @@ def validate_periodic(P, code, lam):
 def code_endpoint(P, lam, z, code):
     """The point the orbit of z reaches after following the code symbol by
     symbol, each step strictly inside its vertex wedge (exact); None if the
-    orbit leaves the code or meets the singular set."""
+    orbit leaves the code or meets the singular set.
+
+    The expected label a is confirmed by the two edge signs that vertex
+    selection reads: z strictly left of the edge leaving v_a and strictly
+    right of the edge entering it.
+    """
+    lam = Fraction(lam)
+    p, q = lam.numerator, lam.denominator
+    if not 0 < p <= q:
+        raise ValueError("need 0 < lam <= 1")
+    vs = P.vertices
+    m = len(vs)
     for a in Code.coerce(code).word:
-        try:
-            z, label = step(P, lam, z)
-        except StepDomainError:
+        if a > m or P.edge_sign(a - 1, z) <= 0 or P.edge_sign(a - 2, z) >= 0:
             return None
-        if label != a:
-            return None
+        z = reflect_contract(vs[a - 1], p, q, z)
     return z
 
 

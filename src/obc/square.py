@@ -6,6 +6,12 @@ degenerate boundary orbit.
 The square here has vertices (+-1, +-1) in Q(i), labeled counterclockwise
 from (1, 1); the index-k orbit has period 4k and its tile is the unit-side
 grid square centered at (-2k, 0).
+
+Attractor counts follow random starts in floats and stop each orbit once
+its float point lies in a certified capture box: a closed box around a
+cycle phase's periodic point whose corners, checked exactly once per
+phase, follow the cycle's word, so that every point of the box follows it
+forever.  Per sample, capture costs four float comparisons.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from fractions import Fraction
 from .dynamics import Code, float_select, iterate
 from .field import CycloNum
 from .geometry import ConvexPolygon, cross_scaled, from_scaled, imag_scaled, real_part
-from .periodic import code_endpoint, validate_periodic
+from .periodic import code_endpoint, code_fixed_point, validate_periodic
 
 
 def square_polygon():
@@ -257,18 +263,44 @@ def degenerate_orbit(k, lam):
 # -- attractor counting -------------------------------------------------------
 
 
-def _captured_word(P, x, y, lam, max_steps, cycles):
+def _capture_box(P, W, lam):
+    """A closed box (x0, x1, y0, y1) of float bounds whose points all follow
+    the even word W forever at rate lam, or None.
+
+    The box is centred at the floats of W's periodic point q_W and halves
+    from half-width 1/2 until its exact (dyadic) bounds enclose q_W strictly
+    and each corner follows W for |W| steps (``code_endpoint``).  The corners
+    then lie in the open convex region R_W of points whose first |W| labels
+    are W, so the box does too; and as F_W(z) = q_W + lam^|W| (z - q_W) lies
+    on the segment [q_W, z], F_W maps the box into itself.  None when q_W is
+    not real (``validate_periodic``) or no half-width down to 2^-40 works.
+    """
+    if not validate_periodic(P, W, lam):
+        return None
+    q = code_fixed_point(P, W, lam)
+    qx, qy = real_part(q).coeffs[0], imag_scaled(q).coeffs[0]
+    cx, cy = float(qx), float(qy)
+    for e in range(1, 41):
+        h = 2.0**-e
+        x0, x1, y0, y1 = cx - h, cx + h, cy - h, cy + h
+        if not (Fraction(x0) < qx < Fraction(x1) and Fraction(y0) < qy < Fraction(y1)):
+            continue
+        if all(code_endpoint(P, lam, from_scaled(4, Fraction(x), Fraction(y)), W) is not None
+               for x in (x0, x1) for y in (y0, y1)):
+            return x0, x1, y0, y1
+    return None
+
+
+def _captured_word(P, x, y, lam, max_steps, boxes):
     """Canonical word of the cycle that provably captures the float orbit
     of (x, y), or None if none does within max_steps.
 
     Every 16 float steps, p is the least period <= 120 of the recent labels
-    and W the last p labels, doubled if odd.  The orbit stops once W's
-    periodic point q_W is real (``validate_periodic``, cached per W in
-    ``cycles``) and the exact dyadic point z of the current float point
-    follows W for |W| steps.  Then q_W and z both lie in the convex region
-    R_W of points whose first |W| labels are W, and as |W| is even,
-    F_W(z) = q_W + lam^|W| (z - q_W) lies on the segment [q_W, z] inside
-    R_W: z follows W forever.
+    and W the last p labels, doubled if odd.  The orbit stops once the float
+    point lies in W's certified capture box (``_capture_box``, built once per
+    W and cached in ``boxes``): four float comparisons, which are exact for
+    the dyadic point the float stands for, and every point of the box
+    follows W forever.
     """
     verts = P.float_vertices()
     lamf = float(lam)
@@ -288,11 +320,10 @@ def _captured_word(P, x, y, lam, max_steps, cycles):
         if p is None:
             continue
         W = Code(code[-p:]).doubled_even()
-        ok = cycles.get(W)
-        if ok is None:
-            ok = cycles[W] = validate_periodic(P, W, lam)
-        z = from_scaled(4, Fraction(x), Fraction(y))
-        if ok and code_endpoint(P, lam, z, W) is not None:
+        if W not in boxes:
+            boxes[W] = _capture_box(P, W, lam)
+        box = boxes[W]
+        if box is not None and box[0] <= x <= box[1] and box[2] <= y <= box[3]:
             return Code(W).canonical()
     return None
 
@@ -301,9 +332,10 @@ def count_attractors(lam, samples=200, max_steps=10_000, seed=0):
     """Number of distinct periodic attractors that capture random starts.
 
     Each counted attractor is certified: its periodic point is real and at
-    least one sample's orbit provably follows its code forever (see
-    ``_captured_word``).  Neither the float prefix of that orbit nor the
-    absence of further attractors is proved.
+    least one sample's orbit reaches a point of its certified capture box,
+    which provably follows its code forever (see ``_capture_box``).
+    Neither the float prefix of that orbit nor the absence of further
+    attractors is proved.
     """
     count, _, _ = count_attractors_detail(lam, samples, max_steps, seed)
     return count
@@ -313,16 +345,18 @@ def count_attractors_detail(lam, samples=200, max_steps=10_000, seed=0):
     """(count, sorted canonical words, undecided) over ``samples`` seeded
     starts in the trapping disc outside the square.
 
-    A sample is undecided when no cycle captures its orbit within
-    ``max_steps`` float steps, or when the float screen meets a wedge
-    boundary; every other sample counts toward exactly one word.
+    A sample counts toward a word when its float orbit enters that word's
+    capture box (``_captured_word``); the boxes are certified once per
+    cycle phase and shared by all samples.  A sample is undecided when no
+    box captures its orbit within ``max_steps`` float steps, or when the
+    float screen meets a wedge boundary.
     """
     lam = Fraction(lam)
     if not 0 < lam < 1:
         raise ValueError("need 0 < lam < 1")
     radius = float(Fraction(1 + lam, 1 - lam)) * 2**0.5
     rng = random.Random(seed)
-    cycles = {}
+    boxes = {}
     found = set()
     undecided = 0
     for _ in range(samples):
@@ -331,7 +365,7 @@ def count_attractors_detail(lam, samples=200, max_steps=10_000, seed=0):
             y = rng.uniform(-radius, radius)
             if x * x + y * y <= radius * radius and max(abs(x), abs(y)) > 1.0:
                 break
-        word = _captured_word(_sq(), x, y, lam, max_steps, cycles)
+        word = _captured_word(_sq(), x, y, lam, max_steps, boxes)
         if word is None:
             undecided += 1
         else:

@@ -5,15 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from obc.dynamics import Code, iterate
+from obc.dynamics import Code, iterate, step
 from obc.errors import (
     CodeNotRealizableError,
     IndeterminateFixedPointError,
     StabilityPreconditionError,
+    StepDomainError,
 )
 from obc.geometry import from_scaled, norm_sq, point_xy, regular_ngon
 from obc.periodic import (
     alternating_vertex_sum,
+    code_endpoint,
     code_fixed_point,
     compose_code_map,
     follows_code,
@@ -97,6 +99,45 @@ def test_follows_code_needs_labels_and_return():
     assert follows_code(SQ, lam, q, [3, 4, 1, 2, 3]) is False    # labels match, no return
     assert follows_code(SQ, 1, tile_from_code(SQ, C1).center(), C1) is True
     assert follows_code(SQ, lam, pt4(3, 1), C1) is False         # singular start
+
+
+def _endpoint_by_step(P, lam, z, code):
+    # reference: re-derive every label through step and compare
+    for a in code:
+        try:
+            z, label = step(P, lam, z)
+        except StepDomainError:
+            return None
+        if label != a:
+            return None
+    return z
+
+
+def test_code_endpoint_agrees_with_step_loop():
+    for P in (SQ, regular_ngon(4), regular_ngon(5), regular_ngon(7)):
+        vs = P.vertices
+        m = len(vs)
+        n = vs[0].n
+        pts = [from_scaled(n, Fraction(rng.randint(-48, 48), 16),
+                           Fraction(rng.randint(-48, 48), 16)) for _ in range(30)]
+        # inside P, on its vertices, and on the singular rays extending its sides
+        pts += [P.centroid(), vs[0] * Fraction(1, 3)]
+        pts += [v + (v - vs[(i + 1) % m]) * Fraction(rng.randint(0, 9), 4)
+                for i, v in enumerate(vs)]
+        pts += [v + (v - vs[i - 1]) * Fraction(rng.randint(1, 9), 4)
+                for i, v in enumerate(vs)]
+        for z in pts:
+            for lam in (Fraction(1), Fraction(1, 2), Fraction(4, 5)):
+                rec = iterate(P, lam, z, 12)
+                words = [[rng.randint(1, m + 1) for _ in range(rng.randint(1, 6))]]
+                if rec.code:
+                    words.append(rec.code)
+                    bad = list(rec.code)
+                    j = rng.randrange(len(bad))
+                    bad[j] = bad[j] % (m + 1) + 1  # another label, sometimes m + 1
+                    words.append(bad)
+                for w in words:
+                    assert code_endpoint(P, lam, z, w) == _endpoint_by_step(P, lam, z, w), (z, w)
 
 
 def test_unfold_closure_and_step_vectors():

@@ -4,9 +4,19 @@ attractor counting."""
 import random
 from fractions import Fraction
 
-from obc.geometry import imag_scaled, intersect_halfplanes, point_xy
-from obc.periodic import code_constraints, code_fixed_point, validate_periodic
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from obc.geometry import from_scaled, imag_scaled, intersect_halfplanes, point_xy, real_part
+from obc.periodic import (
+    code_constraints,
+    code_endpoint,
+    code_fixed_point,
+    compose_code_map,
+    validate_periodic,
+)
 from obc.square import (
+    _capture_box,
     count_attractors_detail,
     degenerate_orbit,
     existence_condition,
@@ -207,3 +217,37 @@ def test_counted_words_carry_a_capture_certificate():
 
 def test_orbits_stopped_before_first_capture_attempt_are_undecided():
     assert count_attractors_detail(Fraction(1, 2), 5, 8) == (0, [], 5)
+
+
+BOXED = [(lam, w) for lam, (_, words, _) in PINNED_COUNTS.items() for w in words]
+
+
+def test_capture_box_encloses_q_and_its_corners_follow_the_word():
+    for lam, w in BOXED:
+        box = _capture_box(SQ, w, lam)
+        assert box is not None, (lam, w)
+        x0, x1, y0, y1 = (Fraction(b) for b in box)
+        q = code_fixed_point(SQ, w, lam)
+        assert x0 < real_part(q).coeffs[0] < x1 and y0 < imag_scaled(q).coeffs[0] < y1
+        for x in (x0, x1):
+            for y in (y0, y1):
+                assert code_endpoint(SQ, lam, from_scaled(4, x, y), w) is not None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(BOXED), st.integers(0, 2**20), st.integers(0, 2**20))
+def test_dyadic_points_in_the_capture_box_stay_in_it(case, i, j):
+    lam, w = case
+    box = _capture_box(SQ, w, lam)
+    x0, x1, y0, y1 = (Fraction(b) for b in box)
+    z = from_scaled(4, x0 + (x1 - x0) * Fraction(i, 2**20), y0 + (y1 - y0) * Fraction(j, 2**20))
+    end = code_endpoint(SQ, lam, z, w)
+    assert end is not None
+    assert end == compose_code_map(SQ, w, lam, z)
+    assert x0 <= real_part(end).coeffs[0] <= x1 and y0 <= imag_scaled(end).coeffs[0] <= y1
+
+
+def test_capture_box_needs_a_real_periodic_point():
+    # the period-8 cycle appears only above lambda_2 = 0.7548...
+    assert validate_periodic(SQ, P8, Fraction(1, 2)) is False
+    assert _capture_box(SQ, P8, Fraction(1, 2)) is None
