@@ -75,6 +75,14 @@ def _precision_bits(text):
     return v
 
 
+def _box(text):
+    """argparse type of --window and --viewport: four rationals x0,x1,y0,y1."""
+    b = tuple(_fraction(p.strip()) for p in text.split(","))
+    if len(b) != 4 or not (b[0] < b[1] and b[2] < b[3]):
+        raise argparse.ArgumentTypeError(f"need x0,x1,y0,y1 with x0 < x1, y0 < y1; got {text!r}")
+    return b
+
+
 def parse_lambda(text):
     """argparse type of --lambda: a contraction rate in (0, 1]."""
     lam = _fraction(text)
@@ -197,17 +205,10 @@ def cmd_square_verify(args):
     return 0
 
 
-def _parse_window(text):
-    parts = [Fraction(p.strip()) for p in text.split(",")]
-    if len(parts) != 4:
-        raise ObcError("window must be x0,x1,t0,t1")
-    return tuple(parts)
-
-
 def cmd_search(args):
     window = SearchWindow(
         n=args.n,
-        bounds=_parse_window(args.window),
+        bounds=args.window,
         grid_resolution=args.resolution,
         max_period=args.max_period,
     )
@@ -255,11 +256,14 @@ def cmd_scr(args):
 
 def cmd_render(args):
     spec = RenderSpec(
-        viewport=tuple(float(Fraction(p)) for p in args.viewport.split(",")),
+        viewport=tuple(float(p) for p in args.viewport),
         precision_bits=args.precision_bits,
     )
     if args.atlas:
         atlas = load_atlas(args.atlas)
+        diagnostics = atlas.provenance["diagnostics"]
+        if diagnostics:
+            raise ObcError("\n".join([f"{args.atlas} has rejected entries:", *diagnostics]))
         render_svg(atlas, spec, args.out)
     else:
         P = _polygon_for(args)
@@ -322,7 +326,7 @@ def build_parser():
 
     p = sub.add_parser("search", help="scan a window for periodic tiles")
     p.add_argument("--n", type=_conductor, required=True)
-    p.add_argument("--window", required=True, help="x0,x1,t0,t1 (scaled coordinates)")
+    p.add_argument("--window", type=_box, required=True, help="x0,x1,t0,t1 (scaled coordinates)")
     p.add_argument("--resolution", type=_positive_fraction, default="1/8")
     p.add_argument("--max-period", type=_positive_int, default=64)
     p.add_argument("--out", help="atlas output path")
@@ -342,7 +346,7 @@ def build_parser():
     p.add_argument("--lambda", dest="lam", type=parse_lambda, default="1")
     p.add_argument("--steps", type=_positive_int, default=100)
     p.add_argument("--out", required=True)
-    p.add_argument("--viewport", default="-8,8,-8,8")
+    p.add_argument("--viewport", type=_box, default="-8,8,-8,8", help="x0,x1,y0,y1")
     p.add_argument("--precision-bits", type=_precision_bits, default=53)
     p.set_defaults(func=cmd_render)
 

@@ -237,11 +237,6 @@ class ConvexPolygon:
         """Image under an orientation-preserving affine map f (unvalidated)."""
         return ConvexPolygon([f(v) for v in self.vertices], validate=False)
 
-    def rotated(self, j):
-        """Rotation about the origin by 2*pi*j/n (exact)."""
-        zj = CycloNum.zeta(self.vertices[0].n, j)
-        return ConvexPolygon([v * zj for v in self.vertices], validate=False)
-
     def canonical_key(self):
         """Rotation-invariant vertex key; equal keys <=> equal polygons."""
         k = self._key

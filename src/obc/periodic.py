@@ -1,4 +1,4 @@
-"""Periodic points, unfolding chains, tiles and the stability criterion.
+"""Periodic points, unfolding chains, tiles and the two tile verdicts.
 
 A finite code C of length k determines the composed affine map
 F_{k-1} o ... o F_0, each F_i being the reflection across the coded vertex
@@ -12,8 +12,8 @@ the alternating vertex sum vanishes the limit exists and equals
     (2/k) * sum_i (k-1-i) * w_i       with w_i = (-1)^i * v_i,
 
 which is also the barycenter of any unfolded base-point chain.  A tile is
-stable under contraction exactly when that barycenter lies in the tile's
-interior.
+stable under contraction exactly when that point lies in its interior, and
+symmetric when a label shift of its code is a cyclic shift of the code.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ class UnfoldingChain:
 @dataclass(frozen=True)
 class StabilityReport:
     limit_point: CycloNum
-    barycenter: CycloNum
     verdict: str      # "stable" | "unstable" | "marginal"
     membership: str   # "interior" | "exterior" | "boundary"
 
@@ -245,21 +244,17 @@ def stability_limit(P, code):
     return acc
 
 
-def is_lambda_stable(P, code, base=None):
-    """Stability verdict by exact location of the chain barycenter
-    relative to the open tile: interior = stable, boundary = marginal."""
-    return _stability(P, tile_from_code(P, code), base)
+def is_lambda_stable(P, code):
+    """Stability verdict by exact location of the limit point (the chain
+    barycenter) in the open tile: interior = stable, boundary = marginal."""
+    return _stability(P, tile_from_code(P, code))
 
 
-def _stability(P, tile, base):
-    chain = unfold(P, Code(tile.code.doubled_even()), base=base)
-    bary = chain.barycenter()
+def _stability(P, tile):
     limit = stability_limit(P, tile.code)
-    if bary != limit:  # pragma: no cover - equality is a theorem
-        raise AssertionError("chain barycenter disagrees with the limit point")
-    membership = tile.polygon.locate(bary)
+    membership = tile.polygon.locate(limit)
     verdict = {"interior": "stable", "boundary": "marginal", "exterior": "unstable"}[membership]
-    return StabilityReport(limit, bary, verdict, membership)
+    return StabilityReport(limit, verdict, membership)
 
 
 def iterate_tiles(P, tile):
@@ -275,18 +270,20 @@ def iterate_tiles(P, tile):
 
 
 def is_symmetric(P, tile):
-    """True iff some nontrivial rotation of the tile occurs among its
-    own map-iterates (rotations by 2*pi*j/n about the center of P)."""
+    """True iff a rotation of P by 2*pi*j/n, 0 < j < n, maps the tile onto
+    one of its own map-iterates.  The rotation commutes with the map and
+    adds j to every label (mod n; P is centred at 0, labelled CCW), and the
+    iterates are the tiles of the code's cyclic shifts, so this reads only
+    the code: some C + j must have C's canonical code."""
     n = len(P.vertices)
-    targets = {tile.polygon.rotated(j).canonical_key() for j in range(1, n)}
-    for poly in iterate_tiles(P, tile):
-        if poly.canonical_key() in targets:
-            return True
-    return False
+    word = tile.code.word
+    canon = tile.code.canonical()
+    return any(Code([(a - 1 + j) % n + 1 for a in word]).canonical() == canon
+               for j in range(1, n))
 
 
-def analyze_tile(P, tile, base=None):
+def analyze_tile(P, tile):
     """Attach symmetry and stability verdicts to a tile (in place)."""
     tile.symmetric = is_symmetric(P, tile)
-    tile.stability = _stability(P, tile, base)
+    tile.stability = _stability(P, tile)
     return tile

@@ -117,9 +117,9 @@ def render_atlas_svg(atlas, spec, path, polygon=None):
     return path
 
 
-def render_orbit_svg(record, spec, path, polygon=None, n=None):
+def render_orbit_svg(record, spec, path, polygon=None):
     """Draw the polygon, the orbit polyline and its points."""
-    P = polygon if polygon is not None else regular_ngon(n if n else record.start.n)
+    P = polygon if polygon is not None else regular_ngon(record.start.n)
     bits = spec.precision_bits
     body = []
     ppts = _clip_viewport([point_xy(v, bits) for v in P.vertices], spec.viewport)

@@ -297,10 +297,10 @@ def _captured_word(P, x, y, lam, max_steps, boxes):
 
     Every 16 float steps, p is the least period <= 120 of the recent labels
     and W the last p labels, doubled if odd.  The orbit stops once the float
-    point lies in W's certified capture box (``_capture_box``, built once per
-    W and cached in ``boxes``): four float comparisons, which are exact for
-    the dyadic point the float stands for, and every point of the box
-    follows W forever.
+    point lies in W's certified capture box (``_capture_box``): four float
+    comparisons, which are exact for the dyadic point the float stands for,
+    and every point of the box follows W forever.  ``boxes`` maps each tail
+    of p labels to its box and canonical word, both computed once.
     """
     verts = P.float_vertices()
     lamf = float(lam)
@@ -319,12 +319,13 @@ def _captured_word(P, x, y, lam, max_steps, boxes):
                   if code[-p:] == code[-2 * p : -p]), None)
         if p is None:
             continue
-        W = Code(code[-p:]).doubled_even()
-        if W not in boxes:
-            boxes[W] = _capture_box(P, W, lam)
-        box = boxes[W]
+        key = tuple(code[-p:])
+        if key not in boxes:
+            tail = Code(key)
+            boxes[key] = _capture_box(P, tail.doubled_even(), lam), tail.canonical()
+        box, word = boxes[key]
         if box is not None and box[0] <= x <= box[1] and box[2] <= y <= box[3]:
-            return Code(W).canonical()
+            return word
     return None
 
 

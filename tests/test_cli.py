@@ -9,6 +9,8 @@ import xml.etree.ElementTree as ET
 import obc
 from obc.cli import run_cli
 
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
 
 def run(capsys, *argv):
     code = run_cli(list(argv))
@@ -83,6 +85,23 @@ def test_search_and_render_pipeline(tmp_path, capsys):
     ET.parse(svg_path)
 
 
+def test_render_rejects_tampered_atlas(tmp_path, capsys):
+    # flipping every symmetry flag of the septagon fixture leaves only the
+    # non-symmetric entry valid; render must report the rest, not draw it
+    with open(os.path.join(DATA, "septagon.atlas"), encoding="utf-8") as f:
+        text = f.read()
+    flipped = text.count("symmetric=1")
+    assert flipped == 7
+    atlas_path = tmp_path / "tampered.atlas"
+    atlas_path.write_text(text.replace("symmetric=1", "symmetric=0"), encoding="utf-8")
+    svg_path = tmp_path / "tampered.svg"
+    code, out, err = run(capsys, "render", "--atlas", str(atlas_path), "--out", str(svg_path))
+    assert code == 1
+    assert not svg_path.exists() and "wrote" not in out
+    rejected = [line for line in err.splitlines() if "rejected (stored symmetry flag" in line]
+    assert len(rejected) == flipped, err
+
+
 def test_scr_compare(capsys):
     code, out, _ = run(capsys, "scr", "--n", "4", "--square-frame", "--seed=-2,0",
                        "--lambda", "1", "--depth", "4", "--compare-tile")
@@ -128,7 +147,18 @@ def test_usage_error_exit_2(tmp_path, capsys):
                  ["orbit", "--seed", "3,0", "--lambda", "3/2"],
                  ["scr", "--seed", "3,0", "--lambda", "-1/2"],
                  ["scr", "--seed", "3,0", "--lambdas", "1/2,0"],
-                 ["render", "--seed", "3,0", "--out", svg, "--lambda", "2"]):
+                 ["render", "--seed", "3,0", "--out", svg, "--lambda", "2"],
+                 # windows and viewports: four rationals, lower < upper
+                 ["search", "--n", "5", "--window", "3,0.3,0.3,3.3"],
+                 ["search", "--n", "5", "--window", "0.3,3.3,1,1"],
+                 ["search", "--n", "5", "--window", "0,1,0"],
+                 ["search", "--n", "5", "--window", "0,1,0,1,2"],
+                 ["search", "--n", "5", "--window", "0,x,0,1"],
+                 ["search", "--n", "5", "--window", "0,1/0,0,1"],
+                 ["render", "--seed", "3,0", "--out", svg, "--viewport=2,1,3,4"],
+                 ["render", "--seed", "3,0", "--out", svg, "--viewport=-5,5,5,-5"],
+                 ["render", "--seed", "3,0", "--out", svg, "--viewport=-5,5,-5"],
+                 ["render", "--seed", "3,0", "--out", svg, "--viewport=a,b,c,d"]):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert "error: argument" in err, (argv, err)

@@ -12,8 +12,11 @@ from obc.errors import (
     StabilityPreconditionError,
     StepDomainError,
 )
-from obc.geometry import from_scaled, norm_sq, point_xy, regular_ngon
+from obc.atlas import SearchWindow, search_tiles
+from obc.field import CycloNum
+from obc.geometry import ConvexPolygon, from_scaled, norm_sq, point_xy, regular_ngon
 from obc.periodic import (
+    Tile,
     alternating_vertex_sum,
     code_endpoint,
     code_fixed_point,
@@ -251,19 +254,20 @@ def test_is_lambda_stable_square_and_shift_invariant_verdict():
         code = sk_code(k)
         rep = is_lambda_stable(SQ, code)
         assert rep.verdict == "stable" and rep.membership == "interior"
-        assert rep.limit_point == rep.barycenter
+        assert rep.limit_point == unfold(SQ, Code(code.doubled_even())).barycenter()
         for j in range(1, len(code.word), 3):
             assert is_lambda_stable(SQ, code.shifted(j)).verdict == "stable"
 
 
 def test_is_lambda_stable_base_independence():
+    # the verdict locates the closed-form limit point, which is the
+    # barycenter of the unfolded chain from every base
     code = sk_code(2)
-    reports = [is_lambda_stable(SQ, code)]
+    rep = is_lambda_stable(SQ, code)
+    assert rep.limit_point == stability_limit(SQ, code)
     for _ in range(5):
         base = pt4(Fraction(rng.randint(-9, 9), 10), Fraction(rng.randint(-9, 9), 10))
-        reports.append(is_lambda_stable(SQ, code, base=base))
-    assert len({r.verdict for r in reports}) == 1
-    assert len({r.barycenter for r in reports}) == 1
+        assert unfold(SQ, Code(code.doubled_even()), base).barycenter() == rep.limit_point
 
 
 def test_pentagon_tiles_stable(pentagon_atlas):
@@ -298,6 +302,62 @@ def test_septagon_exotic_tile(septagon_atlas):
     ch = unfold(P7, Code(t.code.doubled_even()))
     assert ch.closes()
     assert len(ch.points) == 276 + 1
+
+
+def _symmetric_by_rotation(P, tile):
+    """Reference for is_symmetric: some rotation of the tile polygon by
+    2*pi*j/n about the center of P is one of the tile's map-iterates."""
+    n = len(P.vertices)
+    orbit = {poly.canonical_key() for poly in iterate_tiles(P, tile)}
+    for j in range(1, n):
+        zj = CycloNum.zeta(n, j)
+        rotated = ConvexPolygon([v * zj for v in tile.polygon.vertices], validate=False)
+        if rotated.canonical_key() in orbit:
+            return True
+    return False
+
+
+@pytest.fixture(scope="module")
+def n12_atlas():
+    window = SearchWindow(n=12, bounds=(Fraction(3, 10), 3, Fraction(3, 10), 3),
+                          grid_resolution=Fraction(1, 6), max_period=120)
+    return search_tiles(window)
+
+
+@pytest.fixture(scope="module")
+def tile_phases(pentagon_atlas, septagon_atlas, n4_square_frame_atlas, n12_atlas):
+    """(P, tile) for the first three phases of every tile orbit in the
+    census, the septagon fixture, the square-frame atlas and the n=12
+    window; phase i is the i-th map-iterate, with the code shifted by i."""
+    cases = []
+    for P, atlas in ((regular_ngon(5), pentagon_atlas), (regular_ngon(7), septagon_atlas),
+                     (SQ, n4_square_frame_atlas), (regular_ngon(12), n12_atlas)):
+        for t in atlas.tiles():
+            cases.append((P, t))
+            for i, poly in enumerate(iterate_tiles(P, t)[:2], start=1):
+                cases.append((P, Tile(poly, t.code.shifted(i), t.period)))
+    return cases
+
+
+def test_is_symmetric_agrees_with_rotated_iterates(tile_phases, n12_atlas, septagon_atlas):
+    for P, t in tile_phases:
+        assert is_symmetric(P, t) is _symmetric_by_rotation(P, t), t.code
+    assert len(n12_atlas.entries) == 25
+    assert sum(not t.symmetric for t in n12_atlas.tiles()) == 5
+    assert sum(not t.symmetric for t in septagon_atlas.tiles()) == 1
+
+
+def test_chain_barycenter_is_the_limit_point(tile_phases):
+    r = random.Random(276)
+    for P, t in tile_phases:
+        lim = stability_limit(P, t.code)
+        word = Code(t.code.doubled_even())
+        bases = [None] + [from_scaled(P.vertices[0].n, Fraction(r.randint(-40, 40), 8),
+                                      Fraction(r.randint(-40, 40), 8)) for _ in range(3)]
+        for base in bases:
+            assert unfold(P, word, base).barycenter() == lim, (t.code, base)
+        if t.stability is not None:
+            assert t.stability.limit_point == lim
 
 
 def test_iterate_tiles_returns_to_start():
