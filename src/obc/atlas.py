@@ -18,20 +18,18 @@ from fractions import Fraction
 
 from .dynamics import Code, float_select, iterate, step
 from .errors import AtlasFormatError, CodeNotRealizableError, ObcError, StepDomainError
-from .field import CycloNum
+from .field import CycloNum, check_conductor
 from .geometry import (
     ConvexPolygon,
     from_scaled,
     hausdorff_distance,
     intersect_halfplanes,
-    point_xy,
     regular_ngon,
 )
 from .periodic import (
     analyze_tile,
     code_constraints,
     follows_code,
-    iterate_tiles,
     tile_from_code,
 )
 
@@ -115,12 +113,12 @@ def _float_periodic_code(verts, x, y, max_period):
 def search_tiles(window, polygon=None):
     """Scan the window grid for periodic tiles of the uncontracted map.
 
-    Grid points falling inside known tiles are skipped.  A float orbit
-    proposes each remaining seed's code; only where it meets the screen
-    margin does the exact orbit decide, counting seeds that hit the
-    singular set as ``singular_skipped``.  Every proposed code is then
-    certified exactly: its tile is built and the tile centre must follow
-    the code.  Seeds left without a certified code count as ``undecided``.
+    Every seed runs its float orbit, which proposes the seed's code; only
+    where it meets the screen margin does the exact orbit decide, counting
+    seeds that hit the singular set as ``singular_skipped``.  A code not
+    yet in the atlas is certified exactly: its tile is built and the tile
+    centre must follow the code.  Seeds left without a certified code count
+    as ``undecided``.
     ``polygon`` overrides the standard regular n-gon (e.g. the axis-aligned
     square frame); such atlases stay in memory only.
     """
@@ -136,18 +134,13 @@ def search_tiles(window, polygon=None):
         "undecided": 0,
         "seeds": 0,
     }
-    cover = []  # (float bounding box, vertices) of tiles over each orbit
     xs, ts = window.grid()
     for tx in ts:
         for x in xs:
             z = from_scaled(n, x, tx)
             prov["seeds"] += 1
             zf = z.to_complex()
-            fx, fy = zf.real, zf.imag
-            if any(x0 <= fx <= x1 and y0 <= fy <= y1 and _float_inside(pts, fx, fy)
-                   for (x0, y0, x1, y1), pts in cover):
-                continue
-            word = _float_periodic_code(verts, fx, fy, window.max_period)
+            word = _float_periodic_code(verts, zf.real, zf.imag, window.max_period)
             if word is None:
                 rec = iterate(P, 1, z, window.max_period)
                 if rec.termination == "hit_singular":
@@ -170,21 +163,7 @@ def search_tiles(window, polygon=None):
                 continue
             analyze_tile(P, tile)
             atlas.add(tile)
-            for poly in [tile.polygon] + iterate_tiles(P, tile):
-                pts = poly.float_vertices()
-                px, py = zip(*pts)
-                cover.append(((min(px), min(py), max(px), max(py)), pts))
     return atlas
-
-
-def _float_inside(poly_pts, x, y, margin=1e-9):
-    m = len(poly_pts)
-    for i in range(m):
-        ax, ay = poly_pts[i]
-        bx, by = poly_pts[(i + 1) % m]
-        if (bx - ax) * (y - ay) - (by - ay) * (x - ax) <= margin:
-            return False
-    return True
 
 
 # -- same-code regions --------------------------------------------------------
@@ -309,6 +288,7 @@ def load_atlas(path):
         raise AtlasFormatError("missing atlas header", lineno=1)
     try:
         n = int(lines[0][len(_HEADER_PREFIX):])
+        check_conductor(n)
         P = regular_ngon(n)
     except ValueError as exc:
         raise AtlasFormatError(f"bad conductor: {exc}", lineno=1) from exc

@@ -183,15 +183,14 @@ def cmd_stability(args):
 
 
 def cmd_square_verify(args):
-    print("k   lambda_k enclosure                          p_k<=0 at mid  identity")
+    print(f"{'k':<3s} {'lambda_k enclosure':<38s}  {'p_k<=0 at (hi+1)/2':<18s}  identity")
     prev_hi = None
     for k in range(1, args.kmax + 1):
         lo, hi = lambda_k(k, args.tol)
-        mid = (lo + hi) / 2
         exist = existence_condition(k, (hi + 1) / 2) if hi < 1 else True
         ident = existence_identity_holds(k)
         mono = "" if prev_hi is None or lo > prev_hi else "  NOT-INCREASING"
-        print(f"{k:<3d} [{float(lo):.15f}, {float(hi):.15f}]  {str(exist):<13s}  {str(ident)}{mono}")
+        print(f"{k:<3d} [{float(lo):.15f}, {float(hi):.15f}]  {str(exist):<18s}  {str(ident)}{mono}")
         prev_hi = hi
     if not args.skip_attractors:
         print()

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dynamics import Code, float_select, iterate
+from .dynamics import Code, float_select, iterate, orbit_bound
 from .field import CycloNum
 from .geometry import ConvexPolygon, cross_scaled, from_scaled, imag_scaled, real_part
 from .periodic import code_endpoint, code_fixed_point, validate_periodic
@@ -355,7 +355,7 @@ def count_attractors_detail(lam, samples=200, max_steps=10_000, seed=0):
     lam = Fraction(lam)
     if not 0 < lam < 1:
         raise ValueError("need 0 < lam < 1")
-    radius = float(Fraction(1 + lam, 1 - lam)) * 2**0.5
+    radius = orbit_bound(_sq(), lam)
     rng = random.Random(seed)
     boxes = {}
     found = set()

@@ -68,6 +68,8 @@ def test_pentagon_census(pentagon_atlas):
         # symmetric tiles outside a prime n-gon are regular n- or 2n-gons
         assert t.polygon.is_regular()
         assert len(t.polygon.vertices) in (5, 10)
+    prov = pentagon_atlas.provenance
+    assert (prov["seeds"], prov["singular_skipped"], prov["undecided"]) == (484, 13, 24)
 
 
 def test_scr_square_frame_examples(square):
@@ -161,6 +163,10 @@ def test_atlas_header_required(tmp_path):
     path.write_text("not an atlas\n")
     with pytest.raises(AtlasFormatError):
         load_atlas(path)
+    for n in ("2", "200", "abc"):
+        path.write_text(f"obc-atlas v1 n={n}\n")
+        with pytest.raises(AtlasFormatError, match="line 1: bad conductor"):
+            load_atlas(path)
 
 
 def test_failed_save_keeps_existing_atlas(tmp_path, monkeypatch):

@@ -66,6 +66,7 @@ def test_square_verify(capsys):
                        "--samples", "40", "--max-steps", "3000")
     assert code == 0
     assert "lambda_k enclosure" in out
+    assert "p_k<=0 at (hi+1)/2" in out
     assert "0.754877666" in out
     assert "attractors" in out
 
