@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .dynamics import Code, float_select, iterate, step
+from .dynamics import Code, float_select, iterate, seed_code, step
 from .errors import AtlasFormatError, CodeNotRealizableError, ObcError, StepDomainError
 from .field import CycloNum, check_conductor
 from .geometry import (
@@ -222,12 +222,10 @@ def picture_convergence(n, x, lambdas, depth=None, polygon=None):
     conservative: deeper regions are nested inside shallower ones).
     """
     P = polygon if polygon is not None else regular_ngon(n)
-    rec = iterate(P, 1, x, 4 * (depth or 256) + 16)
-    if rec.termination != "exact_repeat":
-        raise ObcError("seed is not periodic for the uncontracted map")
+    code = seed_code(P, x, 4 * (depth or 256) + 16)
     if depth is None:
-        depth = 50 * rec.period
-    tile = tile_from_code(P, Code(rec.cycle_code()))
+        depth = 50 * len(code)
+    tile = tile_from_code(P, code)
     out = []
     for lam in lambdas:
         lam = Fraction(lam)

@@ -18,7 +18,7 @@ from .atlas import (
     scr_region,
     search_tiles,
 )
-from .dynamics import Code, iterate, orbit_to_text
+from .dynamics import Code, iterate, orbit_to_text, seed_code
 from .errors import ObcError
 from .field import CycloNum, check_conductor
 from .geometry import from_xy_approx, hausdorff_distance, point_xy, regular_ngon
@@ -149,11 +149,7 @@ def _code_from_args(args, P):
         code = Code.parse(args.code)
         code.validate_labels(len(P.vertices))
         return code
-    x = parse_seed(args.seed, args.n)
-    rec = iterate(P, 1, x, args.max_steps)
-    if rec.termination != "exact_repeat":
-        raise ObcError(f"seed is not periodic within {args.max_steps} steps ({rec.termination})")
-    return Code(rec.cycle_code())
+    return seed_code(P, parse_seed(args.seed, args.n), args.max_steps)
 
 
 def cmd_tile(args):
@@ -245,10 +241,7 @@ def cmd_scr(args):
     for v in region.polygon.vertices:
         print(f"vertex {_fmt_pt(v)}")
     if args.compare_tile:
-        rec = iterate(P, 1, x, 4 * args.depth + 16)
-        if rec.termination != "exact_repeat":
-            raise ObcError("seed is not periodic; cannot compare to its tile")
-        tile = tile_from_code(P, Code(rec.cycle_code()))
+        tile = tile_from_code(P, seed_code(P, x, 4 * args.depth + 16))
         print(f"hausdorff_to_tile={hausdorff_distance(region.polygon, tile.polygon):.9f}")
     return 0
 

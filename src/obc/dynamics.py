@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import GeometryError, StepDomainError
-from .field import CycloNum, _reduced, sign_of_real
-from .geometry import norm_sq, point_xy
+from .errors import GeometryError, ObcError, StepDomainError
+from .field import CycloNum, _reduced, sign_of_real  # noqa: F401, perfbench/selftest.py checks it
+from .geometry import point_xy
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ def select_vertex(P, x):
     """
     fx = x.to_complex()
     g = float_select(P.float_vertices(), fx.real, fx.imag)
-    if g is not None and P.edge_sign(g - 1, x) > 0 and P.edge_sign(g - 2, x) < 0:
+    if g is not None and P.in_wedge(g, x):
         return Selection("vertex", g)
     return _select_exhaustive(P, x)
 
@@ -87,21 +87,10 @@ def _select_exhaustive(P, x):
     )
 
 
-def _resolve_singular(P, x, candidates, side):
-    # both candidates lie on the ray from x; "right" takes the limit from
-    # the right of the outward ray direction (the nearer vertex), "left"
-    # from the other side (the farther one).
-    a, b = (P.vertices[c - 1] for c in candidates)
-    da = sign_of_real(norm_sq(a - x) - norm_sq(b - x), _checked=True)
-    near, far = (candidates if da < 0 else candidates[::-1])
-    return near if side == "right" else far
-
-
-def step(P, lam, x, side=None):
+def step(P, lam, x):
     """One application of the map: y = (1 + lam) * v - lam * x, exactly.
 
-    side in {None, "left", "right"} resolves singular inputs; None refuses
-    them.  Raises StepDomainError for inside/unresolved-singular points.
+    Raises StepDomainError for points inside P or on the singular set.
     """
     if not isinstance(lam, Fraction):  # iterate passes a Fraction every step
         lam = Fraction(lam)
@@ -109,15 +98,9 @@ def step(P, lam, x, side=None):
     if not 0 < p <= q:
         raise ValueError("need 0 < lam <= 1")
     sel = select_vertex(P, x)
-    if sel.kind == "inside":
-        raise StepDomainError("inside")
-    if sel.kind == "singular":
-        if side not in ("left", "right"):
-            raise StepDomainError("singular")
-        label = _resolve_singular(P, x, sel.candidates, side)
-    else:
-        label = sel.label
-    return reflect_contract(P.vertices[label - 1], p, q, x), label
+    if sel.kind != "vertex":
+        raise StepDomainError(sel.kind)
+    return reflect_contract(P.vertices[sel.label - 1], p, q, x), sel.label
 
 
 def reflect_contract(v, p, q, x):
@@ -153,7 +136,7 @@ class OrbitRecord:
         return tuple(self.code[self.preperiod : self.preperiod + self.period])
 
 
-def iterate(P, lam, x, max_steps, side=None):
+def iterate(P, lam, x, max_steps):
     """Iterate the map, recording points and code.
 
     Stops at max_steps, at an exact point repetition (hash on the normal
@@ -167,7 +150,7 @@ def iterate(P, lam, x, max_steps, side=None):
     cur = x
     for k in range(max_steps):
         try:
-            cur, label = step(P, lam, cur, side=side)
+            cur, label = step(P, lam, cur)
         except StepDomainError:
             rec.termination = "hit_singular"
             rec.singular_step = k
@@ -183,6 +166,15 @@ def iterate(P, lam, x, max_steps, side=None):
         seen[cur] = k + 1
     rec.termination = "cap_reached"
     return rec
+
+
+def seed_code(P, x, max_steps):
+    """Code of the cycle the exact lam = 1 orbit of x closes on; ObcError
+    naming the step cap and the termination when it does not close."""
+    rec = iterate(P, 1, x, max_steps)
+    if rec.termination != "exact_repeat":
+        raise ObcError(f"seed is not periodic within {max_steps} steps ({rec.termination})")
+    return Code(rec.cycle_code())
 
 
 def orbit_bound(P, lam, norm="euclidean"):

@@ -215,6 +215,12 @@ class ConvexPolygon:
                     acc[k] += a * r
         return sign_of_real(_raw(z.n, tuple(acc), 1), _checked=True)
 
+    def in_wedge(self, a, z):
+        """True iff z lies strictly inside the wedge of label a (1-based), so
+        selects v_a off the singular set: strictly left of the edge leaving
+        v_a and strictly right of the edge entering it (exact)."""
+        return self.edge_sign(a - 1, z) > 0 and self.edge_sign(a - 2, z) < 0
+
     def locate(self, z):
         """"interior" / "boundary" / "exterior" of the closed polygon."""
         on_edge = False

@@ -1,4 +1,5 @@
-"""Periodic points, unfolding chains, tiles and the two tile verdicts.
+"""Periodic points and their capture boxes, unfolding chains, tiles and
+the two tile verdicts.
 
 A finite code C of length k determines the composed affine map
 F_{k-1} o ... o F_0, each F_i being the reflection across the coded vertex
@@ -18,6 +19,7 @@ symmetric when a label shift of its code is a cyclic shift of the code.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,9 +28,16 @@ from .errors import (
     IndeterminateFixedPointError,
     StabilityPreconditionError,
 )
-from .field import CycloNum
-from .dynamics import Code, reflect_contract
-from .geometry import ConvexPolygon, halfplane_left_of, intersect_halfplanes
+from .field import CycloNum, sign_of_real
+from .dynamics import Code, float_select, reflect_contract
+from .geometry import (
+    ConvexPolygon,
+    from_scaled,
+    halfplane_left_of,
+    imag_scaled,
+    intersect_halfplanes,
+    real_part,
+)
 
 
 @dataclass(frozen=True)
@@ -127,9 +136,8 @@ def code_endpoint(P, lam, z, code):
     symbol, each step strictly inside its vertex wedge (exact); None if the
     orbit leaves the code or meets the singular set.
 
-    The expected label a is confirmed by the two edge signs that vertex
-    selection reads: z strictly left of the edge leaving v_a and strictly
-    right of the edge entering it.
+    The expected label a is confirmed by the exact wedge test that vertex
+    selection reads (``ConvexPolygon.in_wedge``).
     """
     lam = Fraction(lam)
     p, q = lam.numerator, lam.denominator
@@ -138,7 +146,7 @@ def code_endpoint(P, lam, z, code):
     vs = P.vertices
     m = len(vs)
     for a in Code.coerce(code).word:
-        if a > m or P.edge_sign(a - 1, z) <= 0 or P.edge_sign(a - 2, z) >= 0:
+        if a > m or not P.in_wedge(a, z):
             return None
         z = reflect_contract(vs[a - 1], p, q, z)
     return z
@@ -148,6 +156,78 @@ def follows_code(P, lam, q, code):
     """True iff the orbit of q follows the code symbol by symbol and is
     back at q after the last one (exact)."""
     return code_endpoint(P, lam, q, code) == q
+
+
+def capture_box(P, W, lam):
+    """A closed box (x0, x1, y0, y1) of floats in (x, ytilde) coordinates
+    whose points all follow the even word W forever at rate lam.
+
+    The box is centred at the floats of W's periodic point q_W and halves
+    from half-width 1/2 until its exact (dyadic) bounds enclose q_W strictly
+    and each corner ``from_scaled(n, x, ytilde)`` follows W for |W| steps
+    (``code_endpoint``).  The corners then lie in the open convex region
+    R_W of points whose first |W| labels are W, so the box does too; and as
+    F_W(z) = q_W + lam^|W| (z - q_W) lies on the segment [q_W, z], F_W maps
+    the box into itself.  None when q_W is not real (``validate_periodic``)
+    or no half-width down to 2^-40 works.
+    """
+    if not validate_periodic(P, W, lam):
+        return None
+    n = P.vertices[0].n
+    q = code_fixed_point(P, W, lam)
+    qx, qy = real_part(q), imag_scaled(q)
+    # to_complex rounds a rational element (every n = 4 coordinate) correctly
+    cx, cy = qx.to_complex().real, qy.to_complex().real
+    for e in range(1, 41):
+        h = 2.0**-e
+        x0, x1, y0, y1 = cx - h, cx + h, cy - h, cy + h
+        if not all(sign_of_real(t - Fraction(lo)) > 0 > sign_of_real(t - Fraction(hi))
+                   for t, lo, hi in ((qx, x0, x1), (qy, y0, y1))):
+            continue
+        if all(code_endpoint(P, lam, from_scaled(n, Fraction(x), Fraction(y)), W) is not None
+               for x in (x0, x1) for y in (y0, y1)):
+            return x0, x1, y0, y1
+    return None
+
+
+def captured_word(P, x, y, lam, max_steps, boxes):
+    """Canonical word of the cycle that provably captures the float orbit
+    of the point (x, y), or None if none does within max_steps.
+
+    Every 16 float steps, p is the least period <= 120 of the recent labels
+    and W the last p labels, doubled if odd.  The orbit stops once its
+    float point, read as (x, y / sin(2*pi/n)), lies in W's capture box
+    (``capture_box``), every point of which follows W forever; for n = 4
+    the scale is 1.0 and the four comparisons are exact.  The float orbit
+    before capture is not proved.  ``boxes`` maps each tail of p labels to
+    its box and canonical word; calls may share it for the same P and lam.
+    """
+    verts = P.float_vertices()
+    lamf = float(lam)
+    scale = math.sin(2.0 * math.pi / P.vertices[0].n)
+    code = []
+    for i in range(1, max_steps + 1):
+        lbl = float_select(verts, x, y)
+        if lbl is None:
+            return None
+        vx, vy = verts[lbl - 1]
+        x = (1 + lamf) * vx - lamf * x
+        y = (1 + lamf) * vy - lamf * y
+        code.append(lbl)
+        if i % 16:
+            continue
+        p = next((p for p in range(1, min(120, i // 2) + 1)
+                  if code[-p:] == code[-2 * p : -p]), None)
+        if p is None:
+            continue
+        key = tuple(code[-p:])
+        if key not in boxes:
+            tail = Code(key)
+            boxes[key] = capture_box(P, tail.doubled_even(), lam), tail.canonical()
+        box, word = boxes[key]
+        if box is not None and box[0] <= x <= box[1] and box[2] <= y / scale <= box[3]:
+            return word
+    return None
 
 
 def unfold(P, code, base=None):

@@ -1,17 +1,16 @@
 """Verification machinery for the square: the threshold polynomials
 p_k(t) = 1 - t^(k-1) - t^k + t^(2k), their roots lambda_k, closed-form
-periodic coordinates, capture-certified attractor counts, and the
-degenerate boundary orbit.
+periodic coordinates, attractor counts, and the degenerate boundary orbit.
 
 The square here has vertices (+-1, +-1) in Q(i), labeled counterclockwise
 from (1, 1); the index-k orbit has period 4k and its tile is the unit-side
 grid square centered at (-2k, 0).
 
-Attractor counts follow random starts in floats and stop each orbit once
-its float point lies in a certified capture box: a closed box around a
-cycle phase's periodic point whose corners, checked exactly once per
-phase, follow the cycle's word, so that every point of the box follows it
-forever.  Per sample, capture costs four float comparisons.
+Attractor counts sample random starts outside the square and hand each
+float orbit to the polygon-generic capture of ``periodic.captured_word``,
+which stops it once it enters a certified capture box: every point of the
+box provably follows the box's cycle forever.  Not proved: the float orbit
+before capture, and that no attractor was missed.
 """
 
 from __future__ import annotations
@@ -20,10 +19,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dynamics import Code, float_select, iterate, orbit_bound
+from .dynamics import orbit_bound, seed_code
 from .field import CycloNum
-from .geometry import ConvexPolygon, cross_scaled, from_scaled, imag_scaled, real_part
-from .periodic import code_endpoint, code_fixed_point, validate_periodic
+from .geometry import ConvexPolygon, from_scaled, imag_scaled, real_part
+from .periodic import captured_word
 
 
 def square_polygon():
@@ -133,10 +132,10 @@ def sk_code(k):
     """Length-4k code of the index-k orbit, read off the orbit of (-2k, 0)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    rec = iterate(_sq(), 1, from_scaled(4, -2 * k, 0), 4 * k + 1)
-    if rec.termination != "exact_repeat" or rec.period != 4 * k:  # pragma: no cover
+    code = seed_code(_sq(), from_scaled(4, -2 * k, 0), 4 * k + 1)
+    if len(code) != 4 * k:  # pragma: no cover
         raise ArithmeticError(f"unexpected orbit structure for index {k}")
-    return Code(rec.cycle_code())
+    return code
 
 
 def qk_closed_form(k, lam):
@@ -173,7 +172,7 @@ class TransitionCheck:
     index: int
     vertex_label: int
     identity_ok: bool
-    wedge_margins: tuple  # float signed margins of the two wedge constraints
+    in_wedge: bool  # the point lies strictly inside its coded vertex wedge
 
 
 @dataclass
@@ -192,8 +191,8 @@ class DegenerateOrbit:
     def all_identities_hold(self):
         return all(t.identity_ok for t in self.transitions)
 
-    def worst_margin(self):
-        return min(min(t.wedge_margins) for t in self.transitions)
+    def all_in_wedges(self):
+        return all(t.in_wedge for t in self.transitions)
 
 
 def _rot90(z):
@@ -209,11 +208,11 @@ _FAMILY_VERTEX_LABEL = (4, 1, 2, 3)
 def degenerate_orbit(k, lam):
     """Construct the 4k points and verify every transition.
 
-    Each transition is checked two ways: the affine identity
-    (1+lam) * v - lam * p == p_next holds exactly (it is an algebraic
-    identity in lam), and the wedge membership margins of p at its coded
-    vertex are reported (they vanish exactly at the threshold root, so for
-    a rational lam near it they are small but nonzero).
+    Each transition is checked two ways, both exactly: the affine identity
+    (1+lam) * v - lam * p == p_next (an algebraic identity in lam), and
+    whether p lies strictly inside the wedge of its coded vertex
+    (``ConvexPolygon.in_wedge``); the tests check that every p does just
+    above the threshold root lambda_k and some p does not just below it.
     """
     lam = Fraction(lam)
     if not 0 < lam < 1:
@@ -248,14 +247,8 @@ def degenerate_orbit(k, lam):
         fam2, j2 = succ(fam, j)
         nxt = fams[fam2][j2]
         label = _FAMILY_VERTEX_LABEL[fam]
-        v = P.vertices[label - 1]
-        identity_ok = (v * (1 + lam) - cur * lam) == nxt
-        vs = P.vertices
-        nxt_v = vs[label % 4]
-        prv_v = vs[(label - 2) % 4]
-        m1 = cross_scaled(v - cur, nxt_v - cur).to_complex().real
-        m2 = cross_scaled(v - cur, prv_v - cur).to_complex().real
-        transitions.append(TransitionCheck(i, label, identity_ok, (m1, m2)))
+        identity_ok = (P.vertices[label - 1] * (1 + lam) - cur * lam) == nxt
+        transitions.append(TransitionCheck(i, label, identity_ok, P.in_wedge(label, cur)))
         fam, j = fam2, j2
     return DegenerateOrbit(k, lam, E, F, G, H, transitions)
 
@@ -263,78 +256,12 @@ def degenerate_orbit(k, lam):
 # -- attractor counting -------------------------------------------------------
 
 
-def _capture_box(P, W, lam):
-    """A closed box (x0, x1, y0, y1) of float bounds whose points all follow
-    the even word W forever at rate lam, or None.
-
-    The box is centred at the floats of W's periodic point q_W and halves
-    from half-width 1/2 until its exact (dyadic) bounds enclose q_W strictly
-    and each corner follows W for |W| steps (``code_endpoint``).  The corners
-    then lie in the open convex region R_W of points whose first |W| labels
-    are W, so the box does too; and as F_W(z) = q_W + lam^|W| (z - q_W) lies
-    on the segment [q_W, z], F_W maps the box into itself.  None when q_W is
-    not real (``validate_periodic``) or no half-width down to 2^-40 works.
-    """
-    if not validate_periodic(P, W, lam):
-        return None
-    q = code_fixed_point(P, W, lam)
-    qx, qy = real_part(q).coeffs[0], imag_scaled(q).coeffs[0]
-    cx, cy = float(qx), float(qy)
-    for e in range(1, 41):
-        h = 2.0**-e
-        x0, x1, y0, y1 = cx - h, cx + h, cy - h, cy + h
-        if not (Fraction(x0) < qx < Fraction(x1) and Fraction(y0) < qy < Fraction(y1)):
-            continue
-        if all(code_endpoint(P, lam, from_scaled(4, Fraction(x), Fraction(y)), W) is not None
-               for x in (x0, x1) for y in (y0, y1)):
-            return x0, x1, y0, y1
-    return None
-
-
-def _captured_word(P, x, y, lam, max_steps, boxes):
-    """Canonical word of the cycle that provably captures the float orbit
-    of (x, y), or None if none does within max_steps.
-
-    Every 16 float steps, p is the least period <= 120 of the recent labels
-    and W the last p labels, doubled if odd.  The orbit stops once the float
-    point lies in W's certified capture box (``_capture_box``): four float
-    comparisons, which are exact for the dyadic point the float stands for,
-    and every point of the box follows W forever.  ``boxes`` maps each tail
-    of p labels to its box and canonical word, both computed once.
-    """
-    verts = P.float_vertices()
-    lamf = float(lam)
-    code = []
-    for i in range(1, max_steps + 1):
-        lbl = float_select(verts, x, y)
-        if lbl is None:
-            return None
-        vx, vy = verts[lbl - 1]
-        x = (1 + lamf) * vx - lamf * x
-        y = (1 + lamf) * vy - lamf * y
-        code.append(lbl)
-        if i % 16:
-            continue
-        p = next((p for p in range(1, min(120, i // 2) + 1)
-                  if code[-p:] == code[-2 * p : -p]), None)
-        if p is None:
-            continue
-        key = tuple(code[-p:])
-        if key not in boxes:
-            tail = Code(key)
-            boxes[key] = _capture_box(P, tail.doubled_even(), lam), tail.canonical()
-        box, word = boxes[key]
-        if box is not None and box[0] <= x <= box[1] and box[2] <= y <= box[3]:
-            return word
-    return None
-
-
 def count_attractors(lam, samples=200, max_steps=10_000, seed=0):
     """Number of distinct periodic attractors that capture random starts.
 
     Each counted attractor is certified: its periodic point is real and at
     least one sample's orbit reaches a point of its certified capture box,
-    which provably follows its code forever (see ``_capture_box``).
+    which provably follows its code forever (see ``periodic.capture_box``).
     Neither the float prefix of that orbit nor the absence of further
     attractors is proved.
     """
@@ -347,7 +274,7 @@ def count_attractors_detail(lam, samples=200, max_steps=10_000, seed=0):
     starts in the trapping disc outside the square.
 
     A sample counts toward a word when its float orbit enters that word's
-    capture box (``_captured_word``); the boxes are certified once per
+    capture box (``periodic.captured_word``); the boxes are certified once per
     cycle phase and shared by all samples.  A sample is undecided when no
     box captures its orbit within ``max_steps`` float steps, or when the
     float screen meets a wedge boundary.
@@ -366,7 +293,7 @@ def count_attractors_detail(lam, samples=200, max_steps=10_000, seed=0):
             y = rng.uniform(-radius, radius)
             if x * x + y * y <= radius * radius and max(abs(x), abs(y)) > 1.0:
                 break
-        word = _captured_word(_sq(), x, y, lam, max_steps, boxes)
+        word = captured_word(_sq(), x, y, lam, max_steps, boxes)
         if word is None:
             undecided += 1
         else:

@@ -173,13 +173,6 @@ def test_step_examples():
     assert err.value.kind == "singular"
 
 
-def test_step_singular_side_policy():
-    _, lbl = step(SQ, 1, pt4(3, 1), side="right")
-    assert point_xy(SQ.vertices[lbl - 1]) == (1.0, 1.0)
-    _, lbl = step(SQ, 1, pt4(3, 1), side="left")
-    assert point_xy(SQ.vertices[lbl - 1]) == (-1.0, 1.0)
-
-
 def test_step_ratio_invariant():
     for n in (4, 5, 7):
         P = regular_ngon(n)

@@ -7,8 +7,17 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obc.geometry import from_scaled, imag_scaled, intersect_halfplanes, point_xy, real_part
+from obc.field import sign_of_real
+from obc.geometry import (
+    from_scaled,
+    imag_scaled,
+    intersect_halfplanes,
+    point_xy,
+    real_part,
+    regular_ngon,
+)
 from obc.periodic import (
+    capture_box,
     code_constraints,
     code_endpoint,
     code_fixed_point,
@@ -16,7 +25,6 @@ from obc.periodic import (
     validate_periodic,
 )
 from obc.square import (
-    _capture_box,
     count_attractors_detail,
     degenerate_orbit,
     existence_condition,
@@ -148,7 +156,11 @@ def test_degenerate_orbit_k2():
     d = degenerate_orbit(2, mid)
     assert len(d.transitions) == 8
     assert d.all_identities_hold()
-    assert d.worst_margin() > -1e-6
+    # exact wedge membership straddles the threshold root
+    for k in (2, 3):
+        lo, hi = lambda_k(k, 1e-9)
+        assert degenerate_orbit(k, hi).all_in_wedges()
+        assert not degenerate_orbit(k, lo).all_in_wedges()
     # quarter-turn symmetry of the point set
     for fam_a, fam_b in ((d.E, d.F), (d.F, d.G), (d.G, d.H)):
         for a, b in zip(fam_a, fam_b):
@@ -166,8 +178,8 @@ def test_degenerate_orbit_k1_collapses():
     assert len(d.E) == 1
     assert len(d.transitions) == 4
     assert d.all_identities_hold()
-    # this is the valid index-1 orbit, well inside its wedges
-    assert d.worst_margin() > 0.1
+    # this is the valid index-1 orbit, strictly inside its wedges
+    assert d.all_in_wedges()
 
 
 def test_yhat_threshold_equivalence():
@@ -219,35 +231,47 @@ def test_orbits_stopped_before_first_capture_attempt_are_undecided():
     assert count_attractors_detail(Fraction(1, 2), 5, 8) == (0, [], 5)
 
 
-BOXED = [(lam, w) for lam, (_, words, _) in PINNED_COUNTS.items() for w in words]
+# (P, lam, W): the square's counted cycles, and the n=12 cycle of the
+# stable period-4 tile (1, 4, 7, 10) near lam = 1, whose box lives in
+# (x, ytilde) with ytilde = y / sin(pi/6)
+BOXED = [(SQ, lam, w) for lam, (_, words, _) in PINNED_COUNTS.items() for w in words]
+BOXED.append((regular_ngon(12), Fraction(999, 1000), (1, 4, 7, 10)))
+
+
+def _box_signs(box, z):
+    """Exact signs of z's (x, ytilde) against the box: all > 0 inside."""
+    x0, x1, y0, y1 = (Fraction(b) for b in box)
+    x, y = real_part(z), imag_scaled(z)
+    return [sign_of_real(d) for d in (x - x0, x1 - x, y - y0, y1 - y)]
 
 
 def test_capture_box_encloses_q_and_its_corners_follow_the_word():
-    for lam, w in BOXED:
-        box = _capture_box(SQ, w, lam)
-        assert box is not None, (lam, w)
+    for P, lam, w in BOXED:
+        n = P.vertices[0].n
+        box = capture_box(P, w, lam)
+        assert box is not None, (n, lam, w)
+        assert min(_box_signs(box, code_fixed_point(P, w, lam))) > 0
         x0, x1, y0, y1 = (Fraction(b) for b in box)
-        q = code_fixed_point(SQ, w, lam)
-        assert x0 < real_part(q).coeffs[0] < x1 and y0 < imag_scaled(q).coeffs[0] < y1
         for x in (x0, x1):
             for y in (y0, y1):
-                assert code_endpoint(SQ, lam, from_scaled(4, x, y), w) is not None
+                assert code_endpoint(P, lam, from_scaled(n, x, y), w) is not None
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(BOXED), st.integers(0, 2**20), st.integers(0, 2**20))
 def test_dyadic_points_in_the_capture_box_stay_in_it(case, i, j):
-    lam, w = case
-    box = _capture_box(SQ, w, lam)
+    P, lam, w = case
+    box = capture_box(P, w, lam)
     x0, x1, y0, y1 = (Fraction(b) for b in box)
-    z = from_scaled(4, x0 + (x1 - x0) * Fraction(i, 2**20), y0 + (y1 - y0) * Fraction(j, 2**20))
-    end = code_endpoint(SQ, lam, z, w)
+    z = from_scaled(P.vertices[0].n, x0 + (x1 - x0) * Fraction(i, 2**20),
+                    y0 + (y1 - y0) * Fraction(j, 2**20))
+    end = code_endpoint(P, lam, z, w)
     assert end is not None
-    assert end == compose_code_map(SQ, w, lam, z)
-    assert x0 <= real_part(end).coeffs[0] <= x1 and y0 <= imag_scaled(end).coeffs[0] <= y1
+    assert end == compose_code_map(P, w, lam, z)
+    assert min(_box_signs(box, end)) >= 0
 
 
 def test_capture_box_needs_a_real_periodic_point():
     # the period-8 cycle appears only above lambda_2 = 0.7548...
     assert validate_periodic(SQ, P8, Fraction(1, 2)) is False
-    assert _capture_box(SQ, P8, Fraction(1, 2)) is None
+    assert capture_box(SQ, P8, Fraction(1, 2)) is None
