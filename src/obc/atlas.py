@@ -232,7 +232,7 @@ def picture_convergence(n, x, lambdas, depth=None, polygon=None):
         if lam == 1:
             out.append((lam, 0.0))
             continue
-        region = scr_region(n, lam, x, depth, polygon=polygon)
+        region = scr_region(n, lam, x, depth, polygon=P)
         out.append((lam, hausdorff_distance(region.polygon, tile.polygon)))
     return out
 

@@ -17,8 +17,10 @@ n = 4 the scale factor is 1 and ytilde is the true ordinate.
 Vertex selection and point location are signs of integer edge forms, which
 each ConvexPolygon builds once: for z = num/den, an integer matrix-vector
 product of num and den with the form of edge i gives the numerators of a
-positive multiple of cross(v[i+1] - v[i], z - v[i]) / sin(2*pi/n), and
+known positive multiple of cross(v[i+1] - v[i], z - v[i]) / sin(2*pi/n), and
 sign_of_real decides its sign without building any intermediate element.
+Divided by that multiple, the same product is the exact edge value, which
+is the offset of a pulled-back edge half-plane (periodic.code_constraints).
 
 Half-plane intersection clips (x, ytilde) pairs of real field elements
 directly, so each clip evaluates a*x + b*ytilde + c once per vertex;
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConductorMismatchError, GeometryError
-from .field import CycloNum, _apply, _raw, approximate, context, sign_of_real
+from .field import CycloNum, _apply, _raw, _reduced, approximate, context, sign_of_real
 
 # A plane point is just a CycloNum used as a complex coordinate.
 ExactPoint = CycloNum
@@ -129,18 +131,21 @@ def orientation(a, b, c):
 def _edge_form(p, q):
     """Integer linear form of the directed line p -> q.
 
-    Returns (rows, const), rows[j] the sparse nonzero entries of row j: for a
-    point z = num/den the integers den*const[k] + sum_j num[j]*rows[j][k]
-    are the power-basis numerators of D*den*cross(q - p, z - p)/sin(2*pi/n)
-    for one constant D > 0.  With a = conj(q - p)/(zeta - conj(zeta)),
-    cross(q - p, w)/sin(2*pi/n) = a*w + conj(a*w), so row j is the image
-    of zeta^j, a*zeta^j + conj(a)*zeta^-j: a and conj(a) shift once per row.
+    Returns (rows, const, D), rows[j] the sparse nonzero entries of row j:
+    for a point z = num/den the integers den*const[k] + sum_j num[j]*rows[j][k]
+    are the power-basis numerators of D*den*cross(q - p, z - p)/sin(2*pi/n),
+    D > 0 the product of p.den and the denominator of a below.  With
+    a = conj(q - p)/(zeta - conj(zeta)), cross(q - p, w)/sin(2*pi/n) =
+    a*w + conj(a*w), so row j is the image of zeta^j,
+    a*zeta^j + conj(a)*zeta^-j: a and conj(a) shift once per row.
     """
     n = p.n
     ctx = context(n)
     phi = ctx.phi
     zeta, zeta_inv = ctx.zeta_rows[phi], ctx.zeta_rows[n - 1]
-    a = ((q - p).conj() * _eta_inv(n)).num
+    a = (q - p).conj() * _eta_inv(n)
+    D = a.den * p.den
+    a = a.num
     b = _apply(a, ctx.sigma(n - 1))
     rows = []
     for _ in range(phi):
@@ -149,17 +154,19 @@ def _edge_form(p, q):
         b = [x + b[0] * t for x, t in zip([*b[1:], 0], zeta_inv)]
     # over the common denominator p.den: rows scale by p.den, p moves to const
     const = tuple(-sum(c * row[k] for c, row in zip(p.num, rows)) for k in range(phi))
-    return tuple(tuple((k, x * p.den) for k, x in enumerate(row) if x) for row in rows), const
+    return tuple(tuple((k, x * p.den) for k, x in enumerate(row) if x) for row in rows), const, D
 
 
 class ConvexPolygon:
     """Strictly convex polygon, vertices in counterclockwise order.
 
     Vertex selection and location read the signs of integer edge forms,
-    built once per polygon on first use (``edge_sign``).
+    built once per polygon on first use (``edge_sign``); the same forms give
+    exact edge values (``edge_value``), and the 2n edge half-planes are
+    cached next to them (``edge_halfplanes``).
     """
 
-    __slots__ = ("vertices", "_key", "_float", "_forms")
+    __slots__ = ("vertices", "_key", "_float", "_forms", "_halfplanes")
 
     def __init__(self, vertices, validate=True):
         vertices = tuple(vertices)
@@ -174,6 +181,7 @@ class ConvexPolygon:
         self._key = None
         self._float = None
         self._forms = None
+        self._halfplanes = None
 
     def __len__(self):
         return len(self.vertices)
@@ -191,14 +199,10 @@ class ConvexPolygon:
             s = s + v
         return s * Fraction(1, len(self.vertices))
 
-    def edge_sign(self, i, z):
-        """Exact sign of cross(v[i+1] - v[i], z - v[i]); +1 left of edge i.
-
-        One integer matrix-vector product with the cached edge form and one
-        sign_of_real on the unreduced result over denominator 1 (the sign
-        proof uses only that the numerators are integers).  Negative i
-        counts from the last edge.
-        """
+    def _edge_acc(self, i, z):
+        """The numerators of D*den*cross(v[i+1] - v[i], z - v[i]) / sin(2*pi/n)
+        for z = num/den, D the constant of edge i's form (``_edge_form``):
+        one integer matrix-vector product with the cached form."""
         vs = self.vertices
         if z.n != vs[0].n:
             raise ConductorMismatchError(f"conductor mismatch: {vs[0].n} vs {z.n}")
@@ -206,14 +210,40 @@ class ConvexPolygon:
         if forms is None:
             forms = self._forms = tuple(
                 _edge_form(p, q) for p, q in zip(vs, vs[1:] + vs[:1]))
-        rows, const = forms[i]
+        rows, const, _ = forms[i]
         den = z.den
         acc = [den * c for c in const]
         for a, row in zip(z.num, rows):
             if a:
                 for k, r in row:
                     acc[k] += a * r
-        return sign_of_real(_raw(z.n, tuple(acc), 1), _checked=True)
+        return acc
+
+    def edge_sign(self, i, z):
+        """Exact sign of cross(v[i+1] - v[i], z - v[i]); +1 left of edge i.
+
+        One sign_of_real on the unreduced edge form product over denominator
+        1 (the sign proof uses only that the numerators are integers).
+        Negative i counts from the last edge.
+        """
+        return sign_of_real(_raw(z.n, tuple(self._edge_acc(i, z)), 1), _checked=True)
+
+    def edge_value(self, i, z):
+        """cross(v[i+1] - v[i], z - v[i]) / sin(2*pi/n) as an exact real
+        field element: the value of edge i's left half-plane at z."""
+        acc = self._edge_acc(i, z)
+        return _reduced(z.n, acc, self._forms[i][2] * z.den)
+
+    def edge_halfplanes(self):
+        """Per edge i, the half-planes strictly left of v[i] -> v[i+1] and
+        strictly left of v[i+1] -> v[i] (``halfplane_left_of``), built once."""
+        hps = self._halfplanes
+        if hps is None:
+            vs = self.vertices
+            hps = self._halfplanes = tuple(
+                (halfplane_left_of(p, q), halfplane_left_of(q, p))
+                for p, q in zip(vs, vs[1:] + vs[:1]))
+        return hps
 
     def in_wedge(self, a, z):
         """True iff z lies strictly inside the wedge of label a (1-based), so

@@ -32,8 +32,8 @@ from .field import CycloNum, sign_of_real
 from .dynamics import Code, float_select, reflect_contract
 from .geometry import (
     ConvexPolygon,
+    HalfPlane,
     from_scaled,
-    halfplane_left_of,
     imag_scaled,
     intersect_halfplanes,
     real_part,
@@ -256,23 +256,31 @@ def code_constraints(P, lam, word):
     len(word) labels under the map with rate lam are the word.
 
     Step i's selection wedge is pulled back through the inverse of the first
-    i steps, G_i(z) = alpha*z + beta, which keeps every boundary line exactly
-    representable.  Tiles (lam = 1) and same-code regions (lam < 1) are both
-    intersections of these half-planes.
+    i steps, G_i(z) = alpha*z + beta with rational alpha, which keeps every
+    boundary line exactly representable.  The wedge of label a is left of
+    v_a -> v_{a+1} (edge a-1 of P) and left of v_a -> v_{a-1} (edge a-2
+    reversed).  G_i maps a base half-plane with value
+    F(w) = a0*x + b0*ytilde + c0 to the one with value
+    alpha^2 * F((z - beta)/alpha), whose coefficients are
+    (alpha*a0, alpha*b0, alpha*((alpha+1)*c0 - F(beta))).  P caches its 2n
+    base half-planes and F(beta) is one edge form product
+    (``ConvexPolygon.edge_value``), so no label needs a field product.
+    Tiles (lam = 1) and same-code regions (lam < 1) are both intersections
+    of these half-planes.
     """
     lam = Fraction(lam)
     vs = P.vertices
-    m = len(vs)
+    base = P.edge_halfplanes()
     cons = []
     alpha = Fraction(1)
     beta = CycloNum.zero(vs[0].n)
     for a in word:
         v = vs[a - 1]
-        # G_i has scalar linear part, so it preserves orientation and
-        # mapping the three points that define the wedge suffices
-        apex = v * alpha + beta
-        cons.append(halfplane_left_of(apex, vs[a % m] * alpha + beta))
-        cons.append(halfplane_left_of(apex, vs[(a - 2) % m] * alpha + beta))
+        # a reversed edge's value is minus the edge's own
+        for hp, f in ((base[a - 1][0], P.edge_value(a - 1, beta)),
+                      (base[a - 2][1], -P.edge_value(a - 2, beta))):
+            cons.append(HalfPlane(hp.a * alpha, hp.b * alpha,
+                                  (hp.c * (alpha + 1) - f) * alpha))
         # next inverse map: z -> G_i(((1+lam) v - z)/lam)
         beta = beta + v * (alpha * (1 + lam) / lam)
         alpha = -alpha / lam

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import obc.geometry
-from obc.errors import GeometryError
+from obc.errors import ConductorMismatchError, GeometryError
 from obc.field import CycloNum
 from obc.geometry import (
     ConvexPolygon,
@@ -190,6 +190,23 @@ def test_halfplane_from_edge_matches_cross():
                 continue
             hp = halfplane_left_of(p, q)
             assert hp.value(z) == cross_scaled(q - p, z - p)
+
+
+def test_edge_value_is_the_scaled_cross():
+    polygons = [regular_ngon(n) for n in (3, 4, 5, 7, 12)]
+    polygons.append(ConvexPolygon([pt4(-1, -1), pt4(1, -1), pt4(1, 1), pt4(-1, 1)]))
+    for P in polygons:
+        vs = P.vertices
+        n = vs[0].n
+        phi = len(vs[0].num)
+        for _ in range(10):
+            z = CycloNum(n, [Fraction(rng.randint(-99, 99), rng.randint(1, 30))
+                             for _ in range(phi)])
+            for i in range(len(vs)):
+                d = vs[(i + 1) % len(vs)] - vs[i]
+                assert P.edge_value(i, z) == cross_scaled(d, z - vs[i])
+        with pytest.raises(ConductorMismatchError):
+            P.edge_value(0, CycloNum.zeta(n + 1))
 
 
 def test_polygon_locate_and_validation():

@@ -14,11 +14,19 @@ from obc.errors import (
 )
 from obc.atlas import SearchWindow, search_tiles
 from obc.field import CycloNum
-from obc.geometry import ConvexPolygon, from_scaled, norm_sq, point_xy, regular_ngon
+from obc.geometry import (
+    ConvexPolygon,
+    from_scaled,
+    halfplane_left_of,
+    norm_sq,
+    point_xy,
+    regular_ngon,
+)
 from obc.periodic import (
     Tile,
     alternating_vertex_sum,
     captured_word,
+    code_constraints,
     code_endpoint,
     code_fixed_point,
     compose_code_map,
@@ -188,6 +196,37 @@ def test_tile_from_code_square_example():
 def test_tile_from_code_not_realizable():
     with pytest.raises(CodeNotRealizableError):
         tile_from_code(SQ, Code([1, 1]))
+
+
+def _constraints_from_mapped_wedges(P, lam, word):
+    # reference: map the three points of each wedge through G_i and build
+    # each half-plane from the mapped points
+    lam = Fraction(lam)
+    vs = P.vertices
+    m = len(vs)
+    cons = []
+    alpha = Fraction(1)
+    beta = CycloNum.zero(vs[0].n)
+    for a in word:
+        v = vs[a - 1]
+        apex = v * alpha + beta
+        cons.append(halfplane_left_of(apex, vs[a % m] * alpha + beta))
+        cons.append(halfplane_left_of(apex, vs[(a - 2) % m] * alpha + beta))
+        beta = beta + v * (alpha * (1 + lam) / lam)
+        alpha = -alpha / lam
+    return cons
+
+
+def test_code_constraints_match_mapped_wedges():
+    polygons = [regular_ngon(n) for n in (3, 4, 5, 6, 7, 8, 10, 12)] + [SQ]
+    for P in polygons:
+        m = len(P.vertices)
+        for lam in (Fraction(1), Fraction(1, 2), Fraction(4, 5), Fraction(999, 1000)):
+            for _ in range(4):
+                word = [rng.randint(1, m) for _ in range(rng.randint(1, 30))]
+                got = [(h.a, h.b, h.c) for h in code_constraints(P, lam, word)]
+                want = [(h.a, h.b, h.c) for h in _constraints_from_mapped_wedges(P, lam, word)]
+                assert got == want, (m, lam, word)
 
 
 def test_tile_constraints_against_rasterization():

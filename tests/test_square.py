@@ -7,7 +7,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obc.field import sign_of_real
+from obc.field import CycloNum, sign_of_real
 from obc.geometry import (
     from_scaled,
     imag_scaled,
@@ -269,6 +269,21 @@ def test_dyadic_points_in_the_capture_box_stay_in_it(case, i, j):
     assert end is not None
     assert end == compose_code_map(P, w, lam, z)
     assert min(_box_signs(box, end)) >= 0
+
+
+def test_capture_box_encloses_q_even_off_centre(monkeypatch):
+    # move the float centre by the unshifted box's half-width: small boxes
+    # around it can still follow the word yet miss q_W, and only the exact
+    # enclosure check rejects them
+    orig = CycloNum.to_complex
+    for P, lam, w in BOXED:
+        x0, x1, _, _ = capture_box(P, w, lam)
+        h = (x1 - x0) / 2
+        monkeypatch.setattr(CycloNum, "to_complex", lambda z, h=h: orig(z) + h)
+        box = capture_box(P, w, lam)
+        monkeypatch.setattr(CycloNum, "to_complex", orig)
+        if box is not None:
+            assert min(_box_signs(box, code_fixed_point(P, w, lam))) > 0, (w, lam)
 
 
 def test_capture_box_needs_a_real_periodic_point():
