@@ -365,9 +365,8 @@ class CycloNum:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return _reduced(self.n, tuple(a * c.numerator for a in self.num),
-                            self.den * c.denominator)
+            p, q = other.numerator, other.denominator
+            return _reduced(self.n, tuple(a * p for a in self.num), self.den * q)
         if not isinstance(other, CycloNum):
             return NotImplemented
         self._check(other)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import obc.geometry
+from obc.dynamics import iterate
 from obc.errors import ConductorMismatchError, GeometryError
 from obc.field import CycloNum
 from obc.geometry import (
@@ -24,6 +25,7 @@ from obc.geometry import (
     real_part,
     regular_ngon,
 )
+from obc.periodic import code_constraints
 
 rng = random.Random(77)
 
@@ -173,6 +175,82 @@ def test_halfplane_intersection_property(n, planes):
     if res.kind == "polygon":
         for p, q in res.polygon.edges():
             assert any(hp.side(p) == 0 and hp.side(q) == 0 for hp in cons)
+
+
+def _clip_every_distinct(constraints):
+    # reference without the parallel skip: every distinct half-plane
+    # clips, in order of first appearance
+    geo = obc.geometry
+    cons = list(dict.fromkeys(constraints))
+    n = cons[0].a.n
+    w = CycloNum.from_rational(n, geo._auto_half_width(cons))
+    pairs = [(-w, -w), (w, -w), (w, w), (-w, w)]
+    for hp in cons:
+        pairs = geo._clip(pairs, hp)
+        if not pairs:
+            return "empty", None
+    pairs = geo._dedupe_collinear(pairs)
+    if len(pairs) < 3:
+        return "lower_dimensional", None
+    half_eta = geo._half_eta(n)
+    poly = ConvexPolygon([x + half_eta * t for x, t in pairs], validate=False)
+    boxed = any(v == w or v == -w for p in pairs for v in p)
+    return ("unbounded" if boxed else "polygon"), poly.serialize()
+
+
+def _same_as_every_distinct_clip(cons):
+    res = intersect_halfplanes(cons)
+    got = (res.kind, res.polygon.serialize() if res.polygon else None)
+    assert got == _clip_every_distinct(cons)
+
+
+# (source index, antiparallel?, positive scale, offset shift): shift 0 gives
+# equal offsets; for an antiparallel copy |shift| is the width of the strip
+_copy = st.tuples(st.integers(0, 6), st.booleans(),
+                  st.sampled_from((Fraction(1), Fraction(2), Fraction(1, 3), Fraction(7, 2))),
+                  st.sampled_from((Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(3))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((4, 5, 7, 12)),
+       st.lists(st.tuples(_coeff, _coeff, _offset), min_size=1, max_size=7),
+       st.lists(_copy, max_size=8),
+       st.randoms(use_true_random=False))
+def test_parallel_skip_keeps_the_vertex_sequence(n, planes, copies, shuffle):
+    cons = []
+    for ca, cb, cc in planes:
+        a, b, c = (_real(n, x) for x in (ca, cb, cc))
+        if not (a.is_zero() and b.is_zero()):
+            cons.append(HalfPlane(a, b, c))
+    if not cons:
+        return
+    key = obc.geometry._normal_key
+    for i, anti, k, shift in copies:
+        hp = cons[i % len(cons)]
+        if anti:
+            # a*x + b*ytilde + c lies in (0, |shift|) on the strip
+            copy = HalfPlane(-hp.a * k, -hp.b * k, (abs(shift) - hp.c) * k)
+            assert key(copy)[0] != key(hp)[0]
+        else:
+            copy = HalfPlane(hp.a * k, hp.b * k, hp.c * k + shift)
+            assert key(copy)[0] == key(hp)[0]
+        cons.append(copy)
+    shuffle.shuffle(cons)
+    _same_as_every_distinct_clip(cons)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((4, 5, 7, 12)),
+       st.sampled_from((Fraction(1, 2), Fraction(4, 5), Fraction(999, 1000))),
+       st.integers(-40, 40), st.integers(-40, 40), st.integers(1, 10))
+def test_parallel_skip_on_contracted_code_regions(n, lam, x, y, depth):
+    # regions of lam < 1 codes: the pull-back factor alpha = (-1/lam)^i is
+    # not +-1, so parallel half-planes differ by a rational scale
+    P = regular_ngon(n)
+    z = from_scaled(n, Fraction(x, 8) + Fraction(1, 97), Fraction(y, 8) + Fraction(1, 89))
+    code = iterate(P, lam, z, depth).code
+    if code:
+        _same_as_every_distinct_clip(code_constraints(P, lam, code))
 
 
 def test_halfplane_intersection_unbounded():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import obc.geometry
 from obc.dynamics import Code, iterate, step
 from obc.errors import (
     CodeNotRealizableError,
@@ -342,6 +343,23 @@ def test_septagon_exotic_tile(septagon_atlas):
     ch = unfold(P7, Code(t.code.doubled_even()))
     assert ch.closes()
     assert len(ch.points) == 276 + 1
+
+
+def test_septagon_exotic_tile_clips_only_what_can_cut_it(septagon_atlas, monkeypatch):
+    # its 552 pulled-back half-planes, 266 distinct, are all parallel to the
+    # septagon's edges; a half-plane implied by an already clipped parallel
+    # one is skipped, which leaves 43 clips
+    t = next(t for t in septagon_atlas.tiles() if t.period == 276)
+    clips = []
+    clip = obc.geometry._clip
+
+    def counting(pairs, hp):
+        clips.append(hp)
+        return clip(pairs, hp)
+
+    monkeypatch.setattr(obc.geometry, "_clip", counting)
+    assert tile_from_code(regular_ngon(7), t.code).polygon == t.polygon
+    assert len(clips) <= 64
 
 
 def _symmetric_by_rotation(P, tile):
