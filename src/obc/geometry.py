@@ -25,9 +25,10 @@ is the offset of a pulled-back edge half-plane (periodic.code_constraints).
 Half-plane intersection clips (x, ytilde) pairs of real field elements
 directly, so each clip evaluates a*x + b*ytilde + c once per vertex, and
 the pairs become points x + i*sin(2*pi/n)*ytilde once, at the end.  A
-half-plane clips only if no parallel one already clipped implies it: a
-pulled-back wedge half-plane is parallel to an edge of the polygon, so a
-tile of a long code, cut by hundreds of them, needs a few dozen clips.
+half-plane clips only if no already clipped one with the same normal
+implies it: a pulled-back wedge half-plane is one of the polygon's cached
+edge half-planes with a new offset, so a tile of a long code, cut by
+hundreds of them, needs a few dozen clips.
 """
 
 from __future__ import annotations
@@ -432,27 +433,15 @@ def _auto_half_width(constraints):
     return Fraction(int(4 * worst) + 4)
 
 
-def _normal_key(hp):
-    """(key, s) with s a positive rational: key is the primitive integer
-    vector of the normal (a, b) over its common denominator, so hp is
-    {key . (x, ytilde) + c*s > 0}.  Two half-planes share a key iff their
-    normals are positive rational multiples of each other."""
-    a, b = hp.a, hp.b
-    den = a.den * b.den // math.gcd(a.den, b.den)
-    fa, fb = den // a.den, den // b.den
-    ints = [x * fa for x in a.num] + [x * fb for x in b.num]
-    g = math.gcd(*ints)
-    return tuple(x // g for x in ints), Fraction(den, g)
-
-
 def intersect_halfplanes(constraints, half_width=None):
     """Exact intersection of half-planes, clipped against a large box.
 
     Clipping works on (x, ytilde) pairs, the coordinates the half-planes
     are written in; the pairs become points only at the end.  Distinct
     half-planes clip in the given order, except that one is skipped when an
-    already clipped half-plane with the same normal up to a positive
-    rational factor has an offset at most its own.  Returns a RegionResult;
+    already clipped half-plane with the identical normal (a, b) has an
+    offset at most its own (parallel normals of different lengths both
+    clip; periodic.code_constraints emits none).  Returns a RegionResult;
     "unbounded" means the true intersection was truncated by the box (some
     output vertex lies on it).  Each half-plane is clipped as closed
     (vertices on boundary lines are kept); interior membership tests handle
@@ -467,18 +456,17 @@ def intersect_halfplanes(constraints, half_width=None):
         half_width = _auto_half_width(constraints)
     w = CycloNum.from_rational(n, Fraction(half_width))
     pairs = [(-w, -w), (w, -w), (w, w), (-w, w)]
-    # least clipped offset per normal key.  A skipped half-plane is implied
-    # by that tighter clip, which every chain vertex satisfies; later clips
+    # least clipped offset per normal.  A skipped half-plane is implied by
+    # that tighter clip, which every chain vertex satisfies; later clips
     # keep vertices or add convex combinations of them, so they satisfy it
     # too and the skipped _clip would return the chain unchanged.
     tightest = {}
     for hp in constraints:
-        key, s = _normal_key(hp)
-        offset = hp.c * s
+        key = (hp.a, hp.b)
         least = tightest.get(key)
-        if least is not None and sign_of_real(offset - least, _checked=True) >= 0:
+        if least is not None and sign_of_real(hp.c - least, _checked=True) >= 0:
             continue
-        tightest[key] = offset
+        tightest[key] = hp.c
         pairs = _clip(pairs, hp)
         if not pairs:
             return RegionResult("empty", None)

@@ -168,13 +168,16 @@ def capture_box(P, W, lam):
     (``code_endpoint``).  The corners then lie in the open convex region
     R_W of points whose first |W| labels are W, so the box does too; and as
     F_W(z) = q_W + lam^|W| (z - q_W) lies on the segment [q_W, z], F_W maps
-    the box into itself.  None when q_W is not real (``validate_periodic``)
-    or no half-width down to 2^-40 works.
+    the box into itself.  None when q_W is not real (``follows_code``) or
+    no half-width down to 2^-40 works.  Needs 0 < lam < 1.
     """
-    if not validate_periodic(P, W, lam):
+    lam = Fraction(lam)
+    if not 0 < lam < 1:
+        raise ValueError("need 0 < lam < 1")
+    q = code_fixed_point(P, W, lam)
+    if not follows_code(P, lam, q, W):
         return None
     n = P.vertices[0].n
-    q = code_fixed_point(P, W, lam)
     qx, qy = real_part(q), imag_scaled(q)
     # to_complex rounds a rational element (every n = 4 coordinate) correctly
     cx, cy = qx.to_complex().real, qy.to_complex().real
@@ -259,14 +262,15 @@ def code_constraints(P, lam, word):
     i steps, G_i(z) = alpha*z + beta with rational alpha, which keeps every
     boundary line exactly representable.  The wedge of label a is left of
     v_a -> v_{a+1} (edge a-1 of P) and left of v_a -> v_{a-1} (edge a-2
-    reversed).  G_i maps a base half-plane with value
-    F(w) = a0*x + b0*ytilde + c0 to the one with value
-    alpha^2 * F((z - beta)/alpha), whose coefficients are
-    (alpha*a0, alpha*b0, alpha*((alpha+1)*c0 - F(beta))).  P caches its 2n
-    base half-planes and F(beta) is one edge form product
-    (``ConvexPolygon.edge_value``), so no label needs a field product.
-    Tiles (lam = 1) and same-code regions (lam < 1) are both intersections
-    of these half-planes.
+    reversed).  With edge e's value F(w) = a0*x + b0*ytilde + c0, the
+    pulled-back value is F(G_i^-1(z)) = (a0*x + b0*ytilde + g) / alpha,
+    g = (alpha+1)*c0 - F(beta).  So each pulled-back half-plane is P's
+    cached edge half-plane (a0, b0, g), or its cached reversal
+    (-a0, -b0, -g) where the sign of alpha flips the side: parallel
+    half-planes share their normal exactly, which intersect_halfplanes
+    reads.  F(beta) is one edge form product (``ConvexPolygon.edge_value``),
+    so no label needs a field product.  Tiles (lam = 1) and same-code
+    regions (lam < 1) are both intersections of these half-planes.
     """
     lam = Fraction(lam)
     vs = P.vertices
@@ -276,11 +280,11 @@ def code_constraints(P, lam, word):
     beta = CycloNum.zero(vs[0].n)
     for a in word:
         v = vs[a - 1]
-        # a reversed edge's value is minus the edge's own
-        for hp, f in ((base[a - 1][0], P.edge_value(a - 1, beta)),
-                      (base[a - 2][1], -P.edge_value(a - 2, beta))):
-            cons.append(HalfPlane(hp.a * alpha, hp.b * alpha,
-                                  (hp.c * (alpha + 1) - f) * alpha))
+        # left of edge a-1 and right of edge a-2, both flipped for alpha < 0
+        for e, forward in ((a - 1, alpha > 0), (a - 2, alpha < 0)):
+            hp, rev = base[e]
+            g = hp.c * (alpha + 1) - P.edge_value(e, beta)
+            cons.append(HalfPlane(hp.a, hp.b, g) if forward else HalfPlane(rev.a, rev.b, -g))
         # next inverse map: z -> G_i(((1+lam) v - z)/lam)
         beta = beta + v * (alpha * (1 + lam) / lam)
         alpha = -alpha / lam

@@ -204,7 +204,8 @@ def _same_as_every_distinct_clip(cons):
     assert got == _clip_every_distinct(cons)
 
 
-# (source index, antiparallel?, positive scale, offset shift): shift 0 gives
+# (source index, antiparallel?, positive scale, offset shift): a parallel copy
+# of scale 1 has the identical normal, so the skip can drop it; shift 0 gives
 # equal offsets; for an antiparallel copy |shift| is the width of the strip
 _copy = st.tuples(st.integers(0, 6), st.booleans(),
                   st.sampled_from((Fraction(1), Fraction(2), Fraction(1, 3), Fraction(7, 2))),
@@ -224,16 +225,13 @@ def test_parallel_skip_keeps_the_vertex_sequence(n, planes, copies, shuffle):
             cons.append(HalfPlane(a, b, c))
     if not cons:
         return
-    key = obc.geometry._normal_key
     for i, anti, k, shift in copies:
         hp = cons[i % len(cons)]
         if anti:
             # a*x + b*ytilde + c lies in (0, |shift|) on the strip
             copy = HalfPlane(-hp.a * k, -hp.b * k, (abs(shift) - hp.c) * k)
-            assert key(copy)[0] != key(hp)[0]
         else:
             copy = HalfPlane(hp.a * k, hp.b * k, hp.c * k + shift)
-            assert key(copy)[0] == key(hp)[0]
         cons.append(copy)
     shuffle.shuffle(cons)
     _same_as_every_distinct_clip(cons)

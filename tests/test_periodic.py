@@ -226,7 +226,11 @@ def test_code_constraints_match_mapped_wedges():
             for _ in range(4):
                 word = [rng.randint(1, m) for _ in range(rng.randint(1, 30))]
                 got = [(h.a, h.b, h.c) for h in code_constraints(P, lam, word)]
-                want = [(h.a, h.b, h.c) for h in _constraints_from_mapped_wedges(P, lam, word)]
+                want = []
+                for j, h in enumerate(_constraints_from_mapped_wedges(P, lam, word)):
+                    # the reference carries step i's factor |alpha_i| = lam^-i
+                    s = lam ** (j // 2)
+                    want.append((h.a * s, h.b * s, h.c * s))
                 assert got == want, (m, lam, word)
 
 
@@ -360,6 +364,40 @@ def test_septagon_exotic_tile_clips_only_what_can_cut_it(septagon_atlas, monkeyp
     monkeypatch.setattr(obc.geometry, "_clip", counting)
     assert tile_from_code(regular_ngon(7), t.code).polygon == t.polygon
     assert len(clips) <= 64
+
+
+# the first period-252 tile of the n=12 window atlas ([3/10, 4]^2, grid 1/12,
+# period <= 300): the longest code of that census
+N12_PERIOD_252 = Code([int(a) for a in """
+    1 2 3 5 8 11 3 7 11 3 8 12 5 9 2 7 11 4 9 2 6 11 4 9 1 6 11 3 8 12 5
+    9 1 6 10 2 7 11 4 8 1 6 10 3 8 1 5 10 3 8 12 5 10 2 7 11 4 8 12 4 8
+    11 2 4 5 6 8 11 2 6 10 2 6 11 3 8 12 5 10 2 7 12 5 9 2 7 12 4 9 2 6
+    11 3 8 12 4 9 1 5 10 2 7 11 4 9 1 6 11 4 8 1 6 11 3 8 1 5 10 2 7 11
+    3 7 11 2 5 7 8 9 11 2 5 9 1 5 9 2 6 11 3 8 1 5 10 3 8 12 5 10 3 7 12
+    5 9 2 6 11 3 7 12 4 8 1 5 10 2 7 12 4 9 2 7 11 4 9 2 6 11 4 8 1 5 10
+    2 6 10 2 5 8 10 11 12 2 5 8 12 4 8 12 5 9 2 6 11 4 8 1 6 11 3 8 1 6
+    10 3 8 12 5 9 2 6 10 3 7 11 4 8 1 5 10 3 7 12 5 10 2 7 12 5 9 2 7 11
+    4 8 1 5 9 1 5 8 11
+""".split()])
+
+
+def test_n12_antiparallel_halfplanes_share_a_normal(monkeypatch):
+    # its 504 pulled-back half-planes are parallel to the 12-gon's edges;
+    # edges e and e+6 are antiparallel, so the forward half-plane of one has
+    # exactly the normal of the other's reversal and the parallel skip
+    # treats them as one direction: 29 clips, 53 if it did not
+    clips = []
+    clip = obc.geometry._clip
+
+    def counting(pairs, hp):
+        clips.append(hp)
+        return clip(pairs, hp)
+
+    monkeypatch.setattr(obc.geometry, "_clip", counting)
+    assert N12_PERIOD_252.period == 252
+    tile = tile_from_code(regular_ngon(12), N12_PERIOD_252)
+    assert len(tile.polygon.vertices) == 8
+    assert len(clips) <= 32
 
 
 def _symmetric_by_rotation(P, tile):

@@ -4,9 +4,11 @@ attractor counting."""
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import obc.periodic
 from obc.field import CycloNum, sign_of_real
 from obc.geometry import (
     from_scaled,
@@ -290,3 +292,16 @@ def test_capture_box_needs_a_real_periodic_point():
     # the period-8 cycle appears only above lambda_2 = 0.7548...
     assert validate_periodic(SQ, P8, Fraction(1, 2)) is False
     assert capture_box(SQ, P8, Fraction(1, 2)) is None
+
+
+def test_capture_box_needs_a_contraction(monkeypatch):
+    # at lam = 1 the even word's fixed point is indeterminate; the rate is
+    # rejected before any fixed point or tile is built
+    def no_tile(*args):
+        raise AssertionError("capture_box built a tile")
+
+    monkeypatch.setattr(obc.periodic, "tile_from_code", no_tile)
+    for P, w in ((regular_ngon(12), (1, 4, 7, 10)), (SQ, P8)):
+        for lam in (1, 0, Fraction(3, 2)):
+            with pytest.raises(ValueError):
+                capture_box(P, w, lam)
