@@ -92,17 +92,19 @@ class Atlas:
         return [self.entries[k] for k in sorted(self.entries)]
 
 
-def _float_periodic_code(verts, x, y, max_period):
+def _float_periodic_code(orders, x, y, max_period):
     """Float orbit of the uncontracted map from (x, y): its code once it is
     back at (x, y); [] if it is not back within max_period steps; None if
-    it comes within the screen margin of a wedge boundary."""
+    it comes within the screen margin of a wedge boundary.  After label a
+    the screen walks ``orders[a]`` (``ConvexPolygon.float_wedges``)."""
     x0, y0 = x, y
     code = []
+    lbl = 0  # orders[0] is the label order: no label taken yet
     for _ in range(max_period):
-        lbl = float_select(verts, x, y)
-        if lbl is None:
+        row = float_select(orders[lbl], x, y)
+        if row is None:
             return None
-        vx, vy = verts[lbl - 1]
+        lbl, vx, vy = row[0], row[1], row[2]
         x, y = 2 * vx - x, 2 * vy - y
         code.append(lbl)
         if abs(x - x0) < 1e-9 and abs(y - y0) < 1e-9:
@@ -124,7 +126,7 @@ def search_tiles(window, polygon=None):
     """
     n = window.n
     P = polygon if polygon is not None else regular_ngon(n)
-    verts = P.float_vertices()
+    orders = P.float_wedges()
     atlas = Atlas(n=n, canonical_frame=polygon is None)
     prov = atlas.provenance = {
         "bounds": tuple(str(Fraction(b)) for b in window.bounds),
@@ -140,7 +142,7 @@ def search_tiles(window, polygon=None):
             z = from_scaled(n, x, tx)
             prov["seeds"] += 1
             zf = z.to_complex()
-            word = _float_periodic_code(verts, zf.real, zf.imag, window.max_period)
+            word = _float_periodic_code(orders, zf.real, zf.imag, window.max_period)
             if word is None:
                 rec = iterate(P, 1, z, window.max_period)
                 if rec.termination == "hit_singular":

@@ -7,9 +7,10 @@ uncontracted map.  The singular set S is the union of rays extending the
 sides of P, where two vertices qualify and the choice is ambiguous.
 
 Vertex selection reads the signs of the polygon's cached integer edge forms
-(``ConvexPolygon.edge_sign``): a float screen proposes a vertex and two edge
-signs confirm it, or else one sign per edge decides the point.  A step is
-one integer combination of the numerators of v and x, reduced by one gcd.
+(``ConvexPolygon.edge_sign``): a float screen of its cached wedge table
+proposes a vertex and two edge signs confirm it, or else one sign per edge
+decides the point.  A step is one integer combination of the numerators of
+v and x, reduced by one gcd.
 """
 
 from __future__ import annotations
@@ -32,23 +33,22 @@ class Selection:
 _FLOAT_MARGIN = 1e-12
 
 
-def float_select(verts, x, y):
-    """Label of the vertex whose wedge holds the float point (x, y) with both
-    orientations above _FLOAT_MARGIN, else None.
+def float_select(wedges, x, y):
+    """The row (label, vx, vy, ...) of the wedge that holds the float point
+    (x, y) with both orientations above _FLOAT_MARGIN, else None.
 
-    ``verts`` are the polygon's ``float_vertices()``.  A screen, never a
-    verdict: select_vertex confirms the label exactly (None sends it to the
+    ``wedges`` is one order of the polygon's ``float_wedges()``.  The open
+    wedges are disjoint, so at most one row passes: the order decides only
+    how soon it is found, never the answer.  A screen, never a verdict:
+    select_vertex confirms the label exactly (None sends it to the
     exhaustive path), and float-screened codes are certified exactly later.
     """
-    m = len(verts)
-    for i in range(m):
-        vx, vy = verts[i]
-        nx, ny = verts[(i + 1) % m]
-        px, py = verts[i - 1]
+    for row in wedges:
+        _, vx, vy, nx, ny, px, py = row
         dx, dy = vx - x, vy - y
         if (dx * (ny - y) - dy * (nx - x) > _FLOAT_MARGIN
                 and dx * (py - y) - dy * (px - x) > _FLOAT_MARGIN):
-            return i + 1
+            return row
     return None
 
 
@@ -62,9 +62,9 @@ def select_vertex(P, x):
     signs confirm it.
     """
     fx = x.to_complex()
-    g = float_select(P.float_vertices(), fx.real, fx.imag)
-    if g is not None and P.in_wedge(g, x):
-        return Selection("vertex", g)
+    row = float_select(P.float_wedges()[0], fx.real, fx.imag)
+    if row is not None and P.in_wedge(row[0], x):
+        return Selection("vertex", row[0])
     return _select_exhaustive(P, x)
 
 

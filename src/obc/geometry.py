@@ -169,7 +169,7 @@ class ConvexPolygon:
     cached next to them (``edge_halfplanes``).
     """
 
-    __slots__ = ("vertices", "_key", "_float", "_forms", "_halfplanes")
+    __slots__ = ("vertices", "_key", "_float", "_forms", "_halfplanes", "_wedges")
 
     def __init__(self, vertices, validate=True):
         vertices = tuple(vertices)
@@ -185,6 +185,7 @@ class ConvexPolygon:
         self._float = None
         self._forms = None
         self._halfplanes = None
+        self._wedges = None
 
     def __len__(self):
         return len(self.vertices)
@@ -300,6 +301,21 @@ class ConvexPolygon:
             fv = [point_xy(v) for v in self.vertices]
             self._float = fv
         return fv
+
+    def float_wedges(self):
+        """Orders of the float wedge rows (a, *v_a, *v_(a+1), *v_(a-1)), built
+        once: orders[0] by label; orders[a] from label a + (m-1)//2, opposite
+        v_a, alternating outwards, where an orbit's next label usually is."""
+        fw = self._wedges
+        if fw is None:
+            fv = self.float_vertices()
+            m = len(fv)
+            rows = tuple((a + 1, *fv[a], *fv[(a + 1) % m], *fv[a - 1]) for a in range(m))
+            h = (m - 1) // 2
+            offsets = sorted(range(-h, m - h), key=lambda s: (abs(s), -s))  # 0, 1, -1, 2, ...
+            fw = self._wedges = (rows,) + tuple(
+                tuple(rows[(a + h + s) % m] for s in offsets) for a in range(m))
+        return fw
 
     def side_lengths_sq(self):
         return [norm_sq(q - p) for p, q in self.edges()]

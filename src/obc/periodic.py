@@ -202,20 +202,23 @@ def captured_word(P, x, y, lam, max_steps, boxes):
     float point, read as (x, y / sin(2*pi/n)), lies in W's capture box
     (``capture_box``), every point of which follows W forever; for n = 4
     the scale is 1.0 and the four comparisons are exact.  The float orbit
-    before capture is not proved.  ``boxes`` maps each tail of p labels to
-    its box and canonical word; calls may share it for the same P and lam.
+    before capture is not proved; after label a it screens ``orders[a]``
+    (``P.float_wedges()``).  ``boxes`` maps each tail of p labels to its box
+    and canonical word; calls may share it for the same P and lam.
     """
-    verts = P.float_vertices()
+    orders = P.float_wedges()
+    lbl = 0  # orders[0] is the label order: no label taken yet
     lamf = float(lam)
+    grow = 1 + lamf
     scale = math.sin(2.0 * math.pi / P.vertices[0].n)
     code = []
     for i in range(1, max_steps + 1):
-        lbl = float_select(verts, x, y)
-        if lbl is None:
+        row = float_select(orders[lbl], x, y)
+        if row is None:
             return None
-        vx, vy = verts[lbl - 1]
-        x = (1 + lamf) * vx - lamf * x
-        y = (1 + lamf) * vy - lamf * y
+        lbl, vx, vy = row[0], row[1], row[2]
+        x = grow * vx - lamf * x
+        y = grow * vy - lamf * y
         code.append(lbl)
         if i % 16:
             continue

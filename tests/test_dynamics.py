@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from obc.dynamics import (
     Code,
@@ -34,15 +36,89 @@ def pt4(x, y):
 
 
 def test_float_select_screens_with_margin():
-    verts = SQ.float_vertices()
-    assert float_select(verts, 3.0, 0.0) == select_vertex(SQ, pt4(3, 0)).label
-    assert float_select(verts, 3.0, 1.0) is None        # on the singular ray
-    assert float_select(verts, 0.0, 0.0) is None        # inside the polygon
+    wedges = SQ.float_wedges()[0]
+    assert float_select(wedges, 3.0, 0.0)[0] == select_vertex(SQ, pt4(3, 0)).label
+    assert float_select(wedges, 3.0, 1.0) is None       # on the singular ray
+    assert float_select(wedges, 0.0, 0.0) is None       # inside the polygon
     # within the margin of the singular ray the screen abstains; the exact
     # path still decides the point
     near = pt4(3, 1 - Fraction(1, 10**14))
-    assert float_select(verts, 3.0, 1.0 - 1e-14) is None
+    assert float_select(wedges, 3.0, 1.0 - 1e-14) is None
     assert select_vertex(SQ, near).kind == "vertex"
+
+
+WEDGE_POLYGONS = [(n, regular_ngon(n)) for n in (3, 4, 5, 7, 12)] + [(4, SQ)]
+
+
+@pytest.mark.parametrize("n, P", WEDGE_POLYGONS)
+def test_float_wedge_table_layout(n, P):
+    fv = P.float_vertices()
+    m = len(fv)
+    h = (m - 1) // 2
+    orders = P.float_wedges()
+    assert P.float_wedges() is orders           # built once per polygon
+    assert len(orders) == m + 1
+    assert [row[0] for row in orders[0]] == list(range(1, m + 1))
+    for a, order in enumerate(orders):
+        assert sorted(row[0] for row in order) == list(range(1, m + 1))
+        for row in order:
+            b = row[0] - 1
+            assert row[1:] == (*fv[b], *fv[(b + 1) % m], *fv[b - 1])
+        if a:
+            assert order[0][0] == (a - 1 + h) % m + 1
+            # then alternating outwards: one past the opposite vertex, one before
+            assert [row[0] for row in order[1:3]] == [(a + h) % m + 1, (a - 2 + h) % m + 1]
+    if n == 5:
+        assert [row[0] for row in orders[1]] == [3, 4, 2, 5, 1]
+
+
+def _dyadic(draw, bits, exps):
+    return Fraction(draw(st.integers(-(2**bits), 2**bits)), 2 ** draw(exps))
+
+
+@st.composite
+def _screen_points(draw):
+    """(P, z): z exact with dyadic parameters out to radius about 1e6; half of
+    them a dyadic step off a point of a singular ray (an edge line beyond
+    the edge)."""
+    n, P = draw(st.sampled_from(WEDGE_POLYGONS))
+    if draw(st.booleans()):
+        exps = st.integers(20, 60)  # |x|, |y~| <= 2**20
+        return P, from_scaled(n, _dyadic(draw, 40, exps), _dyadic(draw, 40, exps))
+    m = len(P.vertices)
+    i = draw(st.integers(0, m - 1))
+    v, w = P.vertices[i], P.vertices[(i + 1) % m]
+    t = Fraction(draw(st.integers(0, 2**20)), 2**20) * 2 ** draw(st.integers(0, 20))
+    t = 1 + t if draw(st.booleans()) else -t
+    exps = st.integers(20, 60)
+    off = from_scaled(n, _dyadic(draw, 3, exps), _dyadic(draw, 3, exps))
+    return P, v + (w - v) * t + off
+
+
+@settings(max_examples=300, deadline=None)
+@given(_screen_points())
+@example((SQ, pt4(-1, 10**6)))  # on a singular ray; to_complex puts ~6e-11 into x
+def test_float_select_answer_does_not_depend_on_the_order(case):
+    """Every order of the wedge table gives the label of orders[0].  A label
+    the exact wedge test rejects is a float rounding error: the rejecting
+    edge value is within the rounding band of the orientations, which grows
+    like |z|^2 while the margin stays 1e-12."""
+    P, z = case
+    f = z.to_complex()
+    orders = P.float_wedges()
+    first = float_select(orders[0], f.real, f.imag)
+    label = None if first is None else first[0]
+    for order in orders[1:]:
+        row = float_select(order, f.real, f.imag)
+        assert (None if row is None else row[0]) == label
+    if label is None or P.in_wedge(label, z):
+        return
+    band = 2.0**-48 * (abs(f) + 2) ** 2
+    scale = math.sin(2 * math.pi / z.n)
+    for i, bad in ((label - 1, P.edge_sign(label - 1, z) <= 0),
+                   (label - 2, P.edge_sign(label - 2, z) >= 0)):
+        if bad:
+            assert abs(P.edge_value(i, z).to_complex().real) * scale <= band
 
 
 def test_select_vertex_square_examples():
