@@ -55,6 +55,6 @@ from .atlas import (
     scr_region,
     search_tiles,
 )
-from .render import RenderSpec, render_svg
+from .render import RenderSpec, render_atlas_svg, render_orbit_svg
 
 __version__ = "0.1.0"

@@ -7,7 +7,8 @@ each seed's code; the exact orbit decides only the seeds whose float orbit
 comes too close to a wedge boundary.  Each newly seen code is certified by
 building its tile exactly and checking that the tile centre follows it.
 An atlas keys tiles by canonical code, so one entry stands for a whole
-orbit of tiles; results are independent of traversal order.
+orbit of tiles, and carries the polygon those codes label; results are
+independent of traversal order.  Same-code regions take the polygon first.
 """
 
 from __future__ import annotations
@@ -65,18 +66,18 @@ class SearchWindow:
 
 @dataclass
 class Atlas:
-    """Tiles keyed by canonical code, with search provenance.
-
-    ``canonical_frame`` records whether the tiles live outside the standard
-    regular n-gon (vertices at roots of unity); only canonical-frame atlases
-    can be persisted, since the file format identifies the polygon by n
-    alone.
+    """Tiles outside ``polygon`` keyed by canonical code, with search
+    provenance.  Codes label the polygon's vertices in order; ``n`` is the
+    conductor of those vertices.
     """
 
-    n: int
+    polygon: ConvexPolygon
     entries: dict = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
-    canonical_frame: bool = True
+
+    @property
+    def n(self):
+        return self.polygon.vertices[0].n
 
     def add(self, tile):
         key = tile.code.canonical()
@@ -121,13 +122,13 @@ def search_tiles(window, polygon=None):
     yet in the atlas is certified exactly: its tile is built and the tile
     centre must follow the code.  Seeds left without a certified code count
     as ``undecided``.
-    ``polygon`` overrides the standard regular n-gon (e.g. the axis-aligned
-    square frame); such atlases stay in memory only.
+    ``polygon`` replaces ``regular_ngon(window.n)`` (e.g. by the axis-aligned
+    square frame); the atlas keeps the polygon it was searched outside.
     """
     n = window.n
     P = polygon if polygon is not None else regular_ngon(n)
     orders = P.float_wedges()
-    atlas = Atlas(n=n, canonical_frame=polygon is None)
+    atlas = Atlas(P)
     prov = atlas.provenance = {
         "bounds": tuple(str(Fraction(b)) for b in window.bounds),
         "grid_resolution": str(Fraction(window.grid_resolution)),
@@ -181,10 +182,9 @@ class SCRegion:
     polygon: ConvexPolygon
 
 
-def scr_constraints(n, lam, x, depth, polygon=None):
-    """Half-planes carving the set of points sharing x's first ``depth``
-    code symbols: code_constraints of the word x's orbit reads."""
-    P = polygon if polygon is not None else regular_ngon(n)
+def scr_constraints(P, lam, x, depth):
+    """Half-planes carving the set of points outside P that share x's first
+    ``depth`` code symbols: code_constraints of the word x's orbit reads."""
     word = []
     cur = x
     for i in range(depth):
@@ -198,14 +198,15 @@ def scr_constraints(n, lam, x, depth, polygon=None):
     return code_constraints(P, lam, word)
 
 
-def scr_region(n, lam, x, depth, polygon=None):
-    """Exact truncated same-code region around x (see scr_constraints)."""
+def scr_region(P, lam, x, depth):
+    """Exact truncated same-code region around x outside P (scr_constraints),
+    for lam < 1 inside the box of half-width 2n(1+lam)/(1-lam) + 4, n = x.n."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     lam = Fraction(lam)
-    cons = scr_constraints(n, lam, x, depth, polygon=polygon)
+    cons = scr_constraints(P, lam, x, depth)
     if lam < 1:
-        w = Fraction(2 * n) * (1 + lam) / (1 - lam) + 4
+        w = Fraction(2 * x.n) * (1 + lam) / (1 - lam) + 4
     else:
         w = None
     res = intersect_halfplanes(cons, half_width=w)
@@ -216,14 +217,13 @@ def scr_region(n, lam, x, depth, polygon=None):
     return SCRegion(x, lam, depth, res.polygon)
 
 
-def picture_convergence(n, x, lambdas, depth=None, polygon=None):
-    """Hausdorff distance of truncated same-code regions to the tile of x.
+def picture_convergence(P, x, lambdas, depth=None):
+    """Hausdorff distance of truncated same-code regions outside P to x's tile.
 
     x must be periodic for the uncontracted map; returns [(lam, dist)] in
     the order given.  depth defaults to 50 periods (truncation is
     conservative: deeper regions are nested inside shallower ones).
     """
-    P = polygon if polygon is not None else regular_ngon(n)
     code = seed_code(P, x, 4 * (depth or 256) + 16)
     if depth is None:
         depth = 50 * len(code)
@@ -234,7 +234,7 @@ def picture_convergence(n, x, lambdas, depth=None, polygon=None):
         if lam == 1:
             out.append((lam, 0.0))
             continue
-        region = scr_region(n, lam, x, depth, polygon=P)
+        region = scr_region(P, lam, x, depth)
         out.append((lam, hausdorff_distance(region.polygon, tile.polygon)))
     return out
 
@@ -248,13 +248,16 @@ def save_atlas(atlas, path):
     """Write the atlas in its line format: a header then one sorted entry
     per line (code, period, exact vertices, symmetry flag, verdict).
 
+    The header names the polygon by n alone, so only an atlas of
+    ``regular_ngon(n)`` itself, its vertices in label order, can be saved.
     The file is written to a temporary file beside ``path`` and then renamed
     over it, so a failed write leaves any existing atlas at ``path`` intact.
     """
-    if not atlas.canonical_frame:
+    # ordered tuples: ConvexPolygon's == ignores rotation, i.e. relabelling
+    if atlas.polygon.vertices != regular_ngon(atlas.n).vertices:
         raise ObcError(
-            "only canonical-frame atlases are persistable; the file format "
-            "identifies the polygon by n alone"
+            "only atlases of regular_ngon(n), vertices in label order, can be "
+            "saved; the file format identifies the polygon by n alone"
         )
     lines = [f"{_HEADER_PREFIX}{atlas.n}"]
     for key in sorted(atlas.entries):
@@ -292,8 +295,7 @@ def load_atlas(path):
         P = regular_ngon(n)
     except ValueError as exc:
         raise AtlasFormatError(f"bad conductor: {exc}", lineno=1) from exc
-    atlas = Atlas(n=n)
-    atlas.provenance = {"loaded_from": str(path)}
+    atlas = Atlas(P, provenance={"loaded_from": str(path)})
     diagnostics = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -303,7 +305,7 @@ def load_atlas(path):
             code = Code.parse(entry["code"])
             code.validate_labels(n)
             tile = tile_from_code(P, code)
-            stored = ConvexPolygon.parse(entry["vertices"], validate=False)
+            stored = ConvexPolygon.parse(entry["vertices"])
             if stored != tile.polygon:
                 raise AtlasFormatError("stored vertices disagree with the code's tile")
             if int(entry["period"]) != tile.period:

@@ -23,7 +23,7 @@ from .errors import ObcError
 from .field import CycloNum, check_conductor
 from .geometry import from_xy_approx, hausdorff_distance, point_xy, regular_ngon
 from .periodic import analyze_tile, tile_from_code
-from .render import RenderSpec, render_svg
+from .render import RenderSpec, render_atlas_svg, render_orbit_svg
 from .square import (
     count_attractors_detail,
     existence_condition,
@@ -229,14 +229,12 @@ def cmd_scr(args):
     P = _polygon_for(args)
     x = parse_seed(args.seed, args.n)
     if args.lambdas:
-        rows = picture_convergence(args.n, x, args.lambdas, args.depth,
-                                   polygon=P if args.square_frame else None)
+        rows = picture_convergence(P, x, args.lambdas, args.depth)
         print("lambda      hausdorff_to_tile   depth")
         for lam, d in rows:
             print(f"{str(lam):<11s} {d:<19.9f} {args.depth}")
         return 0
-    region = scr_region(args.n, args.lam, x, args.depth,
-                        polygon=P if args.square_frame else None)
+    region = scr_region(P, args.lam, x, args.depth)
     print(f"depth={args.depth} sides={len(region.polygon.vertices)}")
     for v in region.polygon.vertices:
         print(f"vertex {_fmt_pt(v)}")
@@ -256,12 +254,11 @@ def cmd_render(args):
         diagnostics = atlas.provenance["diagnostics"]
         if diagnostics:
             raise ObcError("\n".join([f"{args.atlas} has rejected entries:", *diagnostics]))
-        render_svg(atlas, spec, args.out)
+        render_atlas_svg(atlas, spec, args.out)
     else:
         P = _polygon_for(args)
         x = parse_seed(args.seed, args.n)
-        rec = iterate(P, args.lam, x, args.steps)
-        render_svg(rec, spec, args.out, polygon=P)
+        render_orbit_svg(P, iterate(P, args.lam, x, args.steps), spec, args.out)
     print(f"wrote {args.out}")
     return 0
 

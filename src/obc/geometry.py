@@ -87,8 +87,8 @@ def from_scaled(n, x, ytilde):
     return CycloNum.from_rational(n, x) + _half_eta(n) * Fraction(ytilde)
 
 
-def from_xy_approx(n, x, y, bits=20):
-    """Field point within 2^-bits of the true coordinates (x, y).
+def from_xy_approx(n, x, y):
+    """Field point within 2^-20 of the true coordinates (x, y).
 
     Exact in y for n = 4 (where sin(2*pi/n) = 1); otherwise the scaled
     ordinate is rounded to the nearest dyadic.
@@ -98,7 +98,7 @@ def from_xy_approx(n, x, y, bits=20):
     if n == 4:
         return from_scaled(4, x, y)
     sigma = math.sin(2.0 * math.pi / n)
-    t = Fraction(round(float(y) / sigma * (1 << bits)), 1 << bits)
+    t = Fraction(round(float(y) / sigma * (1 << 20)), 1 << 20)
     return from_scaled(n, x, t)
 
 
@@ -266,9 +266,8 @@ class ConvexPolygon:
                 on_edge = True
         return "boundary" if on_edge else "interior"
 
-    def contains(self, z, strict=False):
-        loc = self.locate(z)
-        return loc == "interior" if strict else loc != "exterior"
+    def contains(self, z):
+        return self.locate(z) != "exterior"
 
     def translated(self, d):
         return ConvexPolygon([v + d for v in self.vertices], validate=False)
@@ -341,8 +340,8 @@ class ConvexPolygon:
         return " ".join(v.serialize() for v in self.vertices)
 
     @classmethod
-    def parse(cls, text, validate=False):
-        return cls([CycloNum.parse(p) for p in text.split()], validate=validate)
+    def parse(cls, text):
+        return cls([CycloNum.parse(p) for p in text.split()], validate=False)
 
 
 def regular_ngon(n):

@@ -1,5 +1,7 @@
 """Deterministic SVG emission for atlases and orbits.
 
+Each picture draws the polygon it belongs to: an atlas its own
+``Atlas.polygon``, an orbit the polygon passed first, as to ``iterate``.
 Vertex placement comes from certified interval enclosures at the requested
 precision; colors are keyed by a stable hash of the canonical code, so the
 same orbit is drawn the same color in every run and every file.
@@ -10,26 +12,26 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .dynamics import OrbitRecord
-from .geometry import point_xy, regular_ngon
+from .geometry import point_xy
 from .periodic import iterate_tiles
+
+_SCALE = 64.0  # pixels per unit
+_STROKE_WIDTH = 0.6
+_POLYGON_FILL = "#d0d0d8"
 
 
 @dataclass(frozen=True)
 class RenderSpec:
     viewport: tuple = (-8.0, 8.0, -8.0, 8.0)  # (x0, x1, y0, y1)
     precision_bits: int = 53
-    scale: float = 64.0  # pixels per unit
-    stroke_width: float = 0.6
-    polygon_fill: str = "#d0d0d8"
 
     def size(self):
         x0, x1, y0, y1 = self.viewport
-        return (x1 - x0) * self.scale, (y1 - y0) * self.scale
+        return (x1 - x0) * _SCALE, (y1 - y0) * _SCALE
 
     def to_px(self, x, y):
         x0, _, _, y1 = self.viewport
-        return (x - x0) * self.scale, (y1 - y) * self.scale
+        return (x - x0) * _SCALE, (y1 - y) * _SCALE
 
 
 def code_color(code_word):
@@ -76,15 +78,19 @@ def _clip_viewport(pts, viewport):
     return pts
 
 
-def _poly_element(pts, spec, fill, stroke="#222222"):
+def _poly_element(pts, spec, fill):
     coords = " ".join("%.6f,%.6f" % spec.to_px(x, y) for x, y in pts)
     return (
         f'<polygon points="{coords}" fill="{fill}" '
-        f'stroke="{stroke}" stroke-width="{spec.stroke_width}"/>'
+        f'stroke="#222222" stroke-width="{_STROKE_WIDTH}"/>'
     )
 
 
-def _svg_document(spec, body):
+def _write_svg(P, spec, body, path):
+    """Write the document: white background, the polygon P, then body."""
+    ppts = _clip_viewport([point_xy(v, spec.precision_bits) for v in P.vertices], spec.viewport)
+    if ppts:
+        body = [_poly_element(ppts, spec, _POLYGON_FILL)] + body
     wpx, hpx = spec.size()
     head = (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -92,57 +98,37 @@ def _svg_document(spec, body):
         f'height="{hpx:.0f}" viewBox="0 0 {wpx:.6f} {hpx:.6f}">\n'
         f'<rect width="100%" height="100%" fill="#ffffff"/>\n'
     )
-    return head + "\n".join(body) + "\n</svg>\n"
-
-
-def render_atlas_svg(atlas, spec, path, polygon=None):
-    """Draw the polygon and every tile orbit in the atlas, color per code."""
-    P = polygon if polygon is not None else regular_ngon(atlas.n)
-    bits = spec.precision_bits
-    body = []
-    ppts = _clip_viewport([point_xy(v, bits) for v in P.vertices], spec.viewport)
-    if ppts:
-        body.append(_poly_element(ppts, spec, spec.polygon_fill))
-    for key in sorted(atlas.entries):
-        tile = atlas.entries[key]
-        color = code_color(key)
-        polys = [tile.polygon] + iterate_tiles(P, tile)
-        for poly in polys:
-            pts = _clip_viewport([point_xy(v, bits) for v in poly.vertices], spec.viewport)
-            if len(pts) >= 3:
-                body.append(_poly_element(pts, spec, color))
-    doc = _svg_document(spec, body)
     with open(path, "w", encoding="utf-8") as f:
-        f.write(doc)
+        f.write(head + "\n".join(body) + "\n</svg>\n")
     return path
 
 
-def render_orbit_svg(record, spec, path, polygon=None):
-    """Draw the polygon, the orbit polyline and its points."""
-    P = polygon if polygon is not None else regular_ngon(record.start.n)
+def render_atlas_svg(atlas, spec, path):
+    """Draw ``atlas.polygon`` and every tile orbit in the atlas, each tile
+    once, color per code."""
     bits = spec.precision_bits
     body = []
-    ppts = _clip_viewport([point_xy(v, bits) for v in P.vertices], spec.viewport)
-    if ppts:
-        body.append(_poly_element(ppts, spec, spec.polygon_fill))
+    for key in sorted(atlas.entries):
+        color = code_color(key)
+        for poly in iterate_tiles(atlas.polygon, atlas.entries[key]):
+            pts = _clip_viewport([point_xy(v, bits) for v in poly.vertices], spec.viewport)
+            if len(pts) >= 3:
+                body.append(_poly_element(pts, spec, color))
+    return _write_svg(atlas.polygon, spec, body, path)
+
+
+def render_orbit_svg(P, record, spec, path):
+    """Draw the polygon P, the orbit polyline and its points."""
+    bits = spec.precision_bits
+    body = []
     pts = [point_xy(z, bits) for z in record.points]
     px = [spec.to_px(x, y) for x, y in pts]
     if len(px) >= 2:
         coords = " ".join("%.6f,%.6f" % p for p in px)
         body.append(
             f'<polyline points="{coords}" fill="none" stroke="#3050c8" '
-            f'stroke-width="{spec.stroke_width}"/>'
+            f'stroke-width="{_STROKE_WIDTH}"/>'
         )
     for x, y in px:
         body.append(f'<circle cx="%.6f" cy="%.6f" r="2.2" fill="#c03030"/>' % (x, y))
-    doc = _svg_document(spec, body)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(doc)
-    return path
-
-
-def render_svg(obj, spec, path, polygon=None):
-    """Dispatch on atlas vs orbit record."""
-    if isinstance(obj, OrbitRecord):
-        return render_orbit_svg(obj, spec, path, polygon=polygon)
-    return render_atlas_svg(obj, spec, path, polygon=polygon)
+    return _write_svg(P, spec, body, path)

@@ -174,7 +174,7 @@ def test_criterion_08_convergence_of_picture():
             Fraction(1, 6), 50))
         tile = min(atlas.tiles(), key=lambda t: t.period)
         center = tile.stability.limit_point
-        rows = picture_convergence(n, center, lams, 200)
+        rows = picture_convergence(regular_ngon(n), center, lams, 200)
         ds = [d for _, d in rows]
         assert ds[0] > ds[1] > ds[2], (n, ds)
         assert ds[2] < 0.05, (n, ds)
@@ -267,8 +267,8 @@ def test_criterion_10_property_suite(pentagon_atlas):
         done += 1
     # SCR nestedness
     x = from_scaled(4, -2, 0)
-    shallow = scr_region(4, Fraction(9, 10), x, 24)
-    deep = scr_region(4, Fraction(9, 10), x, 48)
+    shallow = scr_region(regular_ngon(4), Fraction(9, 10), x, 24)
+    deep = scr_region(regular_ngon(4), Fraction(9, 10), x, 48)
     assert all(shallow.polygon.contains(v) for v in deep.polygon.vertices)
     _report(10, "fixed-point identity, shift/base invariance, side bound, "
                 "rotation equivariance, SCR nestedness")

@@ -1,5 +1,6 @@
 """Window searches, same-code regions, convergence, atlas persistence."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from obc.atlas import (
 )
 from obc.dynamics import Code, iterate
 from obc.errors import AtlasFormatError, CodeNotRealizableError, ObcError
-from obc.geometry import from_scaled, point_xy, regular_ngon
+from obc.geometry import ConvexPolygon, from_scaled, point_xy, regular_ngon
 from obc.periodic import analyze_tile, code_constraints, tile_from_code
 from obc.square import square_polygon
 
@@ -74,31 +75,31 @@ def test_pentagon_census(pentagon_atlas):
 
 def test_scr_square_frame_examples(square):
     x = from_scaled(4, -2, 0)
-    r = scr_region(4, 1, x, 4, polygon=square)
+    r = scr_region(square, 1, x, 4)
     pts = sorted(point_xy(v) for v in r.polygon.vertices)
     assert pts == [(-3.0, -1.0), (-3.0, 1.0), (-1.0, -1.0), (-1.0, 1.0)]
-    assert scr_region(4, 1, x, 8, polygon=square).polygon == r.polygon
+    assert scr_region(square, 1, x, 8).polygon == r.polygon
 
 
 def test_scr_nestedness():
     x = from_scaled(4, -2, 0)
     lam = Fraction(9, 10)
-    shallow = scr_region(4, lam, x, 30)
-    deep = scr_region(4, lam, x, 60)
+    shallow = scr_region(regular_ngon(4), lam, x, 30)
+    deep = scr_region(regular_ngon(4), lam, x, 60)
     assert all(shallow.polygon.contains(v) for v in deep.polygon.vertices)
     assert deep.polygon.contains(x)
 
 
 def test_scr_rejects_bad_seed():
     with pytest.raises(ObcError):
-        scr_region(4, 1, from_scaled(4, 0, 0), 4)  # inside the polygon
+        scr_region(regular_ngon(4), 1, from_scaled(4, 0, 0), 4)  # inside the polygon
     with pytest.raises(ObcError):
-        scr_region(4, 1, from_scaled(4, 3, 1), 4, polygon=square_polygon())  # singular
+        scr_region(square_polygon(), 1, from_scaled(4, 3, 1), 4)  # singular
 
 
 def test_scr_rejects_rate_outside_unit_interval():
     with pytest.raises(ValueError):
-        scr_region(4, 2, from_scaled(4, 3, 0), 4)
+        scr_region(regular_ngon(4), 2, from_scaled(4, 3, 0), 4)
 
 
 def test_scr_at_rate_one_is_the_tile(septagon_atlas):
@@ -108,14 +109,14 @@ def test_scr_at_rate_one_is_the_tile(septagon_atlas):
     assert len(short) == 4
     for t in short:
         word = t.code.doubled_even()
-        cons = scr_constraints(7, 1, t.center(), len(word))
+        cons = scr_constraints(P, 1, t.center(), len(word))
         assert cons == code_constraints(P, 1, word)
-        assert scr_region(7, 1, t.center(), len(word)).polygon == t.polygon
+        assert scr_region(P, 1, t.center(), len(word)).polygon == t.polygon
 
 
 def test_picture_convergence_square_frame(square):
     x = from_scaled(4, -2, 0)
-    rows = picture_convergence(4, x, [Fraction(9, 10), 1], 60, polygon=square)
+    rows = picture_convergence(square, x, [Fraction(9, 10), 1], 60)
     assert rows[1][1] == 0.0
     assert rows[0][1] > 0
 
@@ -124,7 +125,7 @@ def test_picture_convergence_monotone_on_lambda_grid(square):
     x = from_scaled(4, -2, 0)
     lams = [Fraction(9, 10), Fraction(19, 20), Fraction(99, 100),
             Fraction(199, 200), Fraction(999, 1000)]
-    rows = picture_convergence(4, x, lams, 120, polygon=square)
+    rows = picture_convergence(square, x, lams, 120)
     ds = [d for _, d in rows]
     assert all(a > b for a, b in zip(ds, ds[1:])), ds
 
@@ -197,7 +198,7 @@ def test_failed_save_keeps_existing_atlas(tmp_path, monkeypatch):
     monkeypatch.setattr(obc.atlas, "open", lambda *a, **k: HalfWriter(real_open(*a, **k)),
                         raising=False)
     with pytest.raises(Interrupted):
-        save_atlas(Atlas(n=4), path)
+        save_atlas(Atlas(regular_ngon(4)), path)
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["n4.atlas"]
@@ -213,8 +214,29 @@ def test_non_canonical_frame_not_persistable(tmp_path, square):
         save_atlas(atlas, tmp_path / "x.atlas")
 
 
+def test_explicit_regular_polygon_persists(tmp_path):
+    # the README census, searched outside an explicitly passed regular_ngon(5)
+    bounds = (Fraction(3, 10), Fraction(33, 10), Fraction(3, 10), Fraction(33, 10))
+    window = SearchWindow(5, bounds, Fraction(1, 7), 120)
+    path = tmp_path / "pentagon.atlas"
+    save_atlas(search_tiles(window, polygon=regular_ngon(5)), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "50a820762a0e2a00ee07390c17021419da8ff418cc2610a0b8c370d540e5eea3")
+
+
+def test_relabelled_polygon_not_persistable(tmp_path):
+    # equal as a polygon (== ignores rotation), but label 1 is another vertex
+    vs = regular_ngon(5).vertices
+    relabelled = ConvexPolygon(vs[1:] + vs[:1])
+    assert relabelled == regular_ngon(5)
+    path = tmp_path / "x.atlas"
+    with pytest.raises(ObcError):
+        save_atlas(Atlas(relabelled), path)
+    assert not path.exists()
+
+
 def test_unanalysed_tile_not_persistable(tmp_path):
-    atlas = Atlas(n=4)
+    atlas = Atlas(regular_ngon(4))
     atlas.add(tile_from_code(regular_ngon(4), [1, 2, 3, 4]))
     path = tmp_path / "x.atlas"
     with pytest.raises(ObcError):
