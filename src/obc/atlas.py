@@ -4,8 +4,8 @@ convergence-of-picture measurements.
 Search seeds a rational grid (in (x, ytilde) coordinates, which are exact
 field points for every n).  A float orbit of the uncontracted map proposes
 each seed's code; the exact orbit decides only the seeds whose float orbit
-comes too close to a wedge boundary.  Each newly seen code is certified by
-building its tile exactly and checking that the tile centre follows it.
+comes too close to a wedge boundary.  Each newly seen code is certified
+where its tile is built (``tile_from_code``).
 An atlas keys tiles by canonical code, so one entry stands for a whole
 orbit of tiles, and carries the polygon those codes label; results are
 independent of traversal order.  Same-code regions take the polygon first.
@@ -27,12 +27,7 @@ from .geometry import (
     intersect_halfplanes,
     regular_ngon,
 )
-from .periodic import (
-    analyze_tile,
-    code_constraints,
-    follows_code,
-    tile_from_code,
-)
+from .periodic import code_constraints, tile_from_code
 
 
 @dataclass(frozen=True)
@@ -118,10 +113,10 @@ def search_tiles(window, polygon=None):
 
     Every seed runs its float orbit, which proposes the seed's code; only
     where it meets the screen margin does the exact orbit decide, counting
-    seeds that hit the singular set as ``singular_skipped``.  A code not
-    yet in the atlas is certified exactly: its tile is built and the tile
-    centre must follow the code.  Seeds left without a certified code count
-    as ``undecided``.
+    seeds in the closed polygon or whose orbit meets the singular set as
+    ``singular_skipped``.  A code not yet in the atlas is certified exactly
+    where its tile is built (``tile_from_code``).  Seeds left without a
+    certified code count as ``undecided``.
     ``polygon`` replaces ``regular_ngon(window.n)`` (e.g. by the axis-aligned
     square frame); the atlas keeps the polygon it was searched outside.
     """
@@ -146,7 +141,7 @@ def search_tiles(window, polygon=None):
             word = _float_periodic_code(orders, zf.real, zf.imag, window.max_period)
             if word is None:
                 rec = iterate(P, 1, z, window.max_period)
-                if rec.termination == "hit_singular":
+                if rec.termination in ("inside", "hit_singular"):
                     prov["singular_skipped"] += 1
                     continue
                 word = rec.cycle_code() if rec.termination == "exact_repeat" else []
@@ -157,15 +152,9 @@ def search_tiles(window, polygon=None):
             if canon.word in atlas.entries:
                 continue
             try:
-                tile = tile_from_code(P, canon)
+                atlas.add(tile_from_code(P, canon))
             except CodeNotRealizableError:
                 prov["undecided"] += 1
-                continue
-            if not follows_code(P, 1, tile.center(), canon):
-                prov["undecided"] += 1
-                continue
-            analyze_tile(P, tile)
-            atlas.add(tile)
     return atlas
 
 
@@ -263,7 +252,7 @@ def save_atlas(atlas, path):
     for key in sorted(atlas.entries):
         t = atlas.entries[key]
         if t.stability is None or t.symmetric is None:
-            raise ObcError(f"tile {t.code.serialize()} was never analysed; see analyze_tile")
+            raise ObcError(f"tile {t.code.serialize()} has no verdicts; see tile_from_code")
         lines.append(
             "code=" + ",".join(str(a) for a in t.code.word)
             + f";period={t.period}"
@@ -310,7 +299,6 @@ def load_atlas(path):
                 raise AtlasFormatError("stored vertices disagree with the code's tile")
             if int(entry["period"]) != tile.period:
                 raise AtlasFormatError("stored period disagrees with the code")
-            analyze_tile(P, tile)
             if tile.stability.verdict != entry["stable"]:
                 raise AtlasFormatError("stored verdict disagrees")
             if bool(int(entry["symmetric"])) != tile.symmetric:

@@ -22,7 +22,7 @@ from .dynamics import Code, iterate, orbit_to_text, seed_code
 from .errors import ObcError
 from .field import CycloNum, check_conductor
 from .geometry import from_xy_approx, hausdorff_distance, point_xy, regular_ngon
-from .periodic import analyze_tile, tile_from_code
+from .periodic import tile_from_code
 from .render import RenderSpec, render_atlas_svg, render_orbit_svg
 from .square import (
     count_attractors_detail,
@@ -167,7 +167,7 @@ def cmd_tile(args):
 def cmd_stability(args):
     P = _polygon_for(args)
     code = _code_from_args(args, P)
-    tile = analyze_tile(P, tile_from_code(P, code))
+    tile = tile_from_code(P, code)
     rep = tile.stability
     print(
         f"code={code.serialize()} period={tile.period} "

@@ -116,9 +116,9 @@ def reflect_contract(v, p, q, x):
 class OrbitRecord:
     """Recorded orbit with its code and termination reason.
 
-    termination is "cap_reached", "exact_repeat" (with preperiod/period) or
-    "hit_singular" (with singular_step).  code[i] is the label the i-th
-    recorded point reflects on.
+    termination is "cap_reached", "exact_repeat" (with preperiod/period),
+    "hit_singular" (with singular_step) or "inside" (start in the closed
+    polygon).  code[i] is the label the i-th recorded point reflects on.
     """
 
     start: CycloNum
@@ -140,7 +140,7 @@ def iterate(P, lam, x, max_steps):
     """Iterate the map, recording points and code.
 
     Stops at max_steps, at an exact point repetition (hash on the normal
-    form; no tolerances), or upon hitting the singular set.
+    form; no tolerances), on the singular set, or at once inside P.
     """
     lam = Fraction(lam)
     if max_steps < 1:
@@ -151,9 +151,9 @@ def iterate(P, lam, x, max_steps):
     for k in range(max_steps):
         try:
             cur, label = step(P, lam, cur)
-        except StepDomainError:
-            rec.termination = "hit_singular"
-            rec.singular_step = k
+        except StepDomainError as exc:
+            rec.termination = "inside" if exc.kind == "inside" else "hit_singular"
+            rec.singular_step = None if exc.kind == "inside" else k
             return rec
         rec.code.append(label)
         rec.points.append(cur)

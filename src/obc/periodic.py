@@ -68,13 +68,17 @@ class StabilityReport:
 
 @dataclass
 class Tile:
-    """Open convex tile of mutually periodic points sharing a code."""
+    """Open convex tile of mutually periodic points sharing a code, with the
+    verdicts that tile_from_code fills in (None in a Tile made by hand)."""
 
     polygon: ConvexPolygon
     code: Code
-    period: int
     symmetric: bool | None = None
     stability: StabilityReport | None = None
+
+    @property
+    def period(self):
+        return self.code.period
 
     def center(self):
         return self.polygon.centroid()
@@ -108,8 +112,9 @@ def code_fixed_point(P, code, lam):
 def compose_code_map(P, code, lam, z):
     """Apply the k coded reflection-contractions to z, in code order."""
     lam = Fraction(lam)
+    p, q = lam.numerator, lam.denominator
     for v in _code_vertices(P, Code.coerce(code).word):
-        z = v * (1 + lam) - z * lam
+        z = reflect_contract(v, p, q, z)
     return z
 
 
@@ -117,7 +122,7 @@ def validate_periodic(P, code, lam):
     """True iff the hypothetical periodic point realizes the code.
 
     At lam = 1 with even-length code the fixed point is indeterminate; the
-    orbit of the tile centroid decides instead.
+    code is realized exactly when ``tile_from_code`` certifies its tile.
     """
     code = Code.coerce(code)
     lam = Fraction(lam)
@@ -125,9 +130,10 @@ def validate_periodic(P, code, lam):
         q = code_fixed_point(P, code, lam)
     except IndeterminateFixedPointError:
         try:
-            q = tile_from_code(P, code).center()
+            tile_from_code(P, code)
         except CodeNotRealizableError:
             return False
+        return True
     return follows_code(P, lam, q, code)
 
 
@@ -295,18 +301,34 @@ def code_constraints(P, lam, word):
 
 
 def tile_from_code(P, code):
-    """The open tile of points whose periodic itinerary is the given code.
+    """The open tile of periodic points whose itinerary is the code, with
+    both verdicts: the intersection of code_constraints at lam = 1 over one
+    period (the code doubled when odd), in the code's own phase (rotating the
+    code maps the tile).  CodeNotRealizableError unless the code is periodic
+    and that intersection is a polygon.
 
-    The polygon is the intersection of code_constraints at lam = 1 over one
-    period (the code is doubled first when its length is odd).  The tile
-    corresponds to the code's own phase: rotating the code yields the
-    tile's image under the map.
+    No orbit is run.  Kind "polygon" means a bounded region with at least 3
+    non-collinear vertices, so its centroid lies in the open interior,
+    strictly inside every pulled-back wedge half-plane: by code_constraints'
+    construction its exact orbit takes the labels of code.doubled_even().
+    An even number of point reflections is a translation by twice the
+    alternating vertex sum, so the orbit comes back exactly when that sum
+    vanishes (``stability_limit`` checks it), as ``follows_code(P, 1,
+    tile.center(), code)`` would find by running the orbit.
     """
     code = Code.coerce(code)
+    try:
+        limit = stability_limit(P, code)
+    except StabilityPreconditionError as exc:
+        raise CodeNotRealizableError(f"code not periodic: {exc}") from None
     res = intersect_halfplanes(code_constraints(P, 1, code.doubled_even()))
     if res.kind != "polygon":
         raise CodeNotRealizableError(f"code not realizable ({res.kind})")
-    return Tile(polygon=res.polygon, code=code, period=code.period)
+    membership = res.polygon.locate(limit)
+    verdict = {"interior": "stable", "boundary": "marginal", "exterior": "unstable"}[membership]
+    tile = Tile(res.polygon, code, stability=StabilityReport(limit, verdict, membership))
+    tile.symmetric = is_symmetric(P, tile)
+    return tile
 
 
 def alternating_vertex_sum(P, code):
@@ -342,14 +364,7 @@ def stability_limit(P, code):
 def is_lambda_stable(P, code):
     """Stability verdict by exact location of the limit point (the chain
     barycenter) in the open tile: interior = stable, boundary = marginal."""
-    return _stability(P, tile_from_code(P, code))
-
-
-def _stability(P, tile):
-    limit = stability_limit(P, tile.code)
-    membership = tile.polygon.locate(limit)
-    verdict = {"interior": "stable", "boundary": "marginal", "exterior": "unstable"}[membership]
-    return StabilityReport(limit, verdict, membership)
+    return tile_from_code(P, code).stability
 
 
 def iterate_tiles(P, tile):
@@ -359,7 +374,7 @@ def iterate_tiles(P, tile):
     poly = tile.polygon
     for i in range(tile.period):
         v = vs_code[i % len(vs_code)]
-        poly = poly.mapped(lambda z, v=v: v * 2 - z)
+        poly = poly.mapped(lambda z, v=v: reflect_contract(v, 1, 1, z))
         out.append(poly)
     return out
 
@@ -376,9 +391,3 @@ def is_symmetric(P, tile):
     return any(Code([(a - 1 + j) % n + 1 for a in word]).canonical() == canon
                for j in range(1, n))
 
-
-def analyze_tile(P, tile):
-    """Attach symmetry and stability verdicts to a tile (in place)."""
-    tile.symmetric = is_symmetric(P, tile)
-    tile.stability = _stability(P, tile)
-    return tile

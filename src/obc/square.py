@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dynamics import orbit_bound, seed_code
+from .dynamics import orbit_bound, reflect_contract, seed_code
 from .field import CycloNum
 from .geometry import ConvexPolygon, from_scaled, imag_scaled, real_part
 from .periodic import captured_word
@@ -247,7 +247,8 @@ def degenerate_orbit(k, lam):
         fam2, j2 = succ(fam, j)
         nxt = fams[fam2][j2]
         label = _FAMILY_VERTEX_LABEL[fam]
-        identity_ok = (P.vertices[label - 1] * (1 + lam) - cur * lam) == nxt
+        identity_ok = reflect_contract(P.vertices[label - 1], lam.numerator,
+                                       lam.denominator, cur) == nxt
         transitions.append(TransitionCheck(i, label, identity_ok, P.in_wedge(label, cur)))
         fam, j = fam2, j2
     return DegenerateOrbit(k, lam, E, F, G, H, transitions)

@@ -20,7 +20,7 @@ from obc.atlas import (
 from obc.dynamics import Code, iterate
 from obc.errors import AtlasFormatError, CodeNotRealizableError, ObcError
 from obc.geometry import ConvexPolygon, from_scaled, point_xy, regular_ngon
-from obc.periodic import analyze_tile, code_constraints, tile_from_code
+from obc.periodic import Tile, code_constraints, tile_from_code
 from obc.square import square_polygon
 
 
@@ -237,7 +237,8 @@ def test_relabelled_polygon_not_persistable(tmp_path):
 
 def test_unanalysed_tile_not_persistable(tmp_path):
     atlas = Atlas(regular_ngon(4))
-    atlas.add(tile_from_code(regular_ngon(4), [1, 2, 3, 4]))
+    t = tile_from_code(regular_ngon(4), [1, 2, 3, 4])
+    atlas.add(Tile(t.polygon, t.code))
     path = tmp_path / "x.atlas"
     with pytest.raises(ObcError):
         save_atlas(atlas, path)
@@ -266,9 +267,23 @@ def test_each_tile_built_once(tmp_path, monkeypatch):
     assert len(builds) == len(loaded.entries) == 4
     builds.clear()
     P = regular_ngon(4)
-    tile = analyze_tile(P, counting(P, [1, 2, 4, 1, 3, 4, 2, 3]))
+    tile = counting(P, [1, 2, 4, 1, 3, 4, 2, 3])
     assert tile.stability.verdict == "stable"
     assert len(builds) == 1
+
+
+def test_search_runs_no_centre_orbit(pentagon_atlas, monkeypatch):
+    # tile_from_code certifies each code from its alternating vertex sum,
+    # so the census finds its 8 codes without following any code exactly
+    def fail(*args):
+        raise AssertionError("code_endpoint called")
+
+    monkeypatch.setattr(obc.periodic, "code_endpoint", fail)
+    window = SearchWindow(5, (Fraction(3, 10), Fraction(33, 10), Fraction(3, 10),
+                              Fraction(33, 10)), Fraction(1, 7), 120)
+    atlas = search_tiles(window)
+    assert len(atlas.entries) == 8
+    assert atlas.codes() == pentagon_atlas.codes()
 
 
 def test_septagon_fixture(septagon_atlas):
@@ -289,13 +304,14 @@ def test_septagon_fixture(septagon_atlas):
 
 def _exact_reference(window, P):
     # the exact lambda=1 orbit of every grid seed: the realizable canonical
-    # codes of the seeds that come back, and the number of singular seeds
+    # codes of the seeds that come back, and the number of seeds in the
+    # closed polygon or on the singular set
     codes, singular = set(), 0
     xs, ts = window.grid()
     for tx in ts:
         for x in xs:
             rec = iterate(P, 1, from_scaled(window.n, x, tx), window.max_period)
-            if rec.termination == "hit_singular":
+            if rec.termination in ("inside", "hit_singular"):
                 singular += 1
             elif rec.termination == "exact_repeat":
                 code = Code(rec.cycle_code()).canonical_code()

@@ -59,6 +59,15 @@ def test_tile_from_code(capsys):
     code, out, _ = run(capsys, "tile", "--n", "4", "--square-frame", "--code", "3,4,1,2")
     assert code == 0
     assert "period=4" in out and "sides=4" in out
+    # a realizable code whose orbits drift away: no tile
+    code, out, err = run(capsys, "tile", "--n", "5", "--code", "1,2")
+    assert code == 1 and out == "" and "not periodic" in err
+
+
+def test_orbit_from_inside_the_polygon(capsys):
+    code, out, _ = run(capsys, "orbit", "--n", "5", "--seed", "0.1,0.1", "--steps", "3")
+    assert code == 0
+    assert out.splitlines()[-1] == "termination=inside"
 
 
 def test_square_verify(capsys):

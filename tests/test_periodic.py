@@ -19,6 +19,7 @@ from obc.geometry import (
     ConvexPolygon,
     from_scaled,
     halfplane_left_of,
+    intersect_halfplanes,
     norm_sq,
     point_xy,
     regular_ngon,
@@ -197,6 +198,28 @@ def test_tile_from_code_square_example():
 def test_tile_from_code_not_realizable():
     with pytest.raises(CodeNotRealizableError):
         tile_from_code(SQ, Code([1, 1]))
+
+
+@pytest.mark.parametrize("n, word", [(5, (1, 2)), (7, (1, 2)), (4, (1, 2, 4, 1))])
+def test_tile_from_code_refuses_non_periodic_codes(n, word):
+    # the code carves a polygon, but its alternating vertex sum is nonzero:
+    # the orbit of the polygon's centroid takes the code and drifts away
+    P = regular_ngon(n)
+    res = intersect_halfplanes(code_constraints(P, 1, word))
+    assert res.kind == "polygon"
+    assert not follows_code(P, 1, res.polygon.centroid(), Code(word))
+    with pytest.raises(CodeNotRealizableError, match="not periodic"):
+        tile_from_code(P, Code(word))
+
+
+def test_tile_certificate_agrees_with_centre_orbit(pentagon_atlas, n12_atlas,
+                                                   septagon_atlas):
+    # reference: the exact orbit of each certified tile's centre follows the
+    # code back to itself
+    for P, atlas in ((regular_ngon(5), pentagon_atlas), (regular_ngon(12), n12_atlas),
+                     (regular_ngon(7), septagon_atlas)):
+        for t in atlas.tiles():
+            assert follows_code(P, 1, t.center(), t.code.canonical_code()), t.code
 
 
 def _constraints_from_mapped_wedges(P, lam, word):
@@ -431,7 +454,7 @@ def tile_phases(pentagon_atlas, septagon_atlas, n4_square_frame_atlas, n12_atlas
         for t in atlas.tiles():
             cases.append((P, t))
             for i, poly in enumerate(iterate_tiles(P, t)[:2], start=1):
-                cases.append((P, Tile(poly, t.code.shifted(i), t.period)))
+                cases.append((P, Tile(poly, t.code.shifted(i))))
     return cases
 
 
