@@ -170,10 +170,14 @@ def iterate(P, lam, x, max_steps):
 
 def seed_code(P, x, max_steps):
     """Code of the cycle the exact lam = 1 orbit of x closes on; ObcError
-    naming the step cap and the termination when it does not close."""
+    saying why when it does not close."""
     rec = iterate(P, 1, x, max_steps)
-    if rec.termination != "exact_repeat":
-        raise ObcError(f"seed is not periodic within {max_steps} steps ({rec.termination})")
+    if rec.termination == "inside":
+        raise ObcError("seed lies in the closed polygon, where the map is undefined")
+    if rec.termination == "hit_singular":
+        raise ObcError(f"seed's orbit meets the singular set at step {rec.singular_step}")
+    if rec.termination == "cap_reached":
+        raise ObcError(f"seed is not periodic within {max_steps} steps")
     return Code(rec.cycle_code())
 
 

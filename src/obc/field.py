@@ -12,10 +12,11 @@ formed only where values enter or leave (constructors, ``coeffs``,
 z = w/den, 1/z = den * prod / N(w), where prod is the product of the other
 conjugates sigma_k(w) and N(w) = w * prod is a positive integer.
 
-Numeric enclosures come from interval evaluations of cos(2*pi*k/n) and
-sin(2*pi*k/n) (mpmath's interval module supplies those constants), rounded
-outward once per precision to fixed-point integers; an enclosure is then an
-exact integer dot product, so it is mathematically guaranteed.
+Numeric enclosures rest on one table per precision of fixed-point integer
+bounds of cos(2*pi*k/n) and sin(2*pi*k/n), computed with Python integers
+only (Machin's formula for pi, then Taylor series, every step rounded
+outward; see ``Cyclotomic.fixed_trig``); an enclosure is then an exact
+integer dot product, so it is mathematically guaranteed.
 """
 
 from __future__ import annotations
@@ -24,12 +25,11 @@ import math
 from decimal import Decimal
 from fractions import Fraction
 
-from mpmath import iv
-
 from .errors import ConductorMismatchError, NotRealError
 
-# mpmath evaluates the trig tables this many bits past the fixed-point grid,
-# so each rounded table entry is at most 2^_TRIG_WIDTH_BITS units of 2^-prec
+# The trig tables are computed this many bits, plus prec.bit_length(), past
+# the fixed-point grid: the series lose O(prec) units of the finer grid, so
+# each rounded table entry is at most 2^_TRIG_WIDTH_BITS units of 2^-prec
 # wide (checked where the table is built); ``_sign_cap`` relies on that width.
 _TRIG_GUARD_BITS = 8
 _TRIG_WIDTH_BITS = 1
@@ -78,16 +78,69 @@ def cyclotomic_polynomial(n):
     return poly
 
 
-def _fixed_point(t, prec, ceil):
-    """floor (or ceil) of 2^prec times the mpf value tuple ``t``."""
-    sign, man, exp, _ = t
-    man = -int(man) if sign else int(man)
-    shift = exp + prec
-    if shift >= 0:
-        return man << shift
-    if ceil:
-        return -((-man) >> -shift)
-    return man >> -shift
+def _atan_inv(x, w):
+    """(s, e) with |2^w atan(1/x) - s| < e, for an integer x >= 2.
+
+    Term j of atan(1/x) = sum (-1)^j / ((2j+1) x^(2j+1)) is taken as
+    t_j = floor(2^w / ((2j+1) x^(2j+1))): p_j = floor(2^w / x^(2j+1)) by
+    repeated floor division (floor(floor(a)/m) = floor(a/m)), then
+    t_j = floor(p_j / (2j+1)).  The sum stops at the first t_J = 0.  Each
+    kept term errs by less than 1, and the alternating tail by less than
+    the true term J, which is below 1 because t_J = 0.
+    """
+    p = (1 << w) // x
+    x2 = x * x
+    s = j = 0
+    while True:
+        t = p // (2 * j + 1)
+        if not t:
+            return s, j + 1
+        s += -t if j & 1 else t
+        p //= x2
+        j += 1
+
+
+def _pi_bounds(w):
+    """Integers lo < 2^w pi < hi by Machin: pi = 16 atan(1/5) - 4 atan(1/239)."""
+    s5, e5 = _atan_inv(5, w)
+    s239, e239 = _atan_inv(239, w)
+    mid, err = 16 * s5 - 4 * s239, 16 * e5 + 4 * e239
+    return mid - err, mid + err
+
+
+def _cos_sin_bounds(lo, hi, w):
+    """Integers (clo, chi, slo, shi) bounding 2^w cos(phi) and 2^w sin(phi)
+    for every phi in [lo, hi] / 2^w, where 0 <= lo <= hi and hi / 2^w < 2.
+
+    a_i <= 2^w phi^i / i! <= b_i by a_i = floor(a_(i-1) lo / (i 2^w)) and
+    b_i = ceil(b_(i-1) hi / (i 2^w)), from a_0 = b_0 = 2^w (rounding to
+    2^-w units first and then dividing by i gives the same floor and ceil).
+    Term i goes to cos (i even) or sin (i odd) with sign (-1)^(i//2), so
+    each partial sum is bounded by its a's and b's.  The terms stop at the
+    first b_m <= 1.  As phi < 2 <= i + 1 for i >= 1, the terms phi^i/i!
+    decrease from i = 1 on, so each series is alternating with decreasing
+    terms after its last kept one: its tail is at most its first omitted
+    term, which is at most phi^m/m! <= b_m / 2^w.  Both sums are widened by
+    b_m (0 when phi = 0, which keeps cos 0 and sin 0 exact).
+    """
+    one = 1 << w
+    bounds = [one, one, 0, 0]  # cos lo, cos hi, sin lo, sin hi
+    a = b = one
+    i = 0
+    while True:
+        i += 1
+        a = (a * lo >> w) // i
+        b = -((-(b * hi) >> w) // i)
+        if b <= 1:
+            break
+        at = 2 * (i & 1)
+        if i & 2:
+            bounds[at] -= b
+            bounds[at + 1] -= a
+        else:
+            bounds[at] += a
+            bounds[at + 1] += b
+    return bounds[0] - b, bounds[1] + b, bounds[2] - b, bounds[3] + b
 
 
 def _nonzero(row):
@@ -148,25 +201,45 @@ class Cyclotomic:
         Entry k is integers (clo, chi, slo, shi) with clo <= 2^prec cos(2 pi k/n)
         <= chi and slo <= 2^prec sin(2 pi k/n) <= shi, each pair at most
         2^_TRIG_WIDTH_BITS apart.
+
+        Proof, in integers only, at w = prec + _TRIG_GUARD_BITS +
+        prec.bit_length() bits (each step rounds outward, so each bound
+        holds):
+
+        * pi: lo < 2^w pi < hi by Machin's formula (``_pi_bounds``).
+        * Quadrant: write 4k = q n + r with 0 <= r < n.  Then
+          2 pi k/n = q pi/2 + phi with phi = pi r/(2n) in [0, pi/2), and
+          2^w phi lies in [floor(lo r/(2n)), ceil(hi r/(2n))].
+        * cos phi and sin phi: Taylor series over that interval
+          (``_cos_sin_bounds``).
+        * Rotation by q quarter turns maps (cos phi, sin phi) to
+          (cos, sin), (-sin, cos), (-cos, -sin) or (sin, -cos); negating an
+          interval swaps its ends.
+        * Rounding: floor the lower and ceil the upper bound from 2^-w to
+          2^-prec units.
+
+        A table wider than 2^_TRIG_WIDTH_BITS units raises ArithmeticError,
+        since ``_sign_cap``'s proof needs that width.  k = 0, and every k
+        with r = 0, comes out exact.
         """
         cached = self._fixed_trig.get(prec)
         if cached is not None:
             return cached
-        old = iv.prec
-        try:
-            iv.prec = prec + _TRIG_GUARD_BITS
-            out = []
-            for k in range(self.phi):
-                theta = 2 * iv.pi * k / self.n
-                entry = []
-                for val in (iv.cos(theta), iv.sin(theta)):
-                    lo, hi = val._mpi_
-                    entry += (_fixed_point(lo, prec, False), _fixed_point(hi, prec, True))
-                if max(entry[1] - entry[0], entry[3] - entry[2]) > 1 << _TRIG_WIDTH_BITS:
-                    raise ArithmeticError(f"mpmath trig enclosure too wide at {prec} bits")
-                out.append(tuple(entry))
-        finally:
-            iv.prec = old
+        n = self.n
+        g = _TRIG_GUARD_BITS + prec.bit_length()
+        w = prec + g
+        pi_lo, pi_hi = _pi_bounds(w)
+        out = []
+        for k in range(self.phi):
+            q, r = divmod(4 * k, n)
+            clo, chi, slo, shi = _cos_sin_bounds(
+                pi_lo * r // (2 * n), -(-pi_hi * r // (2 * n)), w)
+            for _ in range(q):
+                clo, chi, slo, shi = -shi, -slo, clo, chi
+            entry = (clo >> g, -(-chi >> g), slo >> g, -(-shi >> g))
+            if max(entry[1] - entry[0], entry[3] - entry[2]) > 1 << _TRIG_WIDTH_BITS:
+                raise ArithmeticError(f"trig enclosure too wide at {prec} bits")
+            out.append(entry)
         out = tuple(out)
         self._fixed_trig[prec] = out
         return out

@@ -197,7 +197,19 @@ def test_out_of_range_conductor_fails_fast(tmp_path):
 
 
 def test_domain_error_exit_1(capsys):
-    # seed inside the polygon is not periodic
-    code, _, err = run(capsys, "stability", "--n", "4", "--square-frame", "--seed", "0,0")
-    assert code == 1
-    assert "error:" in err
+    # a seed whose orbit does not close: the message says why
+    inside = "seed lies in the closed polygon, where the map is undefined"
+    for argv, message in (
+            (["stability", "--n", "4", "--square-frame", "--seed", "0,0"], inside),
+            (["tile", "--n", "5", "--seed", "0.1,0.1"], inside),
+            # `obc orbit` reports this orbit as termination=hit_singular step=3
+            (["tile", "--n", "4", "--square-frame", "--seed", "3,2"],
+             "seed's orbit meets the singular set at step 3"),
+            # this seed closes on a 10-step cycle (a period-5 tile)
+            (["tile", "--n", "5", "--seed", "0.5,2.1", "--max-steps", "3"],
+             "seed is not periodic within 3 steps")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n"), argv
+    code, out, _ = run(capsys, "orbit", "--n", "4", "--square-frame", "--lambda", "1",
+                       "--seed", "3,2", "--steps", "10")
+    assert code == 0 and out.splitlines()[-1] == "termination=hit_singular step=3"

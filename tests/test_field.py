@@ -1,14 +1,20 @@
 """Cyclotomic field arithmetic, certified signs, enclosures, serialization."""
 
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
+import obc
 from obc.errors import ConductorMismatchError, NotRealError
 from obc.field import (
+    _TRIG_WIDTH_BITS,
+    MAX_CONDUCTOR,
+    Cyclotomic,
     CycloNum,
     _sign_cap,
     approximate,
@@ -118,6 +124,48 @@ def test_constructed_zeros_detected_by_normal_form():
             acc = acc + CycloNum.zeta(n, k) * c
         assert acc.is_zero()
         assert sign_of_real((acc * w) + (acc * w).conj()) == 0
+
+
+def test_trig_tables_enclose_mpmath_and_keep_their_width():
+    precs = (64, 77, 128, 1024)
+    for n in range(3, MAX_CONDUCTOR + 1):
+        ctx = Cyclotomic(n)  # not the shared context: its caches stay small
+        tables = [ctx.fixed_trig(p) for p in precs]
+        for k in range(ctx.phi):
+            # exact at the quarter turns, where 2k/n is a multiple of 1/2
+            with mp.workprec(max(precs) + 100):
+                c, s = mp.cospi(mp.mpf(2 * k) / n), mp.sinpi(mp.mpf(2 * k) / n)
+            for p, table in zip(precs, tables):
+                clo, chi, slo, shi = table[k]
+                assert clo <= mp.ldexp(c, p) <= chi, (n, k, p)
+                assert slo <= mp.ldexp(s, p) <= shi, (n, k, p)
+                assert max(chi - clo, shi - slo) <= 1 << _TRIG_WIDTH_BITS, (n, k, p)
+
+
+def test_trig_table_is_exact_at_angle_zero():
+    for n in (3, 4, 5, 7, 12, MAX_CONDUCTOR):
+        for p in (64, 77, 200):
+            assert Cyclotomic(n).fixed_trig(p)[0] == (1 << p, 1 << p, 0, 0)
+
+
+def test_signs_and_enclosures_without_mpmath():
+    # the library computes its trig tables in integers; mpmath is a test reference only
+    script = (
+        "import sys; sys.modules['mpmath'] = None\n"
+        "from obc import CycloNum, approximate\n"
+        "from obc.atlas import load_atlas\n"
+        "atlas = load_atlas(sys.argv[1])\n"
+        "assert not atlas.provenance['diagnostics'] and atlas.n == 7\n"
+        "(lo, hi), _ = approximate(CycloNum.zeta(5) + CycloNum.zeta(5, 4), 64)\n"
+        "assert (2 * lo + 1) ** 2 < 5 < (2 * hi + 1) ** 2  # 2 cos(2 pi/5) = (5^(1/2) - 1)/2\n"
+        "print(len(atlas.entries))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(obc.__file__)))
+    fixture = os.path.join(os.path.dirname(__file__), "data", "septagon.atlas")
+    proc = subprocess.run([sys.executable, "-c", script, fixture], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "8\n"
 
 
 def test_approximate_zeta4_and_zero_sum():
