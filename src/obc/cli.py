@@ -350,10 +350,7 @@ def run_cli(argv):
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except ObcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ZeroDivisionError, OSError) as exc:
+    except (ObcError, ValueError, ZeroDivisionError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

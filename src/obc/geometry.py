@@ -28,7 +28,8 @@ the pairs become points x + i*sin(2*pi/n)*ytilde once, at the end.  A
 half-plane clips only if no already clipped one with the same normal
 implies it: a pulled-back wedge half-plane is one of the polygon's cached
 edge half-planes with a new offset, so a tile of a long code, cut by
-hundreds of them, needs a few dozen clips.
+hundreds of them, needs a few dozen clips.  Exact clipping needs no cleanup
+pass afterwards (proof at ``intersect_halfplanes``).
 """
 
 from __future__ import annotations
@@ -415,29 +416,6 @@ def _clip(pairs, hp):
     return out
 
 
-def _dedupe_collinear(pairs):
-    cleaned = []
-    for p in pairs:
-        if not cleaned or cleaned[-1] != p:
-            cleaned.append(p)
-    if len(cleaned) > 1 and cleaned[0] == cleaned[-1]:
-        cleaned.pop()
-    changed = True
-    while changed and len(cleaned) >= 3:
-        changed = False
-        m = len(cleaned)
-        for i in range(m):
-            (ax, at), (bx, bt), (cx, ct) = (
-                cleaned[(i - 1) % m], cleaned[i], cleaned[(i + 1) % m])
-            # cross(b - a, c - a) / sin(2*pi/n), the value orientation() signs
-            cross = (bx - ax) * (ct - at) - (bt - at) * (cx - ax)
-            if sign_of_real(cross, _checked=True) == 0:
-                cleaned.pop(i)
-                changed = True
-                break
-    return cleaned
-
-
 def _auto_half_width(constraints):
     worst = 4.0
     for hp in constraints:
@@ -461,6 +439,20 @@ def intersect_halfplanes(constraints, half_width=None):
     output vertex lies on it).  Each half-plane is clipped as closed
     (vertices on boundary lines are kept); interior membership tests handle
     strictness.
+
+    No cleanup follows the clips: each chain is strictly convex with no
+    repeated point, or has at most 2 distinct points.  The box is strictly
+    convex.  A clip of a strictly convex chain keeps its vertices on the
+    closed side, extreme points of the clipped region, and adds a crossing
+    point only strictly inside an edge whose ends lie strictly on opposite
+    sides: no vertex, no other edge's crossing, and extreme too, as the edge
+    line meets the clip line transversally there.  The polygon meets the clip
+    line in one segment, and only its 2 ends can be output points, adjacent
+    in the output.  So the output lists distinct extreme points of the region
+    in boundary order.  A chain of at most 2 distinct points lies on one
+    segment, which meets the clip line in at most one point, added only where
+    an old point is dropped.  Fewer than 3 distinct points is
+    "lower_dimensional".
     """
     # a second clip by the same closed half-plane changes nothing
     constraints = list(dict.fromkeys(constraints))
@@ -485,8 +477,7 @@ def intersect_halfplanes(constraints, half_width=None):
         pairs = _clip(pairs, hp)
         if not pairs:
             return RegionResult("empty", None)
-    pairs = _dedupe_collinear(pairs)
-    if len(pairs) < 3:
+    if len(set(pairs)) < 3:
         return RegionResult("lower_dimensional", None)
     half_eta = _half_eta(n)
     poly = ConvexPolygon([x + half_eta * t for x, t in pairs], validate=False)

@@ -12,9 +12,11 @@ the alternating vertex sum vanishes the limit exists and equals
 
     (2/k) * sum_i (k-1-i) * w_i       with w_i = (-1)^i * v_i,
 
-which is also the barycenter of any unfolded base-point chain.  A tile is
-stable under contraction exactly when that point lies in its interior, and
-symmetric when a label shift of its code is a cyclic shift of the code.
+which is also the barycenter of any unfolded base-point chain.  Both sums,
+and the alternating vertex sum, take one field product per distinct label
+(``_vertex_sum``).  A tile is stable under contraction exactly when that
+point lies in its interior, and symmetric when a label shift of its code is
+a cyclic shift of the code.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 
 from .errors import (
     CodeNotRealizableError,
@@ -89,6 +93,16 @@ def _code_vertices(P, code):
     return [vs[a - 1] for a in code]
 
 
+def _vertex_sum(P, word, weights):
+    """sum_i weights[i] * v_{word[i]}, exactly: the rational weights are added
+    per label first, so it takes one field product per distinct label."""
+    per_label = dict.fromkeys(word, 0)
+    for a, w in zip(word, weights):
+        per_label[a] += w
+    vs = P.vertices
+    return sum((vs[a - 1] * w for a, w in per_label.items() if w), CycloNum.zero(vs[0].n))
+
+
 def code_fixed_point(P, code, lam):
     """The unique fixed point of the code's composed affine map, exactly."""
     code = Code.coerce(code)
@@ -101,12 +115,9 @@ def code_fixed_point(P, code, lam):
     den = 1 - neg**k
     if den == 0:
         raise IndeterminateFixedPointError("indeterminate; use stability_limit")
-    acc = CycloNum.zero(P.vertices[0].n)
-    power = Fraction(1)
-    for v in reversed(_code_vertices(P, code.word)):
-        acc = acc + v * power
-        power *= neg
-    return acc * ((1 + lam) / den)
+    # letter i weighs (1 + lam) / den * neg^(k-1-i): from the last letter back
+    weights = accumulate(repeat(neg, k - 1), mul, initial=(1 + lam) / den)
+    return _vertex_sum(P, code.word[::-1], weights)
 
 
 def compose_code_map(P, code, lam, z):
@@ -282,6 +293,8 @@ def code_constraints(P, lam, word):
     regions (lam < 1) are both intersections of these half-planes.
     """
     lam = Fraction(lam)
+    if not 0 < lam <= 1:
+        raise ValueError("need 0 < lam <= 1")
     vs = P.vertices
     base = P.edge_halfplanes()
     cons = []
@@ -333,12 +346,12 @@ def tile_from_code(P, code):
 
 def alternating_vertex_sum(P, code):
     """sum_i (-1)^(k-1-i) v_i; must vanish for the limit point to exist."""
-    word = Code.coerce(code).word
-    acc = CycloNum.zero(P.vertices[0].n)
+    code = Code.coerce(code)
+    # _vertex_sum skips a label whose weights cancel, so check every label here
+    code.validate_labels(len(P.vertices))
+    word = code.word
     k = len(word)
-    for i, v in enumerate(_code_vertices(P, word)):
-        acc = acc + (v if (k - 1 - i) % 2 == 0 else -v)
-    return acc
+    return _vertex_sum(P, word, ((-1) ** (k - 1 - i) for i in range(k)))
 
 
 def stability_limit(P, code):
@@ -354,11 +367,7 @@ def stability_limit(P, code):
             "alternating vertex sum does not vanish; not a tile code"
         )
     k = len(word)
-    acc = CycloNum.zero(P.vertices[0].n)
-    for i, v in enumerate(_code_vertices(P, word)):
-        c = Fraction(2 * (k - 1 - i), k)
-        acc = acc + v * (c if i % 2 == 0 else -c)
-    return acc
+    return _vertex_sum(P, word, (Fraction((-1) ** i * 2 * (k - 1 - i), k) for i in range(k)))
 
 
 def is_lambda_stable(P, code):

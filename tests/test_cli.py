@@ -6,6 +6,8 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
+import pytest
+
 import obc
 from obc.cli import run_cli
 
@@ -213,3 +215,17 @@ def test_domain_error_exit_1(capsys):
     code, out, _ = run(capsys, "orbit", "--n", "4", "--square-frame", "--lambda", "1",
                        "--seed", "3,2", "--steps", "10")
     assert code == 0 and out.splitlines()[-1] == "termination=hit_singular step=3"
+
+
+@pytest.mark.parametrize("argv", [
+    # the seed's scaled ordinate overflows a float (from_xy_approx)
+    ["orbit", "--n", "5", "--seed", "0,1e400"],
+    # exact for n = 4, but its printed coordinates overflow (point_xy)
+    ["orbit", "--n", "4", "--seed", "1e400,0"],
+    ["render", "--n", "5", "--seed", "2,1", "--out", "{svg}", "--viewport=-1e400,1,0,1"],
+])
+def test_huge_decimal_input_is_a_domain_error(tmp_path, capsys, argv):
+    svg = tmp_path / "x.svg"
+    code, out, err = run(capsys, *(a.format(svg=svg) for a in argv))
+    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, (out, err)
+    assert not svg.exists()

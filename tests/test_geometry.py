@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import obc.geometry
 from obc.dynamics import iterate
 from obc.errors import ConductorMismatchError, GeometryError
-from obc.field import CycloNum
+from obc.field import CycloNum, sign_of_real
 from obc.geometry import (
     ConvexPolygon,
     HalfPlane,
@@ -177,9 +177,34 @@ def test_halfplane_intersection_property(n, planes):
             assert any(hp.side(p) == 0 and hp.side(q) == 0 for hp in cons)
 
 
+def _dedupe_collinear(pairs):
+    # the cleanup intersect_halfplanes once ran after its clips, kept as the
+    # reference's own: it drops repeated points and collinear middle points
+    cleaned = []
+    for p in pairs:
+        if not cleaned or cleaned[-1] != p:
+            cleaned.append(p)
+    if len(cleaned) > 1 and cleaned[0] == cleaned[-1]:
+        cleaned.pop()
+    changed = True
+    while changed and len(cleaned) >= 3:
+        changed = False
+        m = len(cleaned)
+        for i in range(m):
+            (ax, at), (bx, bt), (cx, ct) = (
+                cleaned[(i - 1) % m], cleaned[i], cleaned[(i + 1) % m])
+            # cross(b - a, c - a) / sin(2*pi/n), the value orientation() signs
+            cross = (bx - ax) * (ct - at) - (bt - at) * (cx - ax)
+            if sign_of_real(cross, _checked=True) == 0:
+                cleaned.pop(i)
+                changed = True
+                break
+    return cleaned
+
+
 def _clip_every_distinct(constraints):
-    # reference without the parallel skip: every distinct half-plane
-    # clips, in order of first appearance
+    # reference without the parallel skip, and with the old cleanup: every
+    # distinct half-plane clips, in order of first appearance
     geo = obc.geometry
     cons = list(dict.fromkeys(constraints))
     n = cons[0].a.n
@@ -189,7 +214,7 @@ def _clip_every_distinct(constraints):
         pairs = geo._clip(pairs, hp)
         if not pairs:
             return "empty", None
-    pairs = geo._dedupe_collinear(pairs)
+    pairs = _dedupe_collinear(pairs)
     if len(pairs) < 3:
         return "lower_dimensional", None
     half_eta = geo._half_eta(n)
@@ -249,6 +274,61 @@ def test_parallel_skip_on_contracted_code_regions(n, lam, x, y, depth):
     code = iterate(P, lam, z, depth).code
     if code:
         _same_as_every_distinct_clip(code_constraints(P, lam, code))
+
+
+def _left_of(p, q):
+    # the half-plane strictly left of p -> q, in (x, ytilde) pairs
+    (x0, t0), (x1, t1) = p, q
+    a, b = t0 - t1, x1 - x0
+    return HalfPlane(a, b, -(a * x0 + b * t0))
+
+
+def _strictly_convex(pairs):
+    # every point strictly left of every edge it is not an end of; this
+    # also rules out a repeated point, which lies on the edges it ends
+    m = len(pairs)
+    for i in range(m):
+        hp = _left_of(pairs[i], pairs[(i + 1) % m])
+        for k in range(2, m):
+            x, t = pairs[(i + k) % m]
+            if sign_of_real(hp.a * x + hp.b * t + hp.c, _checked=True) != 1:
+                return False
+    return m >= 3
+
+
+# one clip: (kind, a, b, c, i, j, flip).  kind 0 is a generic half-plane,
+# kind 1 a line through chain point i with normal (a, b), kind 2 the line
+# through chain points i and j; the last two meet the chain in a vertex
+_chain_clip = st.tuples(st.integers(0, 2), _coeff, _coeff, _offset,
+                        st.integers(0, 20), st.integers(0, 20), st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((4, 5, 7, 12)), st.booleans(), st.lists(_chain_clip, max_size=6))
+def test_clipping_keeps_the_chain_strictly_convex(n, box, clips):
+    # intersect_halfplanes runs no cleanup after its clips: an exact clip of
+    # a strictly convex chain is strictly convex with no repeated point, or
+    # has at most 2 distinct points
+    if box:
+        w = CycloNum.from_rational(n, 5)
+        pairs = [(-w, -w), (w, -w), (w, w), (-w, w)]
+    else:
+        pairs = [(real_part(v), imag_scaled(v)) for v in regular_ngon(n).vertices]
+    for kind, ca, cb, cc, i, j, flip in clips:
+        a, b = _real(n, ca), _real(n, cb)
+        p, q = pairs[i % len(pairs)], pairs[j % len(pairs)]
+        if kind == 2 and p != q:
+            hp = _left_of(q, p) if flip else _left_of(p, q)
+        elif a.is_zero() and b.is_zero():
+            continue
+        elif kind == 1:
+            hp = HalfPlane(a, b, -(a * p[0] + b * p[1]))
+        else:
+            hp = HalfPlane(a, b, _real(n, cc))
+        pairs = obc.geometry._clip(pairs, hp)
+        if not pairs:
+            return
+        assert len(set(pairs)) <= 2 or _strictly_convex(pairs)
 
 
 def test_halfplane_intersection_unbounded():

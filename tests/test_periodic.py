@@ -257,6 +257,14 @@ def test_code_constraints_match_mapped_wedges():
                 assert got == want, (m, lam, word)
 
 
+def test_code_constraints_reject_rates_outside_the_unit_interval():
+    # lam = 0 once divided by zero, and lam = 3/2 returned the half-planes
+    # of an expanding map
+    for lam in (Fraction(0), Fraction(-1, 2), Fraction(3, 2)):
+        with pytest.raises(ValueError, match="0 < lam <= 1"):
+            code_constraints(regular_ngon(5), lam, (1, 3))
+
+
 def test_tile_constraints_against_rasterization():
     # brute-force oracle: membership in the constraint region coincides
     # with sharing the code prefix, over a rational sample grid
@@ -296,6 +304,10 @@ def test_stability_limit_precondition():
     with pytest.raises(StabilityPreconditionError):
         stability_limit(SQ, Code([1, 2, 1, 3]))
     assert not alternating_vertex_sum(SQ, (1, 2, 1, 3)).is_zero()
+    # the weights of label 9 cancel, but it is still no label of the square
+    for word in ((9, 9), (9, 9, 1, 1)):
+        with pytest.raises(ValueError, match="label out of range"):
+            stability_limit(SQ, word)
 
 
 def test_stability_limit_shift_covariance():
