@@ -6,20 +6,22 @@ such that P lies on the left of the ray from x through v; lam = 1 is the
 uncontracted map.  The singular set S is the union of rays extending the
 sides of P, where two vertices qualify and the choice is ambiguous.
 
-Vertex selection reads the signs of the polygon's cached integer edge forms
-(``ConvexPolygon.edge_sign``): a float screen of its cached wedge table
-proposes a vertex and two edge signs confirm it, or else one sign per edge
-decides the point.  A step is one integer combination of the numerators of
-v and x, reduced by one gcd.
+Vertex selection is a filtered predicate: the float orientations of the
+polygon's cached wedge table, tested against a margin proved from the point
+(``_select_margin``), certify a vertex without any exact arithmetic; only a
+point the filter cannot decide reads the signs of the polygon's integer
+edge forms (``ConvexPolygon.edge_sign``), one per edge.  A step is one
+integer combination of the numerators of v and x, reduced by one gcd.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import GeometryError, ObcError, StepDomainError
-from .field import CycloNum, _reduced, sign_of_real  # noqa: F401, perfbench/selftest.py checks it
+from .field import CycloNum, _reduced, context, sign_of_real  # noqa: F401, perfbench/selftest.py checks it
 from .geometry import point_xy
 
 
@@ -30,24 +32,29 @@ class Selection:
     candidates: tuple[int, ...] = ()
 
 
+# The screen margin of the float orbits (``atlas._float_periodic_code``,
+# ``periodic.captured_word``), which stay screens: codes they propose are
+# certified exactly later.
 _FLOAT_MARGIN = 1e-12
 
+_U = 2.0**-53  # unit roundoff of a double
 
-def float_select(wedges, x, y):
+
+def float_select(wedges, x, y, margin=_FLOAT_MARGIN):
     """The row (label, vx, vy, ...) of the wedge that holds the float point
-    (x, y) with both orientations above _FLOAT_MARGIN, else None.
+    (x, y) with both orientations above ``margin``, else None.
 
     ``wedges`` is one order of the polygon's ``float_wedges()``.  The open
     wedges are disjoint, so at most one row passes: the order decides only
-    how soon it is found, never the answer.  A screen, never a verdict:
-    select_vertex confirms the label exactly (None sends it to the
-    exhaustive path), and float-screened codes are certified exactly later.
+    how soon it is found, never the answer.  Under select_vertex's proved
+    margin a row is a certificate; under the default _FLOAT_MARGIN it is a
+    screen, whose codes are certified exactly later.
     """
     for row in wedges:
         _, vx, vy, nx, ny, px, py = row
         dx, dy = vx - x, vy - y
-        if (dx * (ny - y) - dy * (nx - x) > _FLOAT_MARGIN
-                and dx * (py - y) - dy * (px - x) > _FLOAT_MARGIN):
+        if (dx * (ny - y) - dy * (nx - x) > margin
+                and dx * (py - y) - dy * (px - x) > margin):
             return row
     return None
 
@@ -58,14 +65,77 @@ def select_vertex(P, x):
     A point strictly inside a vertex wedge selects that vertex: strictly
     left of the edge leaving it and strictly right of the edge entering it.
     That certificate also proves x is outside the closed polygon and off
-    the singular set.  The float screen proposes the vertex; two exact edge
-    signs confirm it.
+    the singular set.  The float orientations of the wedge table prove it
+    when they clear the margin of ``_select_margin``; any other point, on
+    or near the singular set or inside P, is decided by one exact edge sign
+    per edge.
     """
     fx = x.to_complex()
-    row = float_select(P.float_wedges()[0], fx.real, fx.imag)
-    if row is not None and P.in_wedge(row[0], x):
+    row = float_select(P.float_wedges()[0], fx.real, fx.imag, _select_margin(P, x))
+    if row is not None:
         return Selection("vertex", row[0])
     return _select_exhaustive(P, x)
+
+
+def _select_margin(P, x):
+    """C W^2, a proved bound on the error of both float orientations that
+    float_select evaluates at ``x.to_complex()``, so an orientation above it
+    is positive exactly; math.inf, which certifies nothing, for a point of
+    another conductor or one too large for the bound's floats (see the end).
+
+    W = S + V + 1 with S = fl(sum |num_k| / den) and V + 1 =
+    ``P.float_extent()``; C = (4 phi + 24) u + 4 delta with u = 2^-53,
+    phi = phi(n) <= 126 (n <= MAX_CONDUCTOR) and delta =
+    ``FLOAT_TRIG_ERROR`` = 2^-47, so C is 2^-44.8 at phi = 2 and 2^-43.4
+    at phi = 126.
+
+    Proof.  Write x = sum t_k zeta^k with t_k = num_k/den, T = sum |t_k|, and
+    (X, Y) = sum t_k (cos, sin)(2 pi k/n) for its true coordinates, so that
+    |X|, |Y| <= T.  A float result that underflows errs by up to 2^-1075
+    more than stated below; with W >= 1 those terms total far below u W^2.
+
+    (a) CPython's int true division is correctly rounded: f_k = fl(t_k) =
+        t_k (1 + e_k) with |e_k| <= u, and T <= S (1 + u).
+    (b) ``CycloNum.to_complex`` sums the products f_k c_k left to right over
+        at most phi terms, within gamma_phi sum |f_k c_k| of their exact sum,
+        gamma_m = m u / (1 - m u) (Higham, Accuracy and Stability of
+        Numerical Algorithms, (3.5)).  With (a) and (e), each float
+        coordinate of p is within E (T + 1) of the true one,
+        E = (phi + 2) u + delta.
+    (c) ``point_xy`` rounds the midpoint of an enclosure narrower than
+        2^-59 (``approximate``'s 2^-62 grid plus a 2^-75 wide integer
+        enclosure), so each float vertex coordinate is within
+        2^-60 + u (1 + 2u) V <= 1.01 u (V + 1) of the true one.
+    (d) Each orientation is (v - p) x (w - p) for wedge vertices v, w, in
+        four float subtractions, two products and one subtraction: within
+        gamma_4 (|A| + |B|) of its exact value at the float inputs, where
+        each product A, B is at most ((1 + E) W)^2 by (b).  Moving the
+        inputs to the true points moves a x b, with |a|, |b| <= (1 + 2u) W
+        in the sup norm, by at most 2 (|a| e + e |b| + e^2) for sup errors
+        e <= (E + 1.01 u) W, by (b) and (c).
+    (e) ``Cyclotomic.float_trig_error`` proves, in integers, that every entry
+        (c_k, s_k) of the float trig table is within delta of the true
+        cosine and sine; so |c_k|, |s_k| <= 1 + delta.
+
+    Together the error is at most 2 gamma_4 (1 + E)^2 W^2 + 4 (1 + 2u) e W
+    + 2 e^2 <= (8 u + 4 (E + 1.01 u)) W^2 = ((4 phi + 20.04) u + 4 delta) W^2,
+    up to products of two small terms, which phi <= 126 keeps below
+    2^-85 W^2.  C exceeds that by more than 3.9 u W^2, which covers reading
+    W from fl(S) and evaluating C W^2 in floats (a relative 8 u of C, under
+    2^-93).  The first orientation is (v_(a+1) - v_a) x (p - v_a), a
+    positive multiple of edge a - 1's value at p, and the second is minus
+    that of edge a - 2 (``edge_sign``, 0-based); both above C W^2 prove
+    ``P.in_wedge(a, x)``.  The bit lengths below give T < 2^501, and with
+    W < 2^502 every float above is finite.
+    """
+    den, total = x.den, sum(map(abs, x.num))
+    if x.n != P.vertices[0].n or total.bit_length() > den.bit_length() + 500:
+        return math.inf  # the exact path decides, or refuses a foreign point
+    w = total / den + P.float_extent()
+    if not w < 2.0**502:
+        return math.inf
+    ctx = context(x.n)
+    return ((4 * ctx.phi + 24) * _U + 4 * ctx.float_trig_error()) * w * w
 
 
 def _select_exhaustive(P, x):

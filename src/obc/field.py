@@ -34,6 +34,13 @@ from .errors import ConductorMismatchError, NotRealError
 _TRIG_GUARD_BITS = 8
 _TRIG_WIDTH_BITS = 1
 
+# Largest error in either coordinate of an entry of the float trig table that
+# ``Cyclotomic.float_trig_error`` accepts.  The table is libm's cos and sin of
+# the rounded angle 2.0*math.pi*k/n: three roundings of an angle below 2*pi
+# move it by under 20 units of 2^-53, and libm adds about one more; the
+# largest error measured for n <= MAX_CONDUCTOR is 9.2 units.
+FLOAT_TRIG_ERROR = 2.0**-47
+
 # Largest conductor a context is built for: a context holds O(n * phi) table
 # entries and the Galois-norm inverse takes phi - 1 products, about phi^3.3
 # in all (under a second at n = 127 for 7-bit coefficients, minutes near
@@ -158,6 +165,7 @@ class Cyclotomic:
 
     __slots__ = (
         "n", "phi", "zeta_rows", "_red_sparse", "_sigma", "_fixed_trig", "_float_trig",
+        "_float_checked",
     )
 
     def __init__(self, n):
@@ -183,6 +191,7 @@ class Cyclotomic:
             (math.cos(2.0 * math.pi * k / n), math.sin(2.0 * math.pi * k / n))
             for k in range(phi)
         ]
+        self._float_checked = False
 
     def sigma(self, k):
         """Sparse integer table of the automorphism zeta -> zeta^k, gcd(k, n) = 1.
@@ -243,6 +252,28 @@ class Cyclotomic:
         out = tuple(out)
         self._fixed_trig[prec] = out
         return out
+
+    def float_trig_error(self):
+        """FLOAT_TRIG_ERROR, once every entry of the float trig table (read by
+        ``CycloNum.to_complex``) is proved to lie within it of cos(2 pi k/n)
+        and sin(2 pi k/n); else ArithmeticError.
+
+        The proof is in integers, once per context, so nothing rests on
+        libm's accuracy: fixed_trig(64) encloses the true value in
+        [lo, hi] / 2^64, and a float f = p/q (q a power of two) is within
+        FLOAT_TRIG_ERROR = 2^-47 of every point of that interval iff
+        |p 2^64 - lo q| and |p 2^64 - hi q| are at most 2^17 q.
+        """
+        if not self._float_checked:
+            for pair, (clo, chi, slo, shi) in zip(self._float_trig, self.fixed_trig(64)):
+                for f, lo, hi in zip(pair, (clo, slo), (chi, shi)):
+                    p, q = f.as_integer_ratio()
+                    if max(abs((p << 64) - lo * q), abs((p << 64) - hi * q)) > q << 17:
+                        raise ArithmeticError(
+                            f"float trig table of conductor {self.n} is off by more "
+                            f"than {FLOAT_TRIG_ERROR!r}")
+            self._float_checked = True
+        return FLOAT_TRIG_ERROR
 
 
 _CONTEXTS = {}
@@ -393,7 +424,9 @@ class CycloNum:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.n, self.den, self.num))
+            # int hashes are residues mod 2^61 - 1, so den = 2^k alone repeats
+            # with k mod 61 along a contracted orbit; its bit length does not
+            h = hash((self.n, self.den.bit_length(), self.den, self.num))
             self._hash = h
         return h
 

@@ -14,10 +14,11 @@ enclosures of the true coordinates instead.  Half-plane coefficients
 (a, b, c) are real field elements in these (x, ytilde) coordinates; for
 n = 4 the scale factor is 1 and ytilde is the true ordinate.
 
-Vertex selection and point location are signs of integer edge forms, which
-each ConvexPolygon builds once: for z = num/den, an integer matrix-vector
-product of num and den with the form of edge i gives the numerators of a
-known positive multiple of cross(v[i+1] - v[i], z - v[i]) / sin(2*pi/n), and
+Point location, and vertex selection wherever its proved float filter
+abstains (``dynamics.select_vertex``), are signs of integer edge forms,
+which each ConvexPolygon builds once: for z = num/den, an integer
+matrix-vector product of num and den with the form of edge i gives the
+numerators of a known positive multiple of cross(v[i+1] - v[i], z - v[i]) / sin(2*pi/n), and
 sign_of_real decides its sign without building any intermediate element.
 Divided by that multiple, the same product is the exact edge value, which
 is the offset of a pulled-back edge half-plane (periodic.code_constraints).
@@ -170,7 +171,7 @@ class ConvexPolygon:
     cached next to them (``edge_halfplanes``).
     """
 
-    __slots__ = ("vertices", "_key", "_float", "_forms", "_halfplanes", "_wedges")
+    __slots__ = ("vertices", "_key", "_float", "_extent", "_forms", "_halfplanes", "_wedges")
 
     def __init__(self, vertices, validate=True):
         vertices = tuple(vertices)
@@ -184,6 +185,7 @@ class ConvexPolygon:
         self.vertices = vertices
         self._key = None
         self._float = None
+        self._extent = None
         self._forms = None
         self._halfplanes = None
         self._wedges = None
@@ -301,6 +303,14 @@ class ConvexPolygon:
             fv = [point_xy(v) for v in self.vertices]
             self._float = fv
         return fv
+
+    def float_extent(self):
+        """1 + the largest |coordinate| among ``float_vertices()``, built once:
+        the polygon's term V + 1 of select_vertex's proved screen margin."""
+        e = self._extent
+        if e is None:
+            e = self._extent = 1.0 + max(abs(c) for xy in self.float_vertices() for c in xy)
+        return e
 
     def float_wedges(self):
         """Orders of the float wedge rows (a, *v_a, *v_(a+1), *v_(a-1)), built

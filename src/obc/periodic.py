@@ -153,8 +153,9 @@ def code_endpoint(P, lam, z, code):
     symbol, each step strictly inside its vertex wedge (exact); None if the
     orbit leaves the code or meets the singular set.
 
-    The expected label a is confirmed by the exact wedge test that vertex
-    selection reads (``ConvexPolygon.in_wedge``).
+    The expected label a is confirmed by the exact wedge test
+    (``ConvexPolygon.in_wedge``), the predicate that vertex selection
+    certifies.
     """
     lam = Fraction(lam)
     p, q = lam.numerator, lam.denominator

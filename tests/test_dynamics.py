@@ -10,8 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from obc.dynamics import (
+    _FLOAT_MARGIN,
     Code,
     _select_exhaustive,
+    _select_margin,
     float_select,
     iterate,
     least_rotation,
@@ -153,6 +155,73 @@ def test_select_vertex_matches_exhaustive_on_random_points():
             fast = select_vertex(P, z)
             slow = _select_exhaustive(P, z)
             assert (fast.kind, fast.label) == (slow.kind, slow.label)
+
+
+def _same_selection(P, z):
+    """The exact selection at z and whether the proved margin certified a
+    vertex, asserting that select_vertex equals the exact selection and
+    that a certified vertex is the exact one."""
+    fast, slow = select_vertex(P, z), _select_exhaustive(P, z)
+    assert (fast.kind, fast.label, fast.candidates) == (
+        slow.kind, slow.label, slow.candidates), z
+    f = z.to_complex()
+    row = float_select(P.float_wedges()[0], f.real, f.imag, _select_margin(P, z))
+    if row is not None:
+        assert (slow.kind, slow.label) == ("vertex", row[0]), z
+    return slow, row is not None
+
+
+def test_certified_screen_agrees_with_the_exact_path_near_singular_rays():
+    # points of a singular ray (an edge line beyond the edge) out to about
+    # 10^6 sides, moved off it by a dyadic 2^-60..1 in each coordinate or
+    # not at all; the absolute margin 1e-12 screens some of them to a wrong
+    # label, which the proved margin must never do
+    polygons = [(n, regular_ngon(n)) for n in (3, 4, 5, 7, 12, 127)] + [(4, SQ)]
+    rnd = random.Random(21)
+    certified = screened_wrong = 0
+    for n, P in polygons:
+        vs = P.vertices
+        m = len(vs)
+        for _ in range(8 if n == 127 else 150):  # 127 exact signs take ~0.1 s
+            i = rnd.randrange(m)
+            v, w = vs[i], vs[(i + 1) % m]
+            t = Fraction(rnd.randint(1, 2**20), 2**20) * 2 ** rnd.randint(0, 20)
+            ray = v + (w - v) * (1 + t) if rnd.random() < 0.5 else v - (w - v) * t
+            e = Fraction(1, 2 ** rnd.randint(0, 60))
+            z = ray + from_scaled(n, e * rnd.choice((-1, 0, 1)), e * rnd.choice((-1, 0, 1)))
+            slow, proved = _same_selection(P, z)
+            certified += proved
+            f = z.to_complex()
+            row = float_select(P.float_wedges()[0], f.real, f.imag, _FLOAT_MARGIN)
+            screened_wrong += row is not None and (slow.kind, slow.label) != ("vertex", row[0])
+    assert certified >= 500 and screened_wrong >= 20, (certified, screened_wrong)
+    far = pt4(-1, 10**6)  # on the square frame's singular ray x = -1
+    slow, proved = _same_selection(SQ, far)
+    assert slow.kind == "singular" and not proved
+
+
+def test_certified_screen_agrees_with_the_exact_path_on_long_orbits():
+    # the exact orbit points of lambda < 1, whose coefficients grow by about
+    # log2(1/lambda) bits a step, are certified by the float filter alone
+    for n, P in ((4, SQ), (5, regular_ngon(5)), (7, regular_ngon(7)), (12, regular_ngon(12))):
+        for lam, steps in ((Fraction(1, 2), 1010), (Fraction(999, 1000), 110)):
+            rec = iterate(P, lam, from_scaled(n, Fraction(5, 2), Fraction(7, 16)), steps)
+            assert rec.termination == "cap_reached", (n, lam)
+            big = [z for z in rec.points if z.den.bit_length() >= 1000]
+            assert len(big) >= 10, (n, lam)
+            for z in big[-10:]:
+                assert _same_selection(P, z)[1], (n, lam)
+
+
+def test_contracted_orbit_points_hash_apart():
+    # int hashes are residues mod 2^61 - 1, so the denominators 2^k of this
+    # orbit repeat theirs with k mod 61; without the bit length in the hash
+    # its 5 001 points had 244 distinct hashes, and iterate's dictionary
+    # compared ~10^5 points for equality
+    rec = iterate(regular_ngon(4), Fraction(1, 2),
+                  from_scaled(4, Fraction(5, 2), Fraction(7, 16)), 5000)
+    assert len(rec.points) == 5001
+    assert len({hash(z) for z in rec.points}) == 5001
 
 
 def _oracle(P, x):

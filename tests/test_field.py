@@ -11,8 +11,11 @@ from mpmath import mp
 
 import obc
 from obc.errors import ConductorMismatchError, NotRealError
+from obc import field
+from obc.dynamics import _select_margin, select_vertex
 from obc.field import (
     _TRIG_WIDTH_BITS,
+    FLOAT_TRIG_ERROR,
     MAX_CONDUCTOR,
     Cyclotomic,
     CycloNum,
@@ -22,6 +25,7 @@ from obc.field import (
     euler_phi,
     sign_of_real,
 )
+from obc.geometry import from_scaled, regular_ngon
 
 rng = random.Random(20240817)
 
@@ -140,6 +144,31 @@ def test_trig_tables_enclose_mpmath_and_keep_their_width():
                 assert clo <= mp.ldexp(c, p) <= chi, (n, k, p)
                 assert slo <= mp.ldexp(s, p) <= shi, (n, k, p)
                 assert max(chi - clo, shi - slo) <= 1 << _TRIG_WIDTH_BITS, (n, k, p)
+
+
+def test_float_trig_tables_are_proved_within_their_error():
+    for n in range(3, MAX_CONDUCTOR + 1):
+        assert Cyclotomic(n).float_trig_error() == FLOAT_TRIG_ERROR
+
+
+@pytest.mark.parametrize("shift", [2.0**-48, 2.0**-40])
+def test_an_inaccurate_float_trig_table_certifies_no_vertex(monkeypatch, shift):
+    # every entry errs by at most 2^-49.8, so a 2^-48 shift stays within
+    # FLOAT_TRIG_ERROR = 2^-47 and a 2^-40 shift does not
+    ctx = Cyclotomic(7)
+    table = list(ctx._float_trig)
+    c, s = table[3]
+    table[3] = (c + shift, s)
+    ctx._float_trig = table
+    monkeypatch.setitem(field._CONTEXTS, 7, ctx)
+    P, z = regular_ngon(7), from_scaled(7, 3, 0)
+    if shift < FLOAT_TRIG_ERROR:
+        assert select_vertex(P, z).kind == "vertex"
+        return
+    with pytest.raises(ArithmeticError):
+        _select_margin(P, z)
+    with pytest.raises(ArithmeticError):
+        select_vertex(P, z)
 
 
 def test_trig_table_is_exact_at_angle_zero():
