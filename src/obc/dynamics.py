@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import GeometryError, ObcError, StepDomainError
-from .field import CycloNum, _reduced, context, sign_of_real  # noqa: F401, perfbench/selftest.py checks it
+from .field import _U, CycloNum, _reduced, context, sign_of_real  # noqa: F401, perfbench/selftest.py checks it
 from .geometry import point_xy
 
 
@@ -36,8 +36,6 @@ class Selection:
 # ``periodic.captured_word``), which stay screens: codes they propose are
 # certified exactly later.
 _FLOAT_MARGIN = 1e-12
-
-_U = 2.0**-53  # unit roundoff of a double
 
 
 def float_select(wedges, x, y, margin=_FLOAT_MARGIN):
@@ -84,44 +82,33 @@ def _select_margin(P, x):
     another conductor or one too large for the bound's floats (see the end).
 
     W = S + V + 1 with S = fl(sum |num_k| / den) and V + 1 =
-    ``P.float_extent()``; C = (4 phi + 24) u + 4 delta with u = 2^-53,
-    phi = phi(n) <= 126 (n <= MAX_CONDUCTOR) and delta =
-    ``FLOAT_TRIG_ERROR`` = 2^-47, so C is 2^-44.8 at phi = 2 and 2^-43.4
-    at phi = 126.
+    ``P.float_extent()``; C = 4 E + 16 u with u = 2^-53 and E = (phi + 2) u
+    + 2^-47 from ``Cyclotomic.to_complex_error``, so C is 2^-44.8 at
+    phi = 2 and 2^-43.4 at phi = 126, the largest phi(n) for n <=
+    MAX_CONDUCTOR.
 
-    Proof.  Write x = sum t_k zeta^k with t_k = num_k/den, T = sum |t_k|, and
-    (X, Y) = sum t_k (cos, sin)(2 pi k/n) for its true coordinates, so that
-    |X|, |Y| <= T.  A float result that underflows errs by up to 2^-1075
-    more than stated below; with W >= 1 those terms total far below u W^2.
+    Proof.  It combines the float error bounds that the two inputs state.
+    CPython's int true division is correctly rounded, so x's coordinates
+    are at most T = sum |num_k| / den <= S (1 + u) in size, and
 
-    (a) CPython's int true division is correctly rounded: f_k = fl(t_k) =
-        t_k (1 + e_k) with |e_k| <= u, and T <= S (1 + u).
-    (b) ``CycloNum.to_complex`` sums the products f_k c_k left to right over
-        at most phi terms, within gamma_phi sum |f_k c_k| of their exact sum,
-        gamma_m = m u / (1 - m u) (Higham, Accuracy and Stability of
-        Numerical Algorithms, (3.5)).  With (a) and (e), each float
-        coordinate of p is within E (T + 1) of the true one,
-        E = (phi + 2) u + delta.
-    (c) ``point_xy`` rounds the midpoint of an enclosure narrower than
-        2^-59 (``approximate``'s 2^-62 grid plus a 2^-75 wide integer
-        enclosure), so each float vertex coordinate is within
-        2^-60 + u (1 + 2u) V <= 1.01 u (V + 1) of the true one.
-    (d) Each orientation is (v - p) x (w - p) for wedge vertices v, w, in
+    (a) each coordinate of ``x.to_complex()`` is within E (T + 1) <=
+        E (1 + u) W of the true one (``CycloNum.to_complex``);
+    (b) each float vertex coordinate is within 1.01 u (V + 1) <= 1.01 u W of
+        the true one (``ConvexPolygon.float_extent``);
+    (c) each orientation is (v - p) x (w - p) for wedge vertices v, w, in
         four float subtractions, two products and one subtraction: within
-        gamma_4 (|A| + |B|) of its exact value at the float inputs, where
-        each product A, B is at most ((1 + E) W)^2 by (b).  Moving the
-        inputs to the true points moves a x b, with |a|, |b| <= (1 + 2u) W
-        in the sup norm, by at most 2 (|a| e + e |b| + e^2) for sup errors
-        e <= (E + 1.01 u) W, by (b) and (c).
-    (e) ``Cyclotomic.float_trig_error`` proves, in integers, that every entry
-        (c_k, s_k) of the float trig table is within delta of the true
-        cosine and sine; so |c_k|, |s_k| <= 1 + delta.
+        gamma_4 (|A| + |B|) of its exact value at the float inputs,
+        gamma_m = m u / (1 - m u), where each product A, B is at most
+        ((1 + E) W)^2 by (a).  Moving the inputs to the true points moves
+        a x b, with |a|, |b| <= (1 + 2u) W in the sup norm, by at most
+        2 (|a| e + e |b| + e^2) for sup errors e <= (E + 1.01 u) W, by (a)
+        and (b).
 
     Together the error is at most 2 gamma_4 (1 + E)^2 W^2 + 4 (1 + 2u) e W
-    + 2 e^2 <= (8 u + 4 (E + 1.01 u)) W^2 = ((4 phi + 20.04) u + 4 delta) W^2,
-    up to products of two small terms, which phi <= 126 keeps below
-    2^-85 W^2.  C exceeds that by more than 3.9 u W^2, which covers reading
-    W from fl(S) and evaluating C W^2 in floats (a relative 8 u of C, under
+    + 2 e^2 <= (8 u + 4 (E + 1.01 u)) W^2 = (4 E + 12.04 u) W^2, up to
+    products of two small terms, which phi <= 126 keeps below 2^-85 W^2.
+    C exceeds that by more than 3.9 u W^2, which covers reading W from
+    fl(S) and evaluating C W^2 in floats (a relative 8 u of C, under
     2^-93).  The first orientation is (v_(a+1) - v_a) x (p - v_a), a
     positive multiple of edge a - 1's value at p, and the second is minus
     that of edge a - 2 (``edge_sign``, 0-based); both above C W^2 prove
@@ -134,8 +121,7 @@ def _select_margin(P, x):
     w = total / den + P.float_extent()
     if not w < 2.0**502:
         return math.inf
-    ctx = context(x.n)
-    return ((4 * ctx.phi + 24) * _U + 4 * ctx.float_trig_error()) * w * w
+    return (4 * context(x.n).to_complex_error() + 16 * _U) * w * w
 
 
 def _select_exhaustive(P, x):

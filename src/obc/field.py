@@ -35,11 +35,13 @@ _TRIG_GUARD_BITS = 8
 _TRIG_WIDTH_BITS = 1
 
 # Largest error in either coordinate of an entry of the float trig table that
-# ``Cyclotomic.float_trig_error`` accepts.  The table is libm's cos and sin of
+# ``Cyclotomic.to_complex_error`` accepts.  The table is libm's cos and sin of
 # the rounded angle 2.0*math.pi*k/n: three roundings of an angle below 2*pi
 # move it by under 20 units of 2^-53, and libm adds about one more; the
 # largest error measured for n <= MAX_CONDUCTOR is 9.2 units.
 FLOAT_TRIG_ERROR = 2.0**-47
+
+_U = 2.0**-53  # unit roundoff of a double
 
 # Largest conductor a context is built for: a context holds O(n * phi) table
 # entries and the Galois-norm inverse takes phi - 1 products, about phi^3.3
@@ -253,12 +255,14 @@ class Cyclotomic:
         self._fixed_trig[prec] = out
         return out
 
-    def float_trig_error(self):
-        """FLOAT_TRIG_ERROR, once every entry of the float trig table (read by
-        ``CycloNum.to_complex``) is proved to lie within it of cos(2 pi k/n)
-        and sin(2 pi k/n); else ArithmeticError.
+    def to_complex_error(self):
+        """E = (phi + 2) u + FLOAT_TRIG_ERROR, u = 2^-53: each coordinate of
+        ``CycloNum.to_complex()`` for an element of this field is within
+        E (T + 1) of the true one, T = sum |num_k| / den (proof there).
 
-        The proof is in integers, once per context, so nothing rests on
+        First, once per context, every entry of the float trig table is
+        proved within FLOAT_TRIG_ERROR of cos(2 pi k/n) and sin(2 pi k/n),
+        else ArithmeticError.  The proof is in integers, so nothing rests on
         libm's accuracy: fixed_trig(64) encloses the true value in
         [lo, hi] / 2^64, and a float f = p/q (q a power of two) is within
         FLOAT_TRIG_ERROR = 2^-47 of every point of that interval iff
@@ -273,8 +277,7 @@ class Cyclotomic:
                             f"float trig table of conductor {self.n} is off by more "
                             f"than {FLOAT_TRIG_ERROR!r}")
             self._float_checked = True
-        return FLOAT_TRIG_ERROR
-
+        return (self.phi + 2) * _U + FLOAT_TRIG_ERROR
 
 _CONTEXTS = {}
 
@@ -574,6 +577,25 @@ class CycloNum:
         return lo, hi, ilo, ihi
 
     def to_complex(self):
+        """The element as a float complex, each coordinate within E (T + 1)
+        of the true one: E = ``context(n).to_complex_error()``, T =
+        sum |num_k| / den.
+
+        Proof.  (a) CPython's int true division is correctly rounded, so
+        f_k = fl(num_k / den) = t_k (1 + e_k) with t_k = num_k / den and
+        |e_k| <= u = 2^-53.  (b) The loop sums at most phi products f_k c_k
+        left to right, within gamma_phi sum |f_k c_k| of their exact sum,
+        gamma_m = m u / (1 - m u) (Higham, Accuracy and Stability of
+        Numerical Algorithms, (3.5)).  (c) Each table entry c_k is within
+        delta = FLOAT_TRIG_ERROR of the true cosine or sine, as
+        ``to_complex_error`` proves before it returns E.  So the error is
+        at most (u (1 + delta) + delta) T + gamma_phi (1 + u)(1 + delta) T
+        <= E T; the + 1 covers underflow, at most 2^-1075 per operation.
+
+        ``dynamics.select_vertex`` certifies vertices with this bound, so it
+        holds for this loop as written: another summation order, fsum or
+        table must restate it there.
+        """
         v = self._cfloat
         if v is None:
             ctx = context(self.n)

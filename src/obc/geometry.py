@@ -106,7 +106,16 @@ def from_xy_approx(n, x, y):
 
 def point_xy(z, bits=60):
     """True coordinates of z as floats: the midpoints of its certified
-    enclosure at ``bits`` bits."""
+    enclosure at ``bits`` bits.
+
+    Each float is within 2^-bits + u (|c| + 2^-bits) of the true coordinate
+    c, u = 2^-53: ``approximate`` widens an integer enclosure narrower than
+    2^-(bits + 15) outward to its 2^-(bits + 2) grid, by under two grid
+    units a side, so the enclosure is narrower than 2^(1 - bits); float()
+    rounds its exact midpoint correctly.  ``ConvexPolygon.float_extent``
+    states this bound for the float vertices (``bits`` = 60), and
+    ``dynamics.select_vertex`` certifies vertices with it.
+    """
     (rl, rh), (il, ih) = approximate(z, bits)
     return (float(rl + rh) / 2.0, float(il + ih) / 2.0)
 
@@ -305,8 +314,13 @@ class ConvexPolygon:
         return fv
 
     def float_extent(self):
-        """1 + the largest |coordinate| among ``float_vertices()``, built once:
-        the polygon's term V + 1 of select_vertex's proved screen margin."""
+        """V + 1, V the largest |coordinate| among ``float_vertices()``, built
+        once.  Each float vertex coordinate is within 1.01 u (V + 1) of the
+        true one, u = 2^-53: ``point_xy`` at 60 bits gives 2^-60 + u (1 + 2u) V,
+        since the exact midpoint it rounds is at most (1 + 2u) V in size, and
+        2^-60 < 0.008 u.
+        ``dynamics.select_vertex``'s margin is built on this bound.
+        """
         e = self._extent
         if e is None:
             e = self._extent = 1.0 + max(abs(c) for xy in self.float_vertices() for c in xy)

@@ -1,5 +1,6 @@
 """Cyclotomic field arithmetic, certified signs, enclosures, serialization."""
 
+import math
 import os
 import random
 import subprocess
@@ -12,7 +13,7 @@ from mpmath import mp
 import obc
 from obc.errors import ConductorMismatchError, NotRealError
 from obc import field
-from obc.dynamics import _select_margin, select_vertex
+from obc.dynamics import Selection, _select_margin, float_select, select_vertex
 from obc.field import (
     _TRIG_WIDTH_BITS,
     FLOAT_TRIG_ERROR,
@@ -148,13 +149,15 @@ def test_trig_tables_enclose_mpmath_and_keep_their_width():
 
 def test_float_trig_tables_are_proved_within_their_error():
     for n in range(3, MAX_CONDUCTOR + 1):
-        assert Cyclotomic(n).float_trig_error() == FLOAT_TRIG_ERROR
+        ctx = Cyclotomic(n)
+        assert ctx.to_complex_error() == (ctx.phi + 2) * 2.0**-53 + FLOAT_TRIG_ERROR
 
 
 @pytest.mark.parametrize("shift", [2.0**-48, 2.0**-40])
-def test_an_inaccurate_float_trig_table_certifies_no_vertex(monkeypatch, shift):
+def test_float_trig_check_accepts_within_and_rejects_beyond_its_error(monkeypatch, shift):
     # every entry errs by at most 2^-49.8, so a 2^-48 shift stays within
-    # FLOAT_TRIG_ERROR = 2^-47 and a 2^-40 shift does not
+    # FLOAT_TRIG_ERROR = 2^-47 and the float filter still certifies; a 2^-40
+    # shift does not, and no vertex is certified
     ctx = Cyclotomic(7)
     table = list(ctx._float_trig)
     c, s = table[3]
@@ -163,7 +166,12 @@ def test_an_inaccurate_float_trig_table_certifies_no_vertex(monkeypatch, shift):
     monkeypatch.setitem(field._CONTEXTS, 7, ctx)
     P, z = regular_ngon(7), from_scaled(7, 3, 0)
     if shift < FLOAT_TRIG_ERROR:
-        assert select_vertex(P, z).kind == "vertex"
+        margin = _select_margin(P, z)
+        assert margin < math.inf
+        f = z.to_complex()
+        row = float_select(P.float_wedges()[0], f.real, f.imag, margin)
+        assert row is not None
+        assert select_vertex(P, z) == Selection("vertex", row[0])
         return
     with pytest.raises(ArithmeticError):
         _select_margin(P, z)

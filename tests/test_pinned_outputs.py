@@ -1,0 +1,63 @@
+"""Byte pins of CLI outputs, in-process.
+
+The CI workflow pins the same sha256 digests through the console script, in
+steps after the benchmark selftest; these run with the unit tests, so a
+changed output fails here whatever an earlier workflow step does.  About two
+seconds in all.
+"""
+
+import hashlib
+
+import pytest
+
+from obc.cli import run_cli
+
+WINDOW = ["--window", "0.3,4,0.3,4", "--resolution", "1/12", "--max-period", "300"]
+
+# (name, argv, file the command writes or None for stdout, sha256, a line
+# its stdout must hold or None)
+PINS = [
+    ("square_verify", ["square-verify", "--kmax", "12", "--samples", "1000"], None,
+     "ced8764d868f3401beeb57e57b489f286e94d9a5508daec7b40034ed2d12cd33", None),
+    ("census", ["search", "--n", "5", "--window", "0.3,3.3,0.3,3.3", "--resolution", "1/7",
+                "--max-period", "120", "--out"], "pentagon.atlas",
+     "50a820762a0e2a00ee07390c17021419da8ff418cc2610a0b8c370d540e5eea3",
+     "found 8 tile orbits (484 seeds, 13 singular, 24 undecided)"),
+    ("n12_window", ["search", "--n", "12", *WINDOW, "--out"], "n12.atlas",
+     "26532fd20a73c71dfeaf6931cbedc5bc9f192b365b59e891d9ae595ec7ce8fd1",
+     "found 59 tile orbits (2025 seeds, 114 singular, 48 undecided)"),
+    ("n7_window", ["search", "--n", "7", *WINDOW, "--out"], "n7.atlas",
+     "4e50f335c0f264fae6e40d9ed438cbf169dd06630e19d051eb6087e81f60b77a",
+     "found 18 tile orbits (2025 seeds, 57 singular, 137 undecided)"),
+    ("n8_window", ["search", "--n", "8", *WINDOW, "--out"], "n8.atlas",
+     "f4cf5b068ede32b200f663b8d89b8c2ee840f5de99ece81f225229224e00f6ce",
+     "found 16 tile orbits (2025 seeds, 69 singular, 62 undecided)"),
+    ("n10_window", ["search", "--n", "10", *WINDOW, "--out"], "n10.atlas",
+     "3471a63f1c4f84a99915899c4b12200b2b90cfbe149e293597ec5fa88e0cb1c9",
+     "found 22 tile orbits (2025 seeds, 93 singular, 63 undecided)"),
+    ("scr", ["scr", "--n", "12", "--seed", "2.51,0.33", "--lambda", "4/5", "--depth", "40"],
+     None, "2b496dc38088a6acd7759d037fdea8bca006c1173ed1c395c800a6ef78a590ae", None),
+    ("scr_square_frame", ["scr", "--n", "4", "--square-frame", "--seed=-2,0",
+                          "--lambdas", "0.9,0.99,0.999", "--depth", "200"],
+     None, "1f1294fd11f6a6e3f7d1e022564e076f86963f1bea34079bc303c8bd38ea9539", None),
+    ("orbit_svg", ["render", "--n", "4", "--square-frame", "--lambda", "1/2", "--seed", "3,0",
+                   "--steps", "30", "--out"], "orbit.svg",
+     "74c378845a08d6cdff5dd6d0d3650212142ca6cb2cdb4ddb22cc9830e58ff741", None),
+    # 5000 exact lambda = 1/2 steps with coefficients past 5000 bits
+    ("contracted_orbit", ["orbit", "--n", "4", "--lambda", "1/2", "--seed", "2.5,0.4375",
+                          "--steps", "5000"],
+     None, "8c7458ce1e6cc40c543b33c4f3b28b376b43206d7a0c5aa6c270231d9d470f74", None),
+]
+
+
+@pytest.mark.parametrize("argv, out, sha, line", [p[1:] for p in PINS],
+                         ids=[p[0] for p in PINS])
+def test_cli_output_is_pinned(capsys, tmp_path, argv, out, sha, line):
+    if out is not None:
+        argv = argv + [str(tmp_path / out)]
+    assert run_cli(argv) == 0
+    stdout = capsys.readouterr().out
+    data = (tmp_path / out).read_bytes() if out is not None else stdout.encode()
+    assert hashlib.sha256(data).hexdigest() == sha
+    if line is not None:
+        assert line in stdout.splitlines()
