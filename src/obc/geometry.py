@@ -20,17 +20,26 @@ which each ConvexPolygon builds once: for z = num/den, an integer
 matrix-vector product of num and den with the form of edge i gives the
 numerators of a known positive multiple of cross(v[i+1] - v[i], z - v[i]) / sin(2*pi/n), and
 sign_of_real decides its sign without building any intermediate element.
-Divided by that multiple, the same product is the exact edge value, which
-is the offset of a pulled-back edge half-plane (periodic.code_constraints).
+Divided by that multiple, the same product is the exact edge value
+(``edge_value``); periodic.code_constraints builds the offsets of pulled-back
+edge half-planes from the same integer rows.
 
 Half-plane intersection clips (x, ytilde) pairs of real field elements
-directly, so each clip evaluates a*x + b*ytilde + c once per vertex, and
-the pairs become points x + i*sin(2*pi/n)*ytilde once, at the end.  A
-half-plane clips only if no already clipped one with the same normal
-implies it: a pulled-back wedge half-plane is one of the polygon's cached
-edge half-planes with a new offset, so a tile of a long code, cut by
-hundreds of them, needs a few dozen clips.  Exact clipping needs no cleanup
-pass afterwards (proof at ``intersect_halfplanes``).
+directly, and the pairs become points x + i*sin(2*pi/n)*ytilde once, at the
+end.  Clipping is a filtered predicate, like vertex selection: each chain
+vertex carries floats of its coordinates with a proved error bound, and the
+side of a*x + b*ytilde + c is read from floats whenever it clears the bound
+proved at ``_clip``; only a vertex within that bound, in practice one lying
+on the clip line, gets the exact value and its sign.  A crossing is the meet
+of the clip line with the line of the crossed edge, which each vertex
+carries, through factors cached per pair of normals, so no crossing takes a
+field inverse.  A half-plane clips only if no already clipped one with the
+same normal implies it, again decided from floats first: a pulled-back wedge
+half-plane is one of the polygon's cached edge half-planes with a new
+offset, so a tile of a long code, cut by hundreds of them, needs a few dozen
+clips.  Every sign decided from floats is the exact sign, so the clips and
+the vertices are those of exact clipping, which needs no cleanup pass
+afterwards (proof at ``intersect_halfplanes``).
 """
 
 from __future__ import annotations
@@ -38,14 +47,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import ConductorMismatchError, GeometryError
-from .field import CycloNum, _apply, _raw, _reduced, approximate, context, sign_of_real
+from .field import _U, CycloNum, _apply, _raw, _reduced, approximate, context, sign_of_real
 
 # A plane point is just a CycloNum used as a complex coordinate.
 ExactPoint = CycloNum
 
 _HALF = Fraction(1, 2)
+
+# Every float error bound below is a sum of products of nonnegative floats,
+# each a true bound, rounded at most 12 times on the way: the computed value
+# is at least (1 - u)^12 of the exact one, u = 2^-53, so 1.01 times it (one
+# more rounding) is at least the exact one.
+_SLACK = 1.01
 
 
 def _eta(n):
@@ -175,9 +191,10 @@ class ConvexPolygon:
     """Strictly convex polygon, vertices in counterclockwise order.
 
     Vertex selection and location read the signs of integer edge forms,
-    built once per polygon on first use (``edge_sign``); the same forms give
-    exact edge values (``edge_value``), and the 2n edge half-planes are
-    cached next to them (``edge_halfplanes``).
+    built once per polygon on first use (``edge_forms``); the same forms give
+    exact edge values (``edge_value``) and the offsets of pulled-back edge
+    half-planes (``periodic.code_constraints``), and the 2n edge half-planes
+    are cached next to them (``edge_halfplanes``).
     """
 
     __slots__ = ("vertices", "_key", "_float", "_extent", "_forms", "_halfplanes", "_wedges")
@@ -219,14 +236,10 @@ class ConvexPolygon:
         """The numerators of D*den*cross(v[i+1] - v[i], z - v[i]) / sin(2*pi/n)
         for z = num/den, D the constant of edge i's form (``_edge_form``):
         one integer matrix-vector product with the cached form."""
-        vs = self.vertices
-        if z.n != vs[0].n:
-            raise ConductorMismatchError(f"conductor mismatch: {vs[0].n} vs {z.n}")
-        forms = self._forms
-        if forms is None:
-            forms = self._forms = tuple(
-                _edge_form(p, q) for p, q in zip(vs, vs[1:] + vs[:1]))
-        rows, const, _ = forms[i]
+        n = self.vertices[0].n
+        if z.n != n:
+            raise ConductorMismatchError(f"conductor mismatch: {n} vs {z.n}")
+        rows, const, _ = self.edge_forms()[i]
         den = z.den
         acc = [den * c for c in const]
         for a, row in zip(z.num, rows):
@@ -234,6 +247,16 @@ class ConvexPolygon:
                 for k, r in row:
                     acc[k] += a * r
         return acc
+
+    def edge_forms(self):
+        """Per edge i, the integer form (rows, const, D) of v[i] -> v[i+1]
+        (``_edge_form``), built once."""
+        forms = self._forms
+        if forms is None:
+            vs = self.vertices
+            forms = self._forms = tuple(
+                _edge_form(p, q) for p, q in zip(vs, vs[1:] + vs[:1]))
+        return forms
 
     def edge_sign(self, i, z):
         """Exact sign of cross(v[i+1] - v[i], z - v[i]); +1 left of edge i.
@@ -248,7 +271,7 @@ class ConvexPolygon:
         """cross(v[i+1] - v[i], z - v[i]) / sin(2*pi/n) as an exact real
         field element: the value of edge i's left half-plane at z."""
         acc = self._edge_acc(i, z)
-        return _reduced(z.n, acc, self._forms[i][2] * z.den)
+        return _reduced(z.n, acc, self.edge_forms()[i][2] * z.den)
 
     def edge_halfplanes(self):
         """Per edge i, the half-planes strictly left of v[i] -> v[i+1] and
@@ -419,34 +442,148 @@ class RegionResult:
     polygon: ConvexPolygon | None = None
 
 
-def _clip(pairs, hp):
-    """Sutherland-Hodgman clip of a convex CCW chain of (x, ytilde) pairs by
-    the closed half-plane."""
+def _real_float(z):
+    """(f, e): the float f = ``z.to_complex().real`` of a real element z and
+    a bound e >= |f - z|; (0.0, math.inf), which certifies nothing, when z
+    is too large for its float.
+
+    e = 1.01 E (fl(T) + 1), with E = ``context(n).to_complex_error()`` and
+    T = sum |num_k| / den: ``CycloNum.to_complex`` proves |f - z| <= E (T + 1),
+    and the division, the sum and the two products round down by a factor
+    of at most (1 - u)^4 > 1/1.01, u = 2^-53.  The bit lengths give
+    T < 2^1001, so f, a sum of phi terms each at most T in size, and e are
+    finite; a larger z would overflow ``to_complex``.
+    """
+    den, total = z.den, sum(map(abs, z.num))
+    if total.bit_length() > den.bit_length() + 1000:
+        return 0.0, math.inf
+    return z.to_complex().real, _SLACK * context(z.n).to_complex_error() * (total / den + 1.0)
+
+
+@lru_cache(maxsize=1024)
+def _inverse(d):
+    return d.inverse()
+
+
+@lru_cache(maxsize=1024)
+def _meet_factors(a1, b1, a2, b2):
+    """(b1/D, b2/D, a1/D, a2/D) for D = a1*b2 - a2*b1 != 0, per pair of
+    normals; pairs with the same D share its inverse."""
+    inv = _inverse(a1 * b2 - a2 * b1)
+    return b1 * inv, b2 * inv, a1 * inv, a2 * inv
+
+
+def _meet(l1, l2):
+    """The exact (x, ytilde) where the boundary lines of two half-planes with
+    non-parallel normals meet: x = (b1*c2 - b2*c1)/D and
+    ytilde = (a2*c1 - a1*c2)/D, D = a1*b2 - a2*b1."""
+    f1, f2, f3, f4 = _meet_factors(l1.a, l1.b, l2.a, l2.b)
+    c1, c2 = l1.c, l2.c
+    return c2 * f1 - c1 * f2, c1 * f4 - c2 * f3
+
+
+def _vertex(x, t, line):
+    """A chain vertex (x, ytilde, fx, ft, r, e, line): its exact coordinates,
+    their floats (``_real_float``), r = max(|fx|, |ft|), e the larger of their
+    error bounds, and a half-plane whose boundary line holds this vertex and
+    the next one of the chain."""
+    fx, ex = _real_float(x)
+    ft, et = _real_float(t)
+    return (x, t, fx, ft, max(abs(fx), abs(ft)), max(ex, et), line)
+
+
+def _box(w):
+    """The chain of the box [-w, w]^2, each side as a half-plane."""
+    n = w.n
+    one, zero = CycloNum.one(n), CycloNum.zero(n)
+    # side i runs from corner i to corner i + 1: y >= -w, x <= w, y <= w, x >= -w
+    sides = (HalfPlane(zero, one, w), HalfPlane(-one, zero, w),
+             HalfPlane(zero, -one, w), HalfPlane(one, zero, w))
+    corners = ((-w, -w), (w, -w), (w, w), (-w, w))
+    return [_vertex(x, t, side) for (x, t), side in zip(corners, sides)]
+
+
+def _clip(chain, hp):
+    """Sutherland-Hodgman clip of a convex CCW chain of ``_vertex`` tuples by
+    the closed half-plane hp.
+
+    Side test.  With (fa, ea), (fb, eb), (fc, ec) = ``_real_float`` of hp's
+    a, b, c, the float v = fa*fx + fb*ft + fc of a vertex with floats within
+    e of its coordinates x, ytilde is within
+
+        M = k1 r + k2 e + k0,   k1 = 4u g + ea + eb,   k2 = g + ea + eb,
+        k0 = 4u |fc| + ec,      g = |fa| + |fb|,       u = 2^-53,
+
+    of the exact value a*x + b*ytilde + c.  (a) Its two products and two sums
+    err by at most gamma_3 (|fa fx| + |fb ft| + |fc|) <= 4u (g r + |fc|),
+    gamma_3 = 3u / (1 - 3u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, (3.5)).  (b) Moving the inputs to the exact ones moves
+    fa*fx by at most |fa| e + ea (r + e), as |x| <= r + e, and likewise
+    fb*ft; it moves fc by at most ec.  Gradual underflow adds at most
+    3 * 2^-1075, far below the 1 % slack on ec >= E.  The bound is computed
+    as 1.01 M (``_SLACK``): v above it is a positive value, below minus it a
+    negative one, and anything else, including a bound that overflowed or is
+    NaN, gets the exact value and its sign.
+
+    Crossings.  A vertex is kept when its side is >= 0, and a point is added
+    on each edge whose ends lie strictly on opposite sides.  That point is
+    the meet of the edge's line and hp's line (``_meet``): the two lines are
+    transversal, since the ends lie strictly apart, so it is the one point
+    p + s*(q - p), s = f(p)/(f(p) - f(q)), of exact Sutherland-Hodgman.
+    Each output vertex carries the line to its successor in the output: a
+    kept vertex keeps its edge's line, since its successor is its old one or
+    a crossing on that edge, unless it lies on hp's line with a dropped
+    successor; that vertex, and an added point where the chain leaves the
+    half-plane, take hp, since the next output point is the next crossing or
+    kept vertex on hp's line; an added point where the chain enters keeps
+    the crossed edge's line, which runs on to the next kept vertex.
+    """
+    fa, ea = _real_float(hp.a)
+    fb, eb = _real_float(hp.b)
+    fc, ec = _real_float(hp.c)
+    g = abs(fa) + abs(fb)
+    k1 = 4 * _U * g + ea + eb
+    k2 = g + ea + eb
+    k0 = 4 * _U * abs(fc) + ec
+    sides = []
+    for x, t, fx, ft, r, e, _ in chain:
+        v = fa * fx + fb * ft + fc
+        bound = _SLACK * (k1 * r + k2 * e + k0)
+        if v > bound:
+            sides.append(1)
+        elif v < -bound:
+            sides.append(-1)
+        else:
+            sides.append(sign_of_real(hp.a * x + hp.b * t + hp.c, _checked=True))
     out = []
-    m = len(pairs)
-    a, b, c = hp.a, hp.b, hp.c
-    vals = [a * x + b * t + c for x, t in pairs]
-    sides = [sign_of_real(v, _checked=True) for v in vals]
-    for i in range(m):
-        j = (i + 1) % m
-        sc, sn = sides[i], sides[j]
+    m = len(chain)
+    for i, cur in enumerate(chain):
+        sc, sn = sides[i], sides[(i + 1) % m]
         if sc >= 0:
-            out.append(pairs[i])
-        if (sc > 0 and sn < 0) or (sc < 0 and sn > 0):
-            # boundary crossing: cur + s*(nxt - cur) with s = f(cur)/(f(cur)-f(nxt))
-            s = vals[i] / (vals[i] - vals[j])
-            (x0, t0), (x1, t1) = pairs[i], pairs[j]
-            out.append((x0 + (x1 - x0) * s, t0 + (t1 - t0) * s))
+            out.append(cur if sc > 0 or sn >= 0 else cur[:6] + (hp,))
+        if sc * sn < 0:
+            line = cur[6]
+            out.append(_vertex(*_meet(line, hp), hp if sc > 0 else line))
     return out
 
 
 def _auto_half_width(constraints):
-    worst = 4.0
+    """int(4 W) + 4 with W the larger of 4 and every |c| / |(a, b)| in floats.
+
+    Only the largest |c| per normal is divided: correctly rounded division
+    by a positive float is monotone, so it gives the largest quotient.
+    """
+    most = {}
     for hp in constraints:
-        av, bv, cv = (x.to_complex().real for x in (hp.a, hp.b, hp.c))
-        scale = math.hypot(av, bv)
+        key = (hp.a, hp.b)
+        cv = abs(hp.c.to_complex().real)
+        if cv > most.get(key, -1.0):
+            most[key] = cv
+    worst = 4.0
+    for (a, b), cv in most.items():
+        scale = math.hypot(a.to_complex().real, b.to_complex().real)
         if scale > 0:
-            worst = max(worst, abs(cv) / scale)
+            worst = max(worst, cv / scale)
     return Fraction(int(4 * worst) + 4)
 
 
@@ -477,30 +614,46 @@ def intersect_halfplanes(constraints, half_width=None):
     segment, which meets the clip line in at most one point, added only where
     an old point is dropped.  Fewer than 3 distinct points is
     "lower_dimensional".
+
+    Skip test.  A half-plane with offset c is skipped when c >= c0, the
+    offset of the tightest clipped one with its normal; an identical
+    half-plane is one such, so duplicates clip once.  A skipped half-plane
+    is implied by that tighter clip, which every chain vertex satisfies;
+    later clips keep vertices or add convex combinations of them, so they
+    satisfy it too and the skipped ``_clip`` would return the chain
+    unchanged.  With (fc, ec) and (f0, e0) the ``_real_float`` of c and c0,
+    the computed d = fc - f0 above the computed B = 1.01 (ec + e0) proves
+    c > c0: B is at least (1 + u)(ec + e0) after its two roundings, u = 2^-53,
+    so fc - f0 >= d / (1 + u) > ec + e0.  Likewise d < -B proves c < c0.
+    Otherwise, and whenever a bound is infinite, c == c0 (a duplicate) or
+    the exact sign of c - c0 decides.
     """
-    # a second clip by the same closed half-plane changes nothing
-    constraints = list(dict.fromkeys(constraints))
+    constraints = tuple(constraints)  # any iterable; read twice
     if not constraints:
         return RegionResult("unbounded", None)
     n = constraints[0].a.n
     if half_width is None:
         half_width = _auto_half_width(constraints)
     w = CycloNum.from_rational(n, Fraction(half_width))
-    pairs = [(-w, -w), (w, -w), (w, w), (-w, w)]
-    # least clipped offset per normal.  A skipped half-plane is implied by
-    # that tighter clip, which every chain vertex satisfies; later clips
-    # keep vertices or add convex combinations of them, so they satisfy it
-    # too and the skipped _clip would return the chain unchanged.
+    chain = _box(w)
+    # least clipped offset per normal, with its float and error bound
     tightest = {}
     for hp in constraints:
         key = (hp.a, hp.b)
+        fc, ec = _real_float(hp.c)
         least = tightest.get(key)
-        if least is not None and sign_of_real(hp.c - least, _checked=True) >= 0:
-            continue
-        tightest[key] = hp.c
-        pairs = _clip(pairs, hp)
-        if not pairs:
+        if least is not None:
+            c0, f0, e0 = least
+            d = fc - f0
+            bound = _SLACK * (ec + e0)
+            if d > bound or (d >= -bound and (
+                    hp.c == c0 or sign_of_real(hp.c - c0, _checked=True) >= 0)):
+                continue
+        tightest[key] = (hp.c, fc, ec)
+        chain = _clip(chain, hp)
+        if not chain:
             return RegionResult("empty", None)
+    pairs = [v[:2] for v in chain]
     if len(set(pairs)) < 3:
         return RegionResult("lower_dimensional", None)
     half_eta = _half_eta(n)

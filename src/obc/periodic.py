@@ -32,7 +32,7 @@ from .errors import (
     IndeterminateFixedPointError,
     StabilityPreconditionError,
 )
-from .field import CycloNum, sign_of_real
+from .field import CycloNum, _reduced, sign_of_real
 from .dynamics import Code, float_select, reflect_contract
 from .geometry import (
     ConvexPolygon,
@@ -285,32 +285,54 @@ def code_constraints(P, lam, word):
     v_a -> v_{a+1} (edge a-1 of P) and left of v_a -> v_{a-1} (edge a-2
     reversed).  With edge e's value F(w) = a0*x + b0*ytilde + c0, the
     pulled-back value is F(G_i^-1(z)) = (a0*x + b0*ytilde + g) / alpha,
-    g = (alpha+1)*c0 - F(beta).  So each pulled-back half-plane is P's
+    g = alpha*c0 - (F(beta) - c0).  So each pulled-back half-plane is P's
     cached edge half-plane (a0, b0, g), or its cached reversal
     (-a0, -b0, -g) where the sign of alpha flips the side: parallel
     half-planes share their normal exactly, which intersect_halfplanes
-    reads.  F(beta) is one edge form product (``ConvexPolygon.edge_value``),
-    so no label needs a field product.  Tiles (lam = 1) and same-code
+    reads.
+
+    No label takes a field product.  For lam = p/q, alpha = (-q)^i / p^i and
+    beta = B / (L p^i) with an integer vector B and L the common denominator
+    of P's vertices: beta gains v_a * alpha * (1 + lam) / lam per step, so
+    B becomes p*B + (-q)^i (p + q) L v_a.  Edge e's integer form
+    (``ConvexPolygon.edge_forms``, const = D*c0 and rows giving
+    D*den*(F(w) - c0) from w's numerators) then gives g's numerators
+    (-q)^i L const - rows.B over D L p^i, reduced by one gcd.  At lam = 1
+    alpha = +-1 and B is a sum of +-2 L v_a.  Tiles (lam = 1) and same-code
     regions (lam < 1) are both intersections of these half-planes.
     """
     lam = Fraction(lam)
     if not 0 < lam <= 1:
         raise ValueError("need 0 < lam <= 1")
+    p, q = lam.numerator, lam.denominator
     vs = P.vertices
+    n = vs[0].n
     base = P.edge_halfplanes()
+    forms = P.edge_forms()
+    L = math.lcm(*(v.den for v in vs))
+    vnum = [tuple(c * (L // v.den) for c in v.num) for v in vs]
+    B = [0] * len(vnum[0])
+    an, ad = 1, 1  # alpha = an / ad
     cons = []
-    alpha = Fraction(1)
-    beta = CycloNum.zero(vs[0].n)
     for a in word:
-        v = vs[a - 1]
         # left of edge a-1 and right of edge a-2, both flipped for alpha < 0
-        for e, forward in ((a - 1, alpha > 0), (a - 2, alpha < 0)):
-            hp, rev = base[e]
-            g = hp.c * (alpha + 1) - P.edge_value(e, beta)
-            cons.append(HalfPlane(hp.a, hp.b, g) if forward else HalfPlane(rev.a, rev.b, -g))
+        for e, forward in ((a - 1, an > 0), (a - 2, an < 0)):
+            rows, const, D = forms[e]
+            s = an * L if forward else -an * L
+            g = [s * c for c in const]
+            for b, row in zip(B, rows):
+                if b:
+                    if not forward:
+                        b = -b
+                    for k, r in row:
+                        g[k] -= b * r
+            hp = base[e][0 if forward else 1]
+            cons.append(HalfPlane(hp.a, hp.b, _reduced(n, g, D * L * ad)))
         # next inverse map: z -> G_i(((1+lam) v - z)/lam)
-        beta = beta + v * (alpha * (1 + lam) / lam)
-        alpha = -alpha / lam
+        f = an * (p + q)
+        B = [p * b + f * c for b, c in zip(B, vnum[a - 1])]
+        an *= -q
+        ad *= p
     return cons
 
 

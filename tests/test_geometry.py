@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from exact_halfplanes import clipped_pairs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -204,20 +205,14 @@ def _dedupe_collinear(pairs):
 
 def _clip_every_distinct(constraints):
     # reference without the parallel skip, and with the old cleanup: every
-    # distinct half-plane clips, in order of first appearance
-    geo = obc.geometry
-    cons = list(dict.fromkeys(constraints))
-    n = cons[0].a.n
-    w = CycloNum.from_rational(n, geo._auto_half_width(cons))
-    pairs = [(-w, -w), (w, -w), (w, w), (-w, w)]
-    for hp in cons:
-        pairs = geo._clip(pairs, hp)
-        if not pairs:
-            return "empty", None
+    # distinct half-plane clips exactly, in order of first appearance
+    pairs, w, _ = clipped_pairs(constraints, skip=False)
+    if not pairs:
+        return "empty", None
     pairs = _dedupe_collinear(pairs)
     if len(pairs) < 3:
         return "lower_dimensional", None
-    half_eta = geo._half_eta(n)
+    half_eta = obc.geometry._half_eta(w.n)
     poly = ConvexPolygon([x + half_eta * t for x, t in pairs], validate=False)
     boxed = any(v == w or v == -w for p in pairs for v in p)
     return ("unbounded" if boxed else "polygon"), poly.serialize()
@@ -309,11 +304,13 @@ def test_clipping_keeps_the_chain_strictly_convex(n, box, clips):
     # intersect_halfplanes runs no cleanup after its clips: an exact clip of
     # a strictly convex chain is strictly convex with no repeated point, or
     # has at most 2 distinct points
+    geo = obc.geometry
     if box:
-        w = CycloNum.from_rational(n, 5)
-        pairs = [(-w, -w), (w, -w), (w, w), (-w, w)]
+        chain = geo._box(CycloNum.from_rational(n, 5))
     else:
         pairs = [(real_part(v), imag_scaled(v)) for v in regular_ngon(n).vertices]
+        chain = [geo._vertex(*p, _left_of(p, q)) for p, q in zip(pairs, pairs[1:] + pairs[:1])]
+    pairs = [v[:2] for v in chain]
     for kind, ca, cb, cc, i, j, flip in clips:
         a, b = _real(n, ca), _real(n, cb)
         p, q = pairs[i % len(pairs)], pairs[j % len(pairs)]
@@ -325,9 +322,10 @@ def test_clipping_keeps_the_chain_strictly_convex(n, box, clips):
             hp = HalfPlane(a, b, -(a * p[0] + b * p[1]))
         else:
             hp = HalfPlane(a, b, _real(n, cc))
-        pairs = obc.geometry._clip(pairs, hp)
-        if not pairs:
+        chain = geo._clip(chain, hp)
+        if not chain:
             return
+        pairs = [v[:2] for v in chain]
         assert len(set(pairs)) <= 2 or _strictly_convex(pairs)
 
 

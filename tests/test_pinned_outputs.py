@@ -2,8 +2,8 @@
 
 The CI workflow pins the same sha256 digests through the console script, in
 steps after the benchmark selftest; these run with the unit tests, so a
-changed output fails here whatever an earlier workflow step does.  About two
-seconds in all.
+changed output fails here whatever an earlier workflow step does.  About
+four seconds in all.
 """
 
 import hashlib
@@ -35,8 +35,17 @@ PINS = [
     ("n10_window", ["search", "--n", "10", *WINDOW, "--out"], "n10.atlas",
      "3471a63f1c4f84a99915899c4b12200b2b90cfbe149e293597ec5fa88e0cb1c9",
      "found 22 tile orbits (2025 seeds, 93 singular, 63 undecided)"),
+    # paper scale with longer codes: periods up to 2702
+    ("n7_window_3000", ["search", "--n", "7", "--window", "0.3,4,0.3,4", "--resolution", "1/12",
+                        "--max-period", "3000", "--out"], "n7-3000.atlas",
+     "5ac02ece3096d52bf2a5f47a0078926fa60726602010907d613eb64d6ba07e9f",
+     "found 30 tile orbits (2025 seeds, 57 singular, 63 undecided)"),
     ("scr", ["scr", "--n", "12", "--seed", "2.51,0.33", "--lambda", "4/5", "--depth", "40"],
      None, "2b496dc38088a6acd7759d037fdea8bca006c1173ed1c395c800a6ef78a590ae", None),
+    # offsets near 2^1100, past the largest float: the clip's float tests
+    # abstain and the exact signs decide
+    ("scr_deep", ["scr", "--n", "5", "--seed", "2.51,0.33", "--lambda", "1/2", "--depth", "1100"],
+     None, "13dbfebc00afbb5f935949e1e418ffcfd32120bd6b8ad1aec14b3b73b0c9de72", None),
     ("scr_square_frame", ["scr", "--n", "4", "--square-frame", "--seed=-2,0",
                           "--lambdas", "0.9,0.99,0.999", "--depth", "200"],
      None, "1f1294fd11f6a6e3f7d1e022564e076f86963f1bea34079bc303c8bd38ea9539", None),
