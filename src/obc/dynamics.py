@@ -7,11 +7,15 @@ uncontracted map.  The singular set S is the union of rays extending the
 sides of P, where two vertices qualify and the choice is ambiguous.
 
 Vertex selection is a filtered predicate: the float orientations of the
-polygon's cached wedge table, tested against a margin proved from the point
-(``_select_margin``), certify a vertex without any exact arithmetic; only a
-point the filter cannot decide reads the signs of the polygon's integer
-edge forms (``ConvexPolygon.edge_sign``), one per edge.  A step is one
-integer combination of the numerators of v and x, reduced by one gcd.
+polygon's cached wedge table, tested against a margin proved from the error
+of the float point (``_select_margin``), certify a vertex without any exact
+arithmetic; only a point the filter cannot decide reads the signs of the
+polygon's integer edge forms (``ConvexPolygon.edge_sign``), one per edge.
+Along an orbit the float point is not recomputed from the exact one:
+``iterate`` carries a float image of each point with a running bound on its
+error, and re-seeds it from the exact point only where the filter abstains.
+A step is one integer combination of the numerators of v and x, reduced by
+a gcd that divides a small integer.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import GeometryError, ObcError, StepDomainError
-from .field import _U, CycloNum, _reduced, context, sign_of_real  # noqa: F401, perfbench/selftest.py checks it
+from .field import _U, CycloNum, _raw, context, sign_of_real  # noqa: F401, perfbench/selftest.py checks it
 from .geometry import point_xy
 
 
@@ -63,65 +67,78 @@ def select_vertex(P, x):
     A point strictly inside a vertex wedge selects that vertex: strictly
     left of the edge leaving it and strictly right of the edge entering it.
     That certificate also proves x is outside the closed polygon and off
-    the singular set.  The float orientations of the wedge table prove it
-    when they clear the margin of ``_select_margin``; any other point, on
-    or near the singular set or inside P, is decided by one exact edge sign
-    per edge.
+    the singular set.  The float orientations of the wedge table at
+    ``x.to_complex()`` prove it when they clear the margin of
+    ``_select_margin``; any other point, on or near the singular set or
+    inside P, is decided by one exact edge sign per edge.
     """
-    fx = x.to_complex()
-    row = float_select(P.float_wedges()[0], fx.real, fx.imag, _select_margin(P, x))
+    fx, fy, e = _fresh_float(P, x)
+    w = max(abs(fx), abs(fy)) + P.float_extent()
+    row = float_select(P.float_wedges()[0], fx, fy, _select_margin(w, e))
     if row is not None:
         return Selection("vertex", row[0])
     return _select_exhaustive(P, x)
 
 
-def _select_margin(P, x):
-    """C W^2, a proved bound on the error of both float orientations that
-    float_select evaluates at ``x.to_complex()``, so an orientation above it
-    is positive exactly; math.inf, which certifies nothing, for a point of
-    another conductor or one too large for the bound's floats (see the end).
+def _fresh_float(P, x):
+    """(fx, fy, e): the coordinates of ``x.to_complex()`` and a bound e on
+    the error of each; e = math.inf, which certifies nothing, for a point
+    of another conductor or one too large for its floats.
 
-    W = S + V + 1 with S = fl(sum |num_k| / den) and V + 1 =
-    ``P.float_extent()``; C = 4 E + 16 u with u = 2^-53 and E = (phi + 2) u
-    + 2^-47 from ``Cyclotomic.to_complex_error``, so C is 2^-44.8 at
-    phi = 2 and 2^-43.4 at phi = 126, the largest phi(n) for n <=
-    MAX_CONDUCTOR.
-
-    Proof.  It combines the float error bounds that the two inputs state.
-    CPython's int true division is correctly rounded, so x's coordinates
-    are at most T = sum |num_k| / den <= S (1 + u) in size, and
-
-    (a) each coordinate of ``x.to_complex()`` is within E (T + 1) <=
-        E (1 + u) W of the true one (``CycloNum.to_complex``);
-    (b) each float vertex coordinate is within 1.01 u (V + 1) <= 1.01 u W of
-        the true one (``ConvexPolygon.float_extent``);
-    (c) each orientation is (v - p) x (w - p) for wedge vertices v, w, in
-        four float subtractions, two products and one subtraction: within
-        gamma_4 (|A| + |B|) of its exact value at the float inputs,
-        gamma_m = m u / (1 - m u), where each product A, B is at most
-        ((1 + E) W)^2 by (a).  Moving the inputs to the true points moves
-        a x b, with |a|, |b| <= (1 + 2u) W in the sup norm, by at most
-        2 (|a| e + e |b| + e^2) for sup errors e <= (E + 1.01 u) W, by (a)
-        and (b).
-
-    Together the error is at most 2 gamma_4 (1 + E)^2 W^2 + 4 (1 + 2u) e W
-    + 2 e^2 <= (8 u + 4 (E + 1.01 u)) W^2 = (4 E + 12.04 u) W^2, up to
-    products of two small terms, which phi <= 126 keeps below 2^-85 W^2.
-    C exceeds that by more than 3.9 u W^2, which covers reading W from
-    fl(S) and evaluating C W^2 in floats (a relative 8 u of C, under
-    2^-93).  The first orientation is (v_(a+1) - v_a) x (p - v_a), a
-    positive multiple of edge a - 1's value at p, and the second is minus
-    that of edge a - 2 (``edge_sign``, 0-based); both above C W^2 prove
-    ``P.in_wedge(a, x)``.  The bit lengths below give T < 2^501, and with
-    W < 2^502 every float above is finite.
+    e = 1.01 E (fl(T) + 1), with E = ``context(n).to_complex_error()`` and
+    T = sum |num_k| / den: ``CycloNum.to_complex`` proves each coordinate
+    within E (T + 1), and the division, the sum and the two products round
+    down by a factor of at most (1 - u)^5 > 1/1.01, u = 2^-53.  The bit
+    lengths give T < 2^501, so fx, fy and e are finite.
     """
     den, total = x.den, sum(map(abs, x.num))
     if x.n != P.vertices[0].n or total.bit_length() > den.bit_length() + 500:
-        return math.inf  # the exact path decides, or refuses a foreign point
-    w = total / den + P.float_extent()
+        return 0.0, 0.0, math.inf  # the exact path decides, or refuses a foreign point
+    f = x.to_complex()
+    return f.real, f.imag, 1.01 * context(x.n).to_complex_error() * (total / den + 1.0)
+
+
+def _select_margin(w, e):
+    """M = (16 u w + 4.1 e) w + 2.1 e^2, u = 2^-53, a proved bound on the
+    error of both orientations that float_select evaluates at a float point
+    f, so an orientation above it is positive exactly.  Here e bounds the
+    error of each coordinate of f, and w = fl(|f| + V + 1) with |f| =
+    max(|fx|, |fy|) and V + 1 = ``P.float_extent()``.  math.inf, which
+    certifies nothing, when w is not below 2^502 (see the end).
+
+    ``select_vertex`` passes the error e of ``x.to_complex()``
+    (``_fresh_float``); ``iterate`` passes the error it carries along the
+    orbit.  So this one proof serves both.
+
+    Proof.  Let X = |f| + V + 1, exactly; w >= (1 - u)^2 X after the two
+    roundings that make V + 1 and w.  Each float vertex coordinate is
+    within e_v = 1.01 u X of the true one (``ConvexPolygon.float_extent``)
+    and at most V in size.  Each orientation is (v - f) x (n - f) for two
+    wedge vertices, in two float subtractions per factor, two products and
+    one subtraction, so
+
+    (a) at the float inputs it errs by at most gamma_4 (|A| + |B|) <=
+        2 gamma_4 X^2, gamma_m = m u / (1 - m u) (Higham, Accuracy and
+        Stability of Numerical Algorithms, (3.5)), A and B its two products
+        of differences at most X - 1 in size;
+    (b) moving the three inputs to the true points moves a x b, with |a|,
+        |b| <= X - 1 in the sup norm, by at most 2 (|a| s + s |b| + s^2)
+        <= 4 s X + 2 s^2 for the sup error s = e + e_v of each difference.
+
+    In all, at most (2 gamma_4 + 4.04 u + 2.05 u^2) X^2 + (4 + 4.04 u) e X
+    + 2 e^2 <= 12.05 u w^2 + 4.01 e w + 2 e^2, by X <= (1 + 2.01 u) w.
+    M evaluated in floats is at least (1 - u)^4 times its value, which
+    exceeds that.  Gradual underflow adds at most a few 2^-1075, far below
+    the slack of 3.9 u w^2 >= 3.9 u.  The first orientation is (v_(a+1) -
+    v_a) x (p - v_a), a positive multiple of edge a - 1's value at p, and
+    the second is minus that of edge a - 2 (``edge_sign``, 0-based); both
+    above M prove ``P.in_wedge(a, x)``.  With w < 2^502 no difference or
+    product overflows.  A NaN coordinate makes every orientation NaN, and an
+    infinite or NaN w or e makes M so: no comparison passes either.
+    """
     if not w < 2.0**502:
         return math.inf
-    return (4 * context(x.n).to_complex_error() + 16 * _U) * w * w
+    return (16 * _U * w + 4.1 * e) * w + 2.1 * e * e
 
 
 def _select_exhaustive(P, x):
@@ -162,10 +179,26 @@ def step(P, lam, x):
 def reflect_contract(v, p, q, x):
     """(1 + p/q) v - (p/q) x, exactly: one integer combination of the
     numerators of v and x over the common denominator q * v.den * x.den,
-    reduced by one gcd."""
-    a, b = (p + q) * x.den, p * v.den
+    reduced by their gcd G, which divides p q v.den^2.
+
+    So G = gcd(h, *num) with the small h = gcd(den, p q v.den^2), and each
+    step of either gcd divides a large integer by a small one.  Proof that
+    G divides p q B^2: write x = X / D in normal form, gcd(D, X_0, ...,
+    X_(phi-1)) = 1, and v = A / B, so the numerators are N_k = (p + q) D A_k
+    - p B X_k over q B D.  Take a prime r and let nu be r's exponent.  If
+    nu(p B) < nu(D), r divides D, so some X_j is prime to r, and nu(N_j) =
+    nu(p B), as the first term has at least nu(D) factors r.  Otherwise
+    nu(q B D) <= nu(q B) + nu(p B).  Either way G, which divides N_j and
+    q B D, has at most nu(p q B^2) factors r.
+    """
+    vd, xd = v.den, x.den
+    a, b = (p + q) * xd, p * vd
     num = [a * vk - b * xk for vk, xk in zip(v.num, x.num)]
-    return _reduced(x.n, num, q * v.den * x.den)
+    den = q * vd * xd
+    g = math.gcd(math.gcd(den, b * q * vd), *num)
+    if g != 1:
+        return _raw(x.n, tuple(c // g for c in num), den // g)
+    return _raw(x.n, tuple(num), den)
 
 
 @dataclass
@@ -192,35 +225,96 @@ class OrbitRecord:
         return tuple(self.code[self.preperiod : self.preperiod + self.period])
 
 
+# K of iterate's running error bound: 8.25 u exceeds the proved 8.03 u
+# after the roundings that evaluate it.
+_STEP_ERROR = 8.25 * _U
+
+
 def iterate(P, lam, x, max_steps):
     """Iterate the map, recording points and code.
 
     Stops at max_steps, at an exact point repetition (hash on the normal
     form; no tolerances), on the singular set, or at once inside P.
+
+    Every point is exact, but its vertex is certified from a float image
+    (fx, fy) carried along the orbit with a proved bound d on the error of
+    each coordinate: ``float_select`` under ``_select_margin(w, d)``, after
+    label a from ``orders[a]`` as the float orbits screen.  Only where that
+    filter abstains does ``select_vertex`` decide, from the point's fresh
+    float and else its exact edge signs, and the image is then re-seeded
+    from the exact point (``_fresh_float``).  Each step maps the image by
+    f' = fl(fl(g v) - fl(l f)), with g = fl(1 + lam), l = fl(lam) and v the
+    float vertex, and the bound by
+
+        d' = fl(fl(L d) + fl(K w)),   L = fl(l (1 + 8u)),   K = 8.25 u,
+
+    with w = fl(|f| + V + 1) as in ``_select_margin`` and u = 2^-53.  So d
+    contracts to about K w / (1 - lam) when lam < 1 and grows by K w a step
+    at lam = 1, until an abstention resets it.
+
+    Proof that d' bounds the error of f' (Higham, Accuracy and Stability of
+    Numerical Algorithms, Section 3.3, running error analysis).  Let z be
+    the exact point, |f - z| <= d in each coordinate, F = |f|, and let
+    V + 1 = ``P.float_extent()``, so the float vertex is at most V in size
+    and within 1.01 u (V + 1) of the true vertex t.  The new exact point is
+    (1 + lam) t - lam z, and per coordinate
+
+    (a) the float evaluation errs by at most gamma_2 (g V + l F) <= (2 +
+        7u) u (2 V + F) from g v - l f, since g <= 2 (1 + u) and l <= 1 + u;
+    (b) |g v - (1 + lam) t| <= 2 u V + 2.02 u (V + 1), as |g - (1 + lam)|
+        <= u (1 + lam) and lam <= 1;
+    (c) |l f - lam z| <= u F + lam d.
+
+    In all lam d + u ((8.02 + 14u) (V + 1) + (3 + 7u) F) <= lam d + 8.03 u
+    (V + 1 + F).  The computed d' is at least (1 - u)^2 L d + (1 - u)^3 K
+    (V + 1 + F), and (1 - u)^2 L >= lam (1 - u)^4 (1 + 8u) >= lam, as l >=
+    lam (1 - u).  A rate below 2^-1022, whose float errs absolutely, and
+    gradual underflow add under 2^-500 in all, since F and d are below
+    2^502 wherever d is finite: a certified step has w < 2^502 and d < w
+    (its orientations, at most 2.001 w^2, exceed 4.09 d w), and a fresh
+    bound is below 2^501.  That is far below the slack of 0.2 u (V + 1).
+    So every certified label is the exact one, and every point, code and
+    termination is that of stepping with ``step``.
     """
     lam = Fraction(lam)
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
+    p, q = lam.numerator, lam.denominator
+    if not 0 < p <= q:
+        raise ValueError("need 0 < lam <= 1")
     rec = OrbitRecord(start=x, lam=lam, points=[x])
+    points, code = rec.points, rec.code
     seen = {x: 0}
+    vertices, orders, extent = P.vertices, P.float_wedges(), P.float_extent()
+    g, l = float(1 + lam), float(lam)  # correctly rounded int divisions
+    grow = l * (1 + 8 * _U)
+    fx, fy, d = _fresh_float(P, x)
+    order = orders[0]
     cur = x
     for k in range(max_steps):
-        try:
-            cur, label = step(P, lam, cur)
-        except StepDomainError as exc:
-            rec.termination = "inside" if exc.kind == "inside" else "hit_singular"
-            rec.singular_step = None if exc.kind == "inside" else k
-            return rec
-        rec.code.append(label)
-        rec.points.append(cur)
-        prev = seen.get(cur)
-        if prev is not None:
+        w = max(abs(fx), abs(fy)) + extent
+        row = float_select(order, fx, fy, _select_margin(w, d))
+        if row is None:
+            sel = select_vertex(P, cur)
+            if sel.kind != "vertex":
+                rec.termination = "inside" if sel.kind == "inside" else "hit_singular"
+                rec.singular_step = None if sel.kind == "inside" else k
+                return rec
+            row = orders[0][sel.label - 1]
+            fx, fy, d = _fresh_float(P, cur)
+            w = max(abs(fx), abs(fy)) + extent
+        label, vx, vy = row[0], row[1], row[2]
+        cur = reflect_contract(vertices[label - 1], p, q, cur)
+        fx, fy, d = g * vx - l * fx, g * vy - l * fy, grow * d + _STEP_ERROR * w
+        order = orders[label]
+        code.append(label)
+        points.append(cur)
+        prev = seen.setdefault(cur, k + 1)
+        if prev <= k:
             rec.termination = "exact_repeat"
             rec.preperiod = prev
             rec.period = k + 1 - prev
             return rec
-        seen[cur] = k + 1
-    rec.termination = "cap_reached"
     return rec
 
 

@@ -572,19 +572,27 @@ def _auto_half_width(constraints):
 
     Only the largest |c| per normal is divided: correctly rounded division
     by a positive float is monotone, so it gives the largest quotient.
+    GeometryError when an offset or the box is past the float range, where
+    no float box exists and the caller must pass one.
     """
     most = {}
-    for hp in constraints:
-        key = (hp.a, hp.b)
-        cv = abs(hp.c.to_complex().real)
-        if cv > most.get(key, -1.0):
-            most[key] = cv
-    worst = 4.0
-    for (a, b), cv in most.items():
-        scale = math.hypot(a.to_complex().real, b.to_complex().real)
-        if scale > 0:
-            worst = max(worst, cv / scale)
-    return Fraction(int(4 * worst) + 4)
+    try:
+        for hp in constraints:
+            key = (hp.a, hp.b)
+            cv = abs(hp.c.to_complex().real)
+            if not cv < math.inf:  # a sum of finite terms overflowed, or NaN
+                raise OverflowError
+            if cv > most.get(key, -1.0):
+                most[key] = cv
+        worst = 4.0
+        for (a, b), cv in most.items():
+            scale = math.hypot(a.to_complex().real, b.to_complex().real)
+            if scale > 0:
+                worst = max(worst, cv / scale)
+        return Fraction(int(4 * worst) + 4)
+    except OverflowError:
+        raise GeometryError(
+            "a half-plane offset exceeds the float range: pass half_width") from None
 
 
 def intersect_halfplanes(constraints, half_width=None):

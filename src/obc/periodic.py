@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
-from operator import mul
 
 from .errors import (
     CodeNotRealizableError,
@@ -93,14 +92,16 @@ def _code_vertices(P, code):
     return [vs[a - 1] for a in code]
 
 
-def _vertex_sum(P, word, weights):
-    """sum_i weights[i] * v_{word[i]}, exactly: the rational weights are added
-    per label first, so it takes one field product per distinct label."""
+def _vertex_sum(P, word, weights, scale=1):
+    """scale * sum_i weights[i] * v_{word[i]}, exactly: the integer weights
+    are added per label first, so it takes one field product per distinct
+    label and one rational scaling."""
     per_label = dict.fromkeys(word, 0)
     for a, w in zip(word, weights):
         per_label[a] += w
     vs = P.vertices
-    return sum((vs[a - 1] * w for a, w in per_label.items() if w), CycloNum.zero(vs[0].n))
+    total = sum((vs[a - 1] * w for a, w in per_label.items() if w), CycloNum.zero(vs[0].n))
+    return total if scale == 1 else total * scale
 
 
 def code_fixed_point(P, code, lam):
@@ -111,13 +112,14 @@ def code_fixed_point(P, code, lam):
     if not 0 < lam <= 1:
         raise ValueError("need 0 < lam <= 1")
     k = len(code.word)
-    neg = -lam
-    den = 1 - neg**k
+    p, q = lam.numerator, lam.denominator
+    den = q**k - (-p) ** k
     if den == 0:
         raise IndeterminateFixedPointError("indeterminate; use stability_limit")
-    # letter i weighs (1 + lam) / den * neg^(k-1-i): from the last letter back
-    weights = accumulate(repeat(neg, k - 1), mul, initial=(1 + lam) / den)
-    return _vertex_sum(P, code.word[::-1], weights)
+    # letter i weighs (1 + lam) / (1 - (-lam)^k) * (-lam)^(k-1-i), that is
+    # (p + q) / den * (-p)^(k-1-i) q^i: from the last letter back
+    weights = accumulate(repeat(-p, k - 1), lambda w, m: w * m // q, initial=q ** (k - 1))
+    return _vertex_sum(P, code.word[::-1], weights, Fraction(p + q, den))
 
 
 def compose_code_map(P, code, lam, z):
@@ -390,7 +392,7 @@ def stability_limit(P, code):
             "alternating vertex sum does not vanish; not a tile code"
         )
     k = len(word)
-    return _vertex_sum(P, word, (Fraction((-1) ** i * 2 * (k - 1 - i), k) for i in range(k)))
+    return _vertex_sum(P, word, ((-1) ** i * 2 * (k - 1 - i) for i in range(k)), Fraction(1, k))
 
 
 def is_lambda_stable(P, code):

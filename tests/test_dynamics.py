@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from obc.dynamics import (
     _FLOAT_MARGIN,
     Code,
+    _fresh_float,
     _select_exhaustive,
     _select_margin,
     float_select,
@@ -164,8 +165,9 @@ def _same_selection(P, z):
     fast, slow = select_vertex(P, z), _select_exhaustive(P, z)
     assert (fast.kind, fast.label, fast.candidates) == (
         slow.kind, slow.label, slow.candidates), z
-    f = z.to_complex()
-    row = float_select(P.float_wedges()[0], f.real, f.imag, _select_margin(P, z))
+    fx, fy, e = _fresh_float(P, z)
+    margin = _select_margin(max(abs(fx), abs(fy)) + P.float_extent(), e)
+    row = float_select(P.float_wedges()[0], fx, fy, margin)
     if row is not None:
         assert (slow.kind, slow.label) == ("vertex", row[0]), z
     return slow, row is not None

@@ -13,7 +13,7 @@ from mpmath import mp
 import obc
 from obc.errors import ConductorMismatchError, NotRealError
 from obc import field
-from obc.dynamics import Selection, _select_margin, float_select, select_vertex
+from obc.dynamics import Selection, _fresh_float, _select_margin, float_select, select_vertex
 from obc.field import (
     _TRIG_WIDTH_BITS,
     FLOAT_TRIG_ERROR,
@@ -166,15 +166,15 @@ def test_float_trig_check_accepts_within_and_rejects_beyond_its_error(monkeypatc
     monkeypatch.setitem(field._CONTEXTS, 7, ctx)
     P, z = regular_ngon(7), from_scaled(7, 3, 0)
     if shift < FLOAT_TRIG_ERROR:
-        margin = _select_margin(P, z)
+        fx, fy, e = _fresh_float(P, z)
+        margin = _select_margin(max(abs(fx), abs(fy)) + P.float_extent(), e)
         assert margin < math.inf
-        f = z.to_complex()
-        row = float_select(P.float_wedges()[0], f.real, f.imag, margin)
+        row = float_select(P.float_wedges()[0], fx, fy, margin)
         assert row is not None
         assert select_vertex(P, z) == Selection("vertex", row[0])
         return
     with pytest.raises(ArithmeticError):
-        _select_margin(P, z)
+        _fresh_float(P, z)
     with pytest.raises(ArithmeticError):
         select_vertex(P, z)
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import obc.geometry
+from obc.atlas import scr_constraints
 from obc.dynamics import iterate
 from obc.errors import ConductorMismatchError, GeometryError
 from obc.field import CycloNum, sign_of_real
@@ -333,6 +334,22 @@ def test_halfplane_intersection_unbounded():
     one = CycloNum.one(4)
     zero = CycloNum.zero(4)
     res = intersect_halfplanes([HalfPlane(one, zero, zero)])
+    assert res.kind == "unbounded"
+
+
+def test_offsets_past_the_float_range_need_a_given_box():
+    # offsets near 2^1100: no float box exists, so the caller must pass one
+    # (scr_region does, and its result is the scr_deep pin)
+    cons = scr_constraints(regular_ngon(5), Fraction(1, 2),
+                           from_scaled(5, Fraction(251, 100), Fraction(33, 100)), 1100)
+    with pytest.raises(GeometryError, match="half_width"):
+        intersect_halfplanes(cons)
+    huge = CycloNum.from_rational(4, 2**1030)
+    one, zero = CycloNum.one(4), CycloNum.zero(4)
+    with pytest.raises(GeometryError, match="half_width"):
+        intersect_halfplanes([HalfPlane(one, zero, huge), HalfPlane(-one, zero, huge)])
+    res = intersect_halfplanes([HalfPlane(one, zero, huge), HalfPlane(-one, zero, huge)],
+                               half_width=1)
     assert res.kind == "unbounded"
 
 

@@ -3,7 +3,7 @@
 The CI workflow pins the same sha256 digests through the console script, in
 steps after the benchmark selftest; these run with the unit tests, so a
 changed output fails here whatever an earlier workflow step does.  About
-four seconds in all.
+five seconds in all.
 """
 
 import hashlib
@@ -56,6 +56,12 @@ PINS = [
     ("contracted_orbit", ["orbit", "--n", "4", "--lambda", "1/2", "--seed", "2.5,0.4375",
                           "--steps", "5000"],
      None, "8c7458ce1e6cc40c543b33c4f3b28b376b43206d7a0c5aa6c270231d9d470f74", None),
+    # 20000 uncontracted steps outside the septagon, each vertex certified
+    # from the float image that the orbit carries with its error bound
+    ("long_septagon_orbit", ["orbit", "--n", "7", "--seed", "7:3/1,4/5,2/5,2/5,2/5,2/5",
+                             "--steps", "20000"],
+     None, "4d5dd2f2523fc69058941d735accaee795d7691a971e1a5bb592e168b2587601",
+     "termination=cap_reached"),
 ]
 
 
