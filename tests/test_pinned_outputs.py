@@ -13,6 +13,11 @@ import pytest
 from obc.cli import run_cli
 
 WINDOW = ["--window", "0.3,4,0.3,4", "--resolution", "1/12", "--max-period", "300"]
+# the 120th preimage under the lam = 1 map of a point 2^-60 off a singular
+# ray of the pentagon
+RESEED_START = ("5:-32281802128991715319/6917529027641081856,"
+                "-28823037615171174397/3458764513820540928,"
+                "4611686018427387905/2305843009213693952,4611686018427387905/2305843009213693952")
 
 # (name, argv, file the command writes or None for stdout, sha256, a line
 # its stdout must hold or None)
@@ -62,6 +67,11 @@ PINS = [
                              "--steps", "20000"],
      None, "4d5dd2f2523fc69058941d735accaee795d7691a971e1a5bb592e168b2587601",
      "termination=cap_reached"),
+    # a period-750 pentagon orbit that passes 2^-60 off singular rays: the
+    # carried filter abstains at 6 steps, and the image is re-seeded there
+    ("reseeded_pentagon_orbit", ["orbit", "--n", "5", "--seed", RESEED_START, "--steps", "1000"],
+     None, "9632109a32b1606e06714b2fdbb9dd9bbaf0d6f0420a81b40569c26010f94d92",
+     "termination=exact_repeat preperiod=0 period=750"),
 ]
 
 
