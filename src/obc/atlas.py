@@ -24,10 +24,9 @@ from .geometry import (
     ConvexPolygon,
     from_scaled,
     hausdorff_distance,
-    intersect_halfplanes,
     regular_ngon,
 )
-from .periodic import code_constraints, tile_from_code
+from .periodic import code_constraints, same_code_region, tile_from_code
 
 
 @dataclass(frozen=True)
@@ -189,16 +188,11 @@ def scr_constraints(P, lam, x, depth):
 
 def scr_region(P, lam, x, depth):
     """Exact truncated same-code region around x outside P (scr_constraints),
-    for lam < 1 inside the box of half-width 2n(1+lam)/(1-lam) + 4, n = x.n."""
+    for lam < 1 inside the box of ``same_code_region``."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     lam = Fraction(lam)
-    cons = scr_constraints(P, lam, x, depth)
-    if lam < 1:
-        w = Fraction(2 * x.n) * (1 + lam) / (1 - lam) + 4
-    else:
-        w = None
-    res = intersect_halfplanes(cons, half_width=w)
+    res = same_code_region(scr_constraints(P, lam, x, depth), lam)
     if res.polygon is None:
         raise ObcError(f"same-code region degenerated: {res.kind}")
     if not res.polygon.contains(x):

@@ -29,8 +29,8 @@ directly, and the pairs become points x + i*sin(2*pi/n)*ytilde once, at the
 end.  Clipping is a filtered predicate, like vertex selection: each chain
 vertex carries floats of its coordinates with a proved error bound, and the
 side of a*x + b*ytilde + c is read from floats whenever it clears the bound
-proved at ``_clip``; only a vertex within that bound, in practice one lying
-on the clip line, gets the exact value and its sign.  A crossing is the meet
+proved at ``side_filter``; only a vertex within that bound, in practice one
+lying on the clip line, gets the exact value and its sign.  A crossing is the meet
 of the clip line with the line of the crossed edge, which each vertex
 carries, through factors cached per pair of normals, so no crossing takes a
 field inverse.  A half-plane clips only if no already clipped one with the
@@ -503,13 +503,13 @@ def _box(w):
     return [_vertex(x, t, side) for (x, t), side in zip(corners, sides)]
 
 
-def _clip(chain, hp):
-    """Sutherland-Hodgman clip of a convex CCW chain of ``_vertex`` tuples by
-    the closed half-plane hp.
+def side_filter(hp):
+    """(fa, fb, fc, k1, k2, k0): the floats of hp's a, b, c and the constants
+    of a proved bound on the error of its float value.
 
-    Side test.  With (fa, ea), (fb, eb), (fc, ec) = ``_real_float`` of hp's
-    a, b, c, the float v = fa*fx + fb*ft + fc of a vertex with floats within
-    e of its coordinates x, ytilde is within
+    With (fa, ea), (fb, eb), (fc, ec) = ``_real_float`` of a, b, c, the
+    float v = fa*fx + fb*ft + fc at floats fx, ft within e of a point's
+    coordinates x, ytilde, r = max(|fx|, |ft|), is within
 
         M = k1 r + k2 e + k0,   k1 = 4u g + ea + eb,   k2 = g + ea + eb,
         k0 = 4u |fc| + ec,      g = |fa| + |fb|,       u = 2^-53,
@@ -523,7 +523,24 @@ def _clip(chain, hp):
     3 * 2^-1075, far below the 1 % slack on ec >= E.  The bound is computed
     as 1.01 M (``_SLACK``): v above it is a positive value, below minus it a
     negative one, and anything else, including a bound that overflowed or is
-    NaN, gets the exact value and its sign.
+    NaN, decides nothing.  ``_clip`` reads it at the error e of its chain
+    vertices; ``periodic.captured_word`` reads it at e = 0, for a float
+    point that is itself the point tested.
+    """
+    fa, ea = _real_float(hp.a)
+    fb, eb = _real_float(hp.b)
+    fc, ec = _real_float(hp.c)
+    g = abs(fa) + abs(fb)
+    return fa, fb, fc, 4 * _U * g + ea + eb, g + ea + eb, 4 * _U * abs(fc) + ec
+
+
+def _clip(chain, hp):
+    """Sutherland-Hodgman clip of a convex CCW chain of ``_vertex`` tuples by
+    the closed half-plane hp.
+
+    Side test.  A vertex's side is read from its floats when they clear the
+    bound of ``side_filter`` at the vertex's error e; otherwise its exact
+    value decides.
 
     Crossings.  A vertex is kept when its side is >= 0, and a point is added
     on each edge whose ends lie strictly on opposite sides.  That point is
@@ -538,13 +555,7 @@ def _clip(chain, hp):
     kept vertex on hp's line; an added point where the chain enters keeps
     the crossed edge's line, which runs on to the next kept vertex.
     """
-    fa, ea = _real_float(hp.a)
-    fb, eb = _real_float(hp.b)
-    fc, ec = _real_float(hp.c)
-    g = abs(fa) + abs(fb)
-    k1 = 4 * _U * g + ea + eb
-    k2 = g + ea + eb
-    k0 = 4 * _U * abs(fc) + ec
+    fa, fb, fc, k1, k2, k0 = side_filter(hp)
     sides = []
     for x, t, fx, ft, r, e, _ in chain:
         v = fa * fx + fb * ft + fc

@@ -1,4 +1,4 @@
-"""Periodic points and their capture boxes, unfolding chains, tiles and
+"""Periodic points and their capture regions, unfolding chains, tiles and
 the two tile verdicts.
 
 A finite code C of length k determines the composed affine map
@@ -31,15 +31,15 @@ from .errors import (
     IndeterminateFixedPointError,
     StabilityPreconditionError,
 )
-from .field import CycloNum, _reduced, sign_of_real
+from .field import CycloNum, _reduced
 from .dynamics import Code, float_select, reflect_contract
 from .geometry import (
+    _SLACK,
     ConvexPolygon,
     HalfPlane,
-    from_scaled,
-    imag_scaled,
+    halfplane_left_of,
     intersect_halfplanes,
-    real_part,
+    side_filter,
 )
 
 
@@ -178,57 +178,103 @@ def follows_code(P, lam, q, code):
     return code_endpoint(P, lam, q, code) == q
 
 
-def capture_box(P, W, lam):
-    """A closed box (x0, x1, y0, y1) of floats in (x, ytilde) coordinates
-    whose points all follow the even word W forever at rate lam.
+class CaptureRegion:
+    """The capture region K of an even word (``capture_region``): every point
+    of K's interior follows the word forever.  ``edges`` holds, per edge of
+    K, the constants (fa, fb, fc, k1, k0) of ``geometry.side_filter`` for the
+    half-plane left of that edge."""
 
-    The box is centred at the floats of W's periodic point q_W and halves
-    from half-width 1/2 until its exact (dyadic) bounds enclose q_W strictly
-    and each corner ``from_scaled(n, x, ytilde)`` follows W for |W| steps
-    (``code_endpoint``).  The corners then lie in the open convex region
-    R_W of points whose first |W| labels are W, so the box does too; and as
-    F_W(z) = q_W + lam^|W| (z - q_W) lies on the segment [q_W, z], F_W maps
-    the box into itself.  None when q_W is not real (``follows_code``) or
-    no half-width down to 2^-40 works.  Needs 0 < lam < 1.
+    __slots__ = ("word", "polygon", "edges")
+
+    def __init__(self, word, polygon, edges):
+        self.word = word
+        self.polygon = polygon
+        self.edges = edges
+
+    def holds(self, x, t):
+        """True only if the point with floats (x, ytilde) = (x, t), read
+        exactly, lies in K's interior: its float value on each edge's
+        half-plane clears ``side_filter``'s bound at input error 0, so the
+        exact value is positive.  False proves nothing: a point within the
+        bound of some edge is just not captured."""
+        r = max(abs(x), abs(t))
+        for fa, fb, fc, k1, k0 in self.edges:
+            if not fa * x + fb * t + fc > _SLACK * (k1 * r + k0):
+                return False
+        return True
+
+
+def same_code_region(constraints, lam):
+    """``intersect_halfplanes`` of same-code half-planes (``code_constraints``)
+    at rate lam; for lam < 1 inside the box of half-width
+    2n(1 + lam)/(1 - lam) + 4, n the conductor.  A fixed box, as the offsets
+    of a long word at small lam pass the float range, where
+    ``_auto_half_width`` raises."""
+    w = None
+    if lam < 1:
+        w = Fraction(2 * constraints[0].a.n) * (1 + lam) / (1 - lam) + 4
+    return intersect_halfplanes(constraints, half_width=w)
+
+
+def capture_region(P, W, lam):
+    """The capture region of the word W (doubled when odd) at rate lam, a
+    ``CaptureRegion``; None when q_W is not real (``follows_code``) or does
+    not lie in the interior of K.  Needs 0 < lam < 1.
+
+    K = ``same_code_region(code_constraints(P, lam, W), lam)``.  Proof that
+    every point z of K's interior follows W forever.  K is the intersection
+    of closed half-planes with q_W in its interior, so its interior is the
+    intersection of the open ones: it lies in the open box and in the open
+    region R_W of points whose first |W| labels are W, strictly inside each
+    vertex wedge (``code_constraints``).  So z follows W for |W| steps and
+    reaches F_W(z) = q_W + lam^|W| (z - q_W), the composed map of the |W|
+    steps, |W| even, with fixed point q_W.  As 0 < lam^|W| < 1, F_W(z) lies
+    on the segment from z to q_W, both in the open convex interior, and so
+    in it too; by induction the orbit of z follows W forever.  (q_W in that
+    interior also follows W; ``follows_code`` runs first only because it
+    rejects a cycle that is not real without building K.)
     """
     lam = Fraction(lam)
     if not 0 < lam < 1:
         raise ValueError("need 0 < lam < 1")
+    W = Code.coerce(W).doubled_even()
     q = code_fixed_point(P, W, lam)
     if not follows_code(P, lam, q, W):
         return None
-    n = P.vertices[0].n
-    qx, qy = real_part(q), imag_scaled(q)
-    # to_complex rounds a rational element (every n = 4 coordinate) correctly
-    cx, cy = qx.to_complex().real, qy.to_complex().real
-    for e in range(1, 41):
-        h = 2.0**-e
-        x0, x1, y0, y1 = cx - h, cx + h, cy - h, cy + h
-        if not all(sign_of_real(t - Fraction(lo)) > 0 > sign_of_real(t - Fraction(hi))
-                   for t, lo, hi in ((qx, x0, x1), (qy, y0, y1))):
-            continue
-        if all(code_endpoint(P, lam, from_scaled(n, Fraction(x), Fraction(y)), W) is not None
-               for x in (x0, x1) for y in (y0, y1)):
-            return x0, x1, y0, y1
-    return None
+    K = same_code_region(code_constraints(P, lam, W), lam).polygon
+    if K is None or K.locate(q) != "interior":
+        return None
+    vs = K.vertices
+    edges = []
+    for p, r in zip(vs, vs[1:] + vs[:1]):
+        fa, fb, fc, k1, _, k0 = side_filter(halfplane_left_of(p, r))
+        edges.append((fa, fb, fc, k1, k0))
+    return CaptureRegion(W, K, tuple(edges))
 
 
-def captured_word(P, x, y, lam, max_steps, boxes):
+def captured_word(P, x, y, lam, max_steps, regions):
     """Canonical word of the cycle that provably captures the float orbit
     of the point (x, y), or None if none does within max_steps.
 
-    Every 16 float steps, p is the least period <= 120 of the recent labels
-    and W the last p labels, doubled if odd.  The orbit stops once its
-    float point, read as (x, y / sin(2*pi/n)), lies in W's capture box
-    (``capture_box``), every point of which follows W forever; for n = 4
-    the scale is 1.0 and the four comparisons are exact.  The float orbit
+    Before each float step the point, read as (x, y / sin(2*pi/n)), is
+    tested against each capture region (``capture_region``) whose word
+    starts with the label the float screen just chose
+    (``CaptureRegion.holds``); the orbit stops in the first that holds it,
+    every point of which follows the region's word forever.  Every 16 float
+    steps, p is the least period <= 120 of the recent labels, and the
+    region of the last p labels is certified if it is new.  The float orbit
     before capture is not proved; after label a it screens ``orders[a]``
-    (``P.float_wedges()``).  ``boxes`` maps each tail of p labels to its box
-    and canonical word; calls may share it for the same P and lam.
+    (``P.float_wedges()``).  ``regions`` maps each label a to a dict from
+    the tails of p labels that start with a to their region (or None) and
+    canonical word; calls may share it for the same P and lam.  Needs
+    0 < lam < 1.
     """
+    lamf = float(lam)
+    # rounding is monotone and keeps 0 and 1, so 0 < lamf < 1 proves 0 < lam < 1
+    if not 0.0 < lamf < 1.0 and not 0 < lam < 1:
+        raise ValueError("need 0 < lam < 1")
     orders = P.float_wedges()
     lbl = 0  # orders[0] is the label order: no label taken yet
-    lamf = float(lam)
     grow = 1 + lamf
     scale = math.sin(2.0 * math.pi / P.vertices[0].n)
     code = []
@@ -237,6 +283,12 @@ def captured_word(P, x, y, lam, max_steps, boxes):
         if row is None:
             return None
         lbl, vx, vy = row[0], row[1], row[2]
+        tails = regions.get(lbl)
+        if tails:
+            t = y / scale
+            for region, word in tails.values():
+                if region is not None and region.holds(x, t):
+                    return word
         x = grow * vx - lamf * x
         y = grow * vy - lamf * y
         code.append(lbl)
@@ -247,12 +299,9 @@ def captured_word(P, x, y, lam, max_steps, boxes):
         if p is None:
             continue
         key = tuple(code[-p:])
-        if key not in boxes:
-            tail = Code(key)
-            boxes[key] = capture_box(P, tail.doubled_even(), lam), tail.canonical()
-        box, word = boxes[key]
-        if box is not None and box[0] <= x <= box[1] and box[2] <= y / scale <= box[3]:
-            return word
+        tails = regions.setdefault(key[0], {})
+        if key not in tails:
+            tails[key] = capture_region(P, key, lam), Code(key).canonical()
     return None
 
 

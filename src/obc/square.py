@@ -6,11 +6,13 @@ The square here has vertices (+-1, +-1) in Q(i), labeled counterclockwise
 from (1, 1); the index-k orbit has period 4k and its tile is the unit-side
 grid square centered at (-2k, 0).
 
+Threshold brackets bisect in integers on the dyadic grid (``lambda_k``).
 Attractor counts sample random starts outside the square and hand each
 float orbit to the polygon-generic capture of ``periodic.captured_word``,
-which stops it once it enters a certified capture box: every point of the
-box provably follows the box's cycle forever.  Not proved: the float orbit
-before capture, and that no attractor was missed.
+which stops it once it enters a certified capture region, the same-code
+region of a cycle phase: every point of its interior provably follows the
+cycle forever.  Not proved: the float orbit before capture, and that no
+attractor was missed.
 """
 
 from __future__ import annotations
@@ -84,10 +86,23 @@ def _poly_mul(a, b):
     return out
 
 
+def _p_sign(k, m, d):
+    """Sign of p_k(m/d) for integers m and d > 0: the sign of
+    d^(2k) p_k(m/d) = d^(2k) - m^(k-1) d^(k+1) - m^k d^k + m^(2k)."""
+    mk1 = m ** (k - 1)
+    mk = mk1 * m
+    dk = d**k
+    v = dk * dk - mk1 * dk * d - mk * dk + mk * mk
+    return (v > 0) - (v < 0)
+
+
 def lambda_k(k, tol=Fraction(1, 10**12)):
     """Isolating rational interval for the unique root of p_k in [0, 1).
 
-    Bisection with exact sign evaluation; for k = 1 the root is 0 exactly.
+    Bisection with exact sign evaluation (``_p_sign``) on the dyadic grid:
+    lo = a / 2^J and hi = b / 2^J in integers.  First hi = 1 - 2^-j for the
+    least j >= 1 with p_k(hi) < 0, and lo = 1 - 2^(1-j); then each step
+    halves [lo, hi] until hi - lo <= tol.  For k = 1 the root is 0 exactly.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -96,28 +111,25 @@ def lambda_k(k, tol=Fraction(1, 10**12)):
         raise ValueError("tol must be positive")
     if k == 1:
         return (Fraction(0), Fraction(0))
-    lo = Fraction(0)
-    hi = None
-    probe = Fraction(1, 2)
-    while hi is None:
-        cand = 1 - probe
-        if p_eval(k, cand) < 0:
-            hi = cand
+    for j in range(1, 81):
+        d = 1 << j
+        if _p_sign(k, d - 1, d) < 0:
+            break
+    else:  # pragma: no cover
+        raise ArithmeticError("failed to bracket the root")
+    a, b = d - 2, d - 1
+    tn, td = tol.numerator, tol.denominator
+    while (b - a) * td > tn * d:
+        m = a + b
+        d <<= 1
+        s = _p_sign(k, m, d)
+        if s == 0:
+            return (Fraction(m, d), Fraction(m, d))
+        if s > 0:
+            a, b = m, 2 * b
         else:
-            lo = max(lo, cand)
-            probe /= 2
-            if probe < Fraction(1, 2**80):  # pragma: no cover
-                raise ArithmeticError("failed to bracket the root")
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        v = p_eval(k, mid)
-        if v == 0:
-            return (mid, mid)
-        if v > 0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo, hi)
+            a, b = 2 * a, m
+    return (Fraction(a, d), Fraction(b, d))
 
 
 def existence_condition(k, lam):
@@ -125,7 +137,7 @@ def existence_condition(k, lam):
     lam = Fraction(lam)
     if not 0 < lam < 1:
         raise ValueError("need 0 < lam < 1")
-    return p_eval(k, lam) <= 0
+    return _p_sign(k, lam.numerator, lam.denominator) <= 0
 
 
 def sk_code(k):
@@ -261,10 +273,10 @@ def count_attractors(lam, samples=200, max_steps=10_000, seed=0):
     """Number of distinct periodic attractors that capture random starts.
 
     Each counted attractor is certified: its periodic point is real and at
-    least one sample's orbit reaches a point of its certified capture box,
-    which provably follows its code forever (see ``periodic.capture_box``).
-    Neither the float prefix of that orbit nor the absence of further
-    attractors is proved.
+    least one sample's orbit reaches an interior point of one of its
+    certified capture regions, which provably follows its code forever (see
+    ``periodic.capture_region``).  Neither the float prefix of that orbit
+    nor the absence of further attractors is proved.
     """
     count, _, _ = count_attractors_detail(lam, samples, max_steps, seed)
     return count
@@ -274,18 +286,20 @@ def count_attractors_detail(lam, samples=200, max_steps=10_000, seed=0):
     """(count, sorted canonical words, undecided) over ``samples`` seeded
     starts in the trapping disc outside the square.
 
-    A sample counts toward a word when its float orbit enters that word's
-    capture box (``periodic.captured_word``); the boxes are certified once per
-    cycle phase and shared by all samples.  A sample is undecided when no
-    box captures its orbit within ``max_steps`` float steps, or when the
-    float screen meets a wedge boundary.
+    A sample counts toward a word when its float orbit enters a capture
+    region of that word (``periodic.captured_word``), tested at every float
+    step; a region is certified at most once per cycle phase, when a
+    sample's period search first finds that phase, and shared by all
+    samples.  A sample is undecided when no region captures its orbit within
+    ``max_steps`` float steps, or when the float screen meets a wedge
+    boundary.
     """
     lam = Fraction(lam)
     if not 0 < lam < 1:
         raise ValueError("need 0 < lam < 1")
     radius = orbit_bound(_sq(), lam)
     rng = random.Random(seed)
-    boxes = {}
+    regions = {}
     found = set()
     undecided = 0
     for _ in range(samples):
@@ -294,7 +308,7 @@ def count_attractors_detail(lam, samples=200, max_steps=10_000, seed=0):
             y = rng.uniform(-radius, radius)
             if x * x + y * y <= radius * radius and max(abs(x), abs(y)) > 1.0:
                 break
-        word = captured_word(_sq(), x, y, lam, max_steps, boxes)
+        word = captured_word(_sq(), x, y, lam, max_steps, regions)
         if word is None:
             undecided += 1
         else:

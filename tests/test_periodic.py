@@ -480,18 +480,17 @@ def test_is_symmetric_agrees_with_rotated_iterates(tile_phases, n12_atlas, septa
 
 def test_unstable_n12_centres_are_captured_by_stable_cycles(n12_atlas):
     # near lam = 1 the float orbit from the centre of each non-symmetric,
-    # unstable period-24 tile enters the certified capture box of a stable
-    # period-4 tile's cycle (after about 1 500 float steps); only that float
-    # prefix is unproved
+    # unstable period-24 tile enters a certified capture region of a stable
+    # period-4 tile's cycle; only that float prefix is unproved
     P = regular_ngon(12)
     stable4 = {t.code.canonical() for t in n12_atlas.tiles()
                if t.period == 4 and t.stability.verdict == "stable"}
     centres = [t.center() for t in n12_atlas.tiles()
                if t.period == 24 and not t.symmetric and t.stability.verdict == "unstable"]
     assert len(centres) == 2
-    boxes = {}
+    regions = {}
     for c in centres:
-        word = captured_word(P, *point_xy(c), Fraction(999, 1000), 4000, boxes)
+        word = captured_word(P, *point_xy(c), Fraction(999, 1000), 4000, regions)
         assert word is not None and len(word) == 4 and word in stable4, word
 
 

@@ -1,6 +1,8 @@
 """Square family: threshold polynomials, closed forms, degenerate orbits,
 attractor counting."""
 
+import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -9,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import obc.periodic
-from obc.field import CycloNum, sign_of_real
 from obc.geometry import (
     from_scaled,
     imag_scaled,
@@ -19,11 +20,13 @@ from obc.geometry import (
     regular_ngon,
 )
 from obc.periodic import (
-    capture_box,
+    capture_region,
+    captured_word,
     code_constraints,
     code_endpoint,
     code_fixed_point,
     compose_code_map,
+    same_code_region,
     validate_periodic,
 )
 from obc.square import (
@@ -234,74 +237,185 @@ def test_orbits_stopped_before_first_capture_attempt_are_undecided():
 
 
 # (P, lam, W): the square's counted cycles, and the n=12 cycle of the
-# stable period-4 tile (1, 4, 7, 10) near lam = 1, whose box lives in
+# stable period-4 tile (1, 4, 7, 10) near lam = 1, whose region lives in
 # (x, ytilde) with ytilde = y / sin(pi/6)
 BOXED = [(SQ, lam, w) for lam, (_, words, _) in PINNED_COUNTS.items() for w in words]
 BOXED.append((regular_ngon(12), Fraction(999, 1000), (1, 4, 7, 10)))
 
 
-def _box_signs(box, z):
-    """Exact signs of z's (x, ytilde) against the box: all > 0 inside."""
-    x0, x1, y0, y1 = (Fraction(b) for b in box)
-    x, y = real_part(z), imag_scaled(z)
-    return [sign_of_real(d) for d in (x - x0, x1 - x, y - y0, y1 - y)]
-
-
-def test_capture_box_encloses_q_and_its_corners_follow_the_word():
+def test_capture_region_holds_q_and_maps_into_itself():
+    # K is the same-code region of W in the shared box, q_W lies inside it,
+    # and the composed map of W sends each vertex of K into K: F_W(K) in K
     for P, lam, w in BOXED:
-        n = P.vertices[0].n
-        box = capture_box(P, w, lam)
-        assert box is not None, (n, lam, w)
-        assert min(_box_signs(box, code_fixed_point(P, w, lam))) > 0
-        x0, x1, y0, y1 = (Fraction(b) for b in box)
-        for x in (x0, x1):
-            for y in (y0, y1):
-                assert code_endpoint(P, lam, from_scaled(n, x, y), w) is not None
+        reg = capture_region(P, w, lam)
+        assert reg is not None, (P, lam, w)
+        assert reg.word == w
+        K = reg.polygon
+        assert K == same_code_region(code_constraints(P, lam, w), lam).polygon
+        assert K.locate(code_fixed_point(P, w, lam)) == "interior"
+        assert len(reg.edges) == len(K.vertices)
+        for v in K.vertices:
+            assert K.contains(compose_code_map(P, w, lam, v)), (w, lam)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(BOXED), st.integers(0, 2**20), st.integers(0, 2**20))
-def test_dyadic_points_in_the_capture_box_stay_in_it(case, i, j):
+@given(st.sampled_from(BOXED), st.integers(0, 63), st.integers(0, 2**20 - 1),
+       st.integers(0, 2**20 - 1))
+def test_points_of_the_capture_region_stay_in_it(case, i, s, t):
+    # z = c + s (v_i - c) + t (v_(i+1) - c), c the centroid, s + t < 1:
+    # a point of K's interior follows W for |W| steps and lands inside K
     P, lam, w = case
-    box = capture_box(P, w, lam)
-    x0, x1, y0, y1 = (Fraction(b) for b in box)
-    z = from_scaled(P.vertices[0].n, x0 + (x1 - x0) * Fraction(i, 2**20),
-                    y0 + (y1 - y0) * Fraction(j, 2**20))
+    K = capture_region(P, w, lam).polygon
+    vs = K.vertices
+    i %= len(vs)
+    s, t = Fraction(s, 2**21), Fraction(t, 2**21)
+    c = K.centroid()
+    z = c + (vs[i] - c) * s + (vs[(i + 1) % len(vs)] - c) * t
+    assert K.locate(z) == "interior"
     end = code_endpoint(P, lam, z, w)
     assert end is not None
     assert end == compose_code_map(P, w, lam, z)
-    assert min(_box_signs(box, end)) >= 0
+    assert K.locate(end) == "interior"
 
 
-def test_capture_box_encloses_q_even_off_centre(monkeypatch):
-    # move the float centre by the unshifted box's half-width: small boxes
-    # around it can still follow the word yet miss q_W, and only the exact
-    # enclosure check rejects them
-    orig = CycloNum.to_complex
+def test_capture_region_needs_q_inside_its_box(monkeypatch):
+    # shrink the box until q_W is on or just outside its edge: the region
+    # still has interior near q_W, and only the exact check rejects it
     for P, lam, w in BOXED:
-        x0, x1, _, _ = capture_box(P, w, lam)
-        h = (x1 - x0) / 2
-        monkeypatch.setattr(CycloNum, "to_complex", lambda z, h=h: orig(z) + h)
-        box = capture_box(P, w, lam)
-        monkeypatch.setattr(CycloNum, "to_complex", orig)
-        if box is not None:
-            assert min(_box_signs(box, code_fixed_point(P, w, lam))) > 0, (w, lam)
+        q = code_fixed_point(P, w, lam)
+        if P.vertices[0].n == 4:
+            h = max(abs(real_part(q).coeffs[0]), abs(imag_scaled(q).coeffs[0]))
+        else:
+            h = Fraction(max(abs(real_part(q).to_complex().real),
+                             abs(imag_scaled(q).to_complex().real))) - Fraction(1, 2**30)
+        small = intersect_halfplanes(code_constraints(P, lam, w), half_width=h)
+        assert small.polygon is not None and small.polygon.locate(q) != "interior"
+        monkeypatch.setattr(obc.periodic, "same_code_region",
+                            lambda cons, lam, h=h: intersect_halfplanes(cons, half_width=h))
+        assert capture_region(P, w, lam) is None, (w, lam)
+        monkeypatch.undo()
 
 
-def test_capture_box_needs_a_real_periodic_point():
+def test_capture_region_needs_a_real_periodic_point():
     # the period-8 cycle appears only above lambda_2 = 0.7548...
     assert validate_periodic(SQ, P8, Fraction(1, 2)) is False
-    assert capture_box(SQ, P8, Fraction(1, 2)) is None
+    assert capture_region(SQ, P8, Fraction(1, 2)) is None
 
 
-def test_capture_box_needs_a_contraction(monkeypatch):
+def test_capture_region_needs_a_contraction(monkeypatch):
     # at lam = 1 the even word's fixed point is indeterminate; the rate is
-    # rejected before any fixed point or tile is built
+    # rejected before any fixed point or tile is built, and captured_word
+    # rejects it on entry, before any float step
     def no_tile(*args):
-        raise AssertionError("capture_box built a tile")
+        raise AssertionError("capture_region built a tile")
 
     monkeypatch.setattr(obc.periodic, "tile_from_code", no_tile)
     for P, w in ((regular_ngon(12), (1, 4, 7, 10)), (SQ, P8)):
-        for lam in (1, 0, Fraction(3, 2)):
+        for lam in (1, 0, Fraction(3, 2), 1.0, 1 + Fraction(1, 10**30)):
             with pytest.raises(ValueError):
-                capture_box(P, w, lam)
+                capture_region(P, w, lam)
+            for steps in (0, 15, 100):
+                with pytest.raises(ValueError):
+                    captured_word(P, 3.0, 0.5, lam, steps, {})
+
+
+def _float_box(K, pad):
+    """Float extents of K in (x, ytilde), padded by pad on each side."""
+    xs = [real_part(v).to_complex().real for v in K.vertices]
+    ts = [imag_scaled(v).to_complex().real for v in K.vertices]
+    return min(xs) - pad, max(xs) + pad, min(ts) - pad, max(ts) + pad
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(BOXED), st.integers(0, 2**20), st.integers(0, 2**20))
+def test_float_capture_test_accepts_only_interior_points(case, i, j):
+    # every dyadic point the float test accepts lies inside K by exact
+    # location, and so does the point |W| exact steps later
+    P, lam, w = case
+    reg = capture_region(P, w, lam)
+    x0, x1, t0, t1 = _float_box(reg.polygon, 0.25)
+    x = x0 + (x1 - x0) * (i / 2**20)
+    t = t0 + (t1 - t0) * (j / 2**20)
+    if reg.holds(x, t):
+        z = from_scaled(P.vertices[0].n, Fraction(x), Fraction(t))
+        assert reg.polygon.locate(z) == "interior"
+        end = code_endpoint(P, lam, z, w)
+        assert end is not None and reg.polygon.locate(end) == "interior"
+
+
+def test_float_capture_test_near_region_edges():
+    # from the float nearest each edge's midpoint, step 2^-52 .. 2^-20 along
+    # the edge's inner normal, both ways: no point is accepted unless exact
+    # location puts it inside, and points 2^-30 or more inside are accepted
+    for P, lam, w in BOXED:
+        reg = capture_region(P, w, lam)
+        K = reg.polygon
+        n = P.vertices[0].n
+        vs = K.vertices
+        pts = [(real_part(v).to_complex().real, imag_scaled(v).to_complex().real) for v in vs]
+        for k in range(len(vs)):
+            (px, pt), (qx, qt) = pts[k], pts[(k + 1) % len(vs)]
+            mx, mt = (px + qx) / 2, (pt + qt) / 2
+            nx, nt = pt - qt, qx - px  # left of p -> q: inward for CCW K
+            norm = math.hypot(nx, nt)
+            nx, nt = nx / norm, nt / norm
+            for e in range(20, 53):
+                for side in (1, -1):
+                    x, t = mx + side * 2.0**-e * nx, mt + side * 2.0**-e * nt
+                    inside = K.locate(from_scaled(n, Fraction(x), Fraction(t))) == "interior"
+                    if reg.holds(x, t):
+                        assert inside, (w, lam, k, e, side)
+                    elif side == 1 and e <= 30:
+                        raise AssertionError(("not accepted", w, lam, k, e))
+            assert not reg.holds(mx, mt) or K.locate(
+                from_scaled(n, Fraction(mx), Fraction(mt))) == "interior"
+
+
+def _fraction_lambda_k(k, tol):
+    """The bisection lambda_k ran in Fractions before it ran in integers:
+    the oracle its brackets must match bit for bit."""
+    tol = Fraction(tol)
+    if k == 1:
+        return (Fraction(0), Fraction(0))
+    lo = Fraction(0)
+    hi = None
+    probe = Fraction(1, 2)
+    while hi is None:
+        cand = 1 - probe
+        if p_eval(k, cand) < 0:
+            hi = cand
+        else:
+            lo = max(lo, cand)
+            probe /= 2
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        v = p_eval(k, mid)
+        if v == 0:
+            return (mid, mid)
+        if v > 0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo, hi)
+
+
+def test_lambda_k_matches_the_fraction_bisection():
+    for tol in (Fraction(1, 10**12), Fraction(1, 10**9), Fraction(1, 3), Fraction(1, 2**40), 1e-9):
+        for k in range(1, 41):
+            assert lambda_k(k, tol) == _fraction_lambda_k(k, tol), (k, tol)
+
+
+def test_existence_condition_matches_p_eval():
+    for k in range(1, 13):
+        for lam in (Fraction(1, 2), Fraction(4, 5), Fraction(9, 10), Fraction(999, 1000),
+                    *lambda_k(k, Fraction(1, 10**12)), Fraction(3, 7)):
+            if 0 < lam < 1:
+                assert existence_condition(k, lam) is (p_eval(k, lam) <= 0), (k, lam)
+
+
+def test_lambda_k_brackets_pinned():
+    # repr of the k = 1..12 brackets at 10^-12, recorded from the Fraction
+    # bisection
+    brackets = [lambda_k(k, Fraction(1, 10**12)) for k in range(1, 13)]
+    assert hashlib.sha256(repr(brackets).encode()).hexdigest() == (
+        "884351821f0b33347e897646130d875ca34a38838ab82c18417d062269299f20")
