@@ -17,8 +17,8 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .dynamics import Code, float_select, iterate, seed_code, step
-from .errors import AtlasFormatError, CodeNotRealizableError, ObcError, StepDomainError
+from .dynamics import Code, float_select, iterate, seed_code
+from .errors import AtlasFormatError, CodeNotRealizableError, ObcError
 from .field import CycloNum, check_conductor
 from .geometry import (
     ConvexPolygon,
@@ -172,25 +172,21 @@ class SCRegion:
 
 def scr_constraints(P, lam, x, depth):
     """Half-planes carving the set of points outside P that share x's first
-    ``depth`` code symbols: code_constraints of the word x's orbit reads."""
-    word = []
-    cur = x
-    for i in range(depth):
-        try:
-            cur, label = step(P, lam, cur)
-        except StepDomainError as exc:
-            if i == 0:
-                raise ObcError(f"point is {exc.kind}; its code is undefined") from exc
-            raise ObcError(f"orbit hits the singular set at step {i}") from exc
-        word.append(label)
-    return code_constraints(P, lam, word)
+    ``depth`` code symbols: code_constraints of the labels ``iterate`` reads."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    rec = iterate(P, lam, x, depth)
+    if rec.singular_step:
+        raise ObcError(f"orbit hits the singular set at step {rec.singular_step}")
+    if not rec.code:
+        kind = "inside" if rec.termination == "inside" else "singular"
+        raise ObcError(f"point is {kind}; its code is undefined")
+    return code_constraints(P, lam, rec.prefix(depth)[0])
 
 
 def scr_region(P, lam, x, depth):
     """Exact truncated same-code region around x outside P (scr_constraints),
     for lam < 1 inside the box of ``same_code_region``."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
     lam = Fraction(lam)
     res = same_code_region(scr_constraints(P, lam, x, depth), lam)
     if res.polygon is None:

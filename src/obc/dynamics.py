@@ -1,5 +1,5 @@
-"""The outer billiards map with contraction: vertex selection, stepping,
-symbolic coding and orbit iteration.
+"""The outer billiards map with contraction: vertex selection, the orbit
+loop and symbolic coding.
 
 The map sends x to (1 + lam) * v - lam * x, where v is the unique vertex of P
 such that P lies on the left of the ray from x through v; lam = 1 is the
@@ -11,11 +11,12 @@ polygon's cached wedge table, tested against a margin proved from the error
 of the float point (``_select_margin``), certify a vertex without any exact
 arithmetic; only a point the filter cannot decide reads the signs of the
 polygon's integer edge forms (``ConvexPolygon.edge_sign``), one per edge.
-Along an orbit the float point is not recomputed from the exact one:
-``iterate`` carries a float image of each point with a running bound on its
-error, and re-seeds it from the exact point only where the filter abstains.
-A step is one integer combination of the numerators of v and x, reduced by
-a gcd that divides a small integer.
+``iterate`` is the one loop that selects and reflects along an orbit
+(``step``, ``periodic.code_endpoint`` and ``atlas.scr_constraints`` read
+its record); it carries a float image of each point with a running error
+bound, re-seeded from the exact point only where the filter abstains.  A
+step is one integer combination of the numerators of v and x, reduced by a
+gcd that divides a small integer.
 """
 
 from __future__ import annotations
@@ -161,19 +162,15 @@ def _select_exhaustive(P, x):
 
 
 def step(P, lam, x):
-    """One application of the map: y = (1 + lam) * v - lam * x, exactly.
+    """One application of the map, (y, label) with y = (1 + lam) * v - lam *
+    x exactly: the first step of ``iterate``.
 
     Raises StepDomainError for points inside P or on the singular set.
     """
-    if not isinstance(lam, Fraction):  # iterate passes a Fraction every step
-        lam = Fraction(lam)
-    p, q = lam.numerator, lam.denominator
-    if not 0 < p <= q:
-        raise ValueError("need 0 < lam <= 1")
-    sel = select_vertex(P, x)
-    if sel.kind != "vertex":
-        raise StepDomainError(sel.kind)
-    return reflect_contract(P.vertices[sel.label - 1], p, q, x), sel.label
+    rec = iterate(P, lam, x, 1)
+    if not rec.code:
+        raise StepDomainError("inside" if rec.termination == "inside" else "singular")
+    return rec.points[1], rec.code[0]
 
 
 def reflect_contract(v, p, q, x):
@@ -223,6 +220,19 @@ class OrbitRecord:
         if self.termination != "exact_repeat":
             raise ValueError("orbit did not close up")
         return tuple(self.code[self.preperiod : self.preperiod + self.period])
+
+    def prefix(self, k):
+        """(labels, point) of the orbit's first k steps, read on around its
+        cycle (``cycle_code``'s preperiod and period) if it closed sooner;
+        None if it stopped short of k steps without closing."""
+        code, points = self.code, self.points
+        if k <= len(code):
+            return tuple(code[:k]), points[k]
+        if self.termination != "exact_repeat":
+            return None
+        pre, per = self.preperiod, self.period
+        labels = code[:pre] + code[pre:] * ((k - pre) // per + 1)
+        return tuple(labels[:k]), points[pre + (k - pre) % per]
 
 
 # K of iterate's running error bound: 8.25 u exceeds the proved 8.03 u
@@ -274,7 +284,7 @@ def iterate(P, lam, x, max_steps):
     (its orientations, at most 2.001 w^2, exceed 4.09 d w), and a fresh
     bound is below 2^501.  That is far below the slack of 0.2 u (V + 1).
     So every certified label is the exact one, and every point, code and
-    termination is that of stepping with ``step``.
+    termination is that of selecting each vertex with ``select_vertex``.
     """
     lam = Fraction(lam)
     if max_steps < 1:

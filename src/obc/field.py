@@ -631,7 +631,10 @@ class CycloNum:
             num, sep, den = p.partition("/")
             if not sep:
                 raise ValueError(f"bad coefficient {p!r} in {text!r}")
-            coeffs.append(Fraction(_dec_int(num), _dec_int(den)))
+            d = _dec_int(den)
+            if d == 0:
+                raise ValueError(f"zero denominator in coefficient {p!r} of {text!r}")
+            coeffs.append(Fraction(_dec_int(num), d))
         return cls(n, coeffs)
 
 

@@ -32,7 +32,7 @@ from .errors import (
     StabilityPreconditionError,
 )
 from .field import CycloNum, _reduced
-from .dynamics import Code, float_select, reflect_contract
+from .dynamics import Code, float_select, iterate, reflect_contract
 from .geometry import (
     _SLACK,
     ConvexPolygon,
@@ -155,26 +155,17 @@ def code_endpoint(P, lam, z, code):
     symbol, each step strictly inside its vertex wedge (exact); None if the
     orbit leaves the code or meets the singular set.
 
-    The expected label a is confirmed by the exact wedge test
-    (``ConvexPolygon.in_wedge``), the predicate that vertex selection
-    certifies.
+    The labels are those of ``iterate(P, lam, z, len(code))``, read on
+    around its cycle if the orbit closes sooner (``OrbitRecord.prefix``).
     """
-    lam = Fraction(lam)
-    p, q = lam.numerator, lam.denominator
-    if not 0 < p <= q:
-        raise ValueError("need 0 < lam <= 1")
-    vs = P.vertices
-    m = len(vs)
-    for a in Code.coerce(code).word:
-        if a > m or not P.in_wedge(a, z):
-            return None
-        z = reflect_contract(vs[a - 1], p, q, z)
-    return z
+    word = Code.coerce(code).word
+    run = iterate(P, lam, z, len(word)).prefix(len(word))
+    return run[1] if run is not None and run[0] == word else None
 
 
 def follows_code(P, lam, q, code):
     """True iff the orbit of q follows the code symbol by symbol and is
-    back at q after the last one (exact)."""
+    back at q after the last one (exact; ``code_endpoint``)."""
     return code_endpoint(P, lam, q, code) == q
 
 

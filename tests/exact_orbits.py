@@ -1,0 +1,57 @@
+"""Reference orbit loops for the tests: one exact selection per step.
+
+``obc.dynamics.iterate`` is the library's one orbit loop; ``step``,
+``periodic.code_endpoint`` and ``atlas.scr_constraints`` read its record.
+These loops do not call it.  ``reference_step`` selects each vertex with
+``select_vertex`` at the point itself and reduces the new point by the full
+gcd of its numerators and denominator; ``endpoint_by_wedges`` confirms each
+expected label by the exact wedge test alone, selecting nothing.
+"""
+
+from fractions import Fraction
+
+from obc.dynamics import reflect_contract, select_vertex
+from obc.errors import ObcError, StepDomainError
+from obc.field import _reduced
+
+
+def reference_step(P, lam, x):
+    """(y, label): one application of the map at x, exactly."""
+    p, q = lam.numerator, lam.denominator
+    sel = select_vertex(P, x)
+    if sel.kind != "vertex":
+        raise StepDomainError(sel.kind)
+    v = P.vertices[sel.label - 1]
+    a, b = (p + q) * x.den, p * v.den
+    num = [a * vk - b * xk for vk, xk in zip(v.num, x.num)]
+    return _reduced(x.n, num, q * v.den * x.den), sel.label
+
+
+def endpoint_by_wedges(P, lam, z, word):
+    """The point the orbit of z reaches after the labels of word, each taken
+    strictly inside its vertex wedge (``ConvexPolygon.in_wedge``); None as
+    soon as a label is another or the point is on no wedge's inside."""
+    lam = Fraction(lam)
+    vs = P.vertices
+    for a in word:
+        if a > len(vs) or not P.in_wedge(a, z):
+            return None
+        z = reflect_contract(vs[a - 1], lam.numerator, lam.denominator, z)
+    return z
+
+
+def scr_word_by_steps(P, lam, x, depth):
+    """x's first ``depth`` labels, one ``reference_step`` per symbol, with
+    the errors that ``atlas.scr_constraints`` raises."""
+    lam = Fraction(lam)
+    word = []
+    cur = x
+    for i in range(depth):
+        try:
+            cur, label = reference_step(P, lam, cur)
+        except StepDomainError as exc:
+            if i == 0:
+                raise ObcError(f"point is {exc.kind}; its code is undefined") from exc
+            raise ObcError(f"orbit hits the singular set at step {i}") from exc
+        word.append(label)
+    return word

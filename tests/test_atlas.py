@@ -4,6 +4,7 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from exact_orbits import scr_word_by_steps
 
 import obc.atlas
 import obc.periodic
@@ -20,7 +21,7 @@ from obc.atlas import (
 from obc.dynamics import Code, iterate
 from obc.errors import AtlasFormatError, CodeNotRealizableError, ObcError
 from obc.geometry import ConvexPolygon, from_scaled, point_xy, regular_ngon
-from obc.periodic import Tile, code_constraints, tile_from_code
+from obc.periodic import Tile, code_constraints, code_fixed_point, tile_from_code
 from obc.square import square_polygon
 
 
@@ -91,10 +92,40 @@ def test_scr_nestedness():
 
 
 def test_scr_rejects_bad_seed():
-    with pytest.raises(ObcError):
+    with pytest.raises(ObcError, match="^point is inside; its code is undefined$"):
         scr_region(regular_ngon(4), 1, from_scaled(4, 0, 0), 4)  # inside the polygon
-    with pytest.raises(ObcError):
+    with pytest.raises(ObcError, match="^point is singular; its code is undefined$"):
         scr_region(square_polygon(), 1, from_scaled(4, 3, 1), 4)  # singular
+    with pytest.raises(ObcError, match="^orbit hits the singular set at step 3$"):
+        scr_region(square_polygon(), 1, from_scaled(4, 3, 2), 10)
+    for depth in (0, -1):
+        with pytest.raises(ValueError, match="^depth must be >= 1$"):
+            scr_constraints(regular_ngon(4), 1, from_scaled(4, 3, 0), depth)
+
+
+@pytest.mark.parametrize("lam", (Fraction(1), Fraction(1, 2), Fraction(4, 5)), ids=str)
+def test_scr_constraints_match_the_step_loop(lam, square):
+    # scr_constraints reads iterate's orbit; the reference takes one exact
+    # selection per symbol, and must give the same half-planes and errors
+    P5 = regular_ngon(5)
+    v, w = P5.vertices[0], P5.vertices[1]
+    cases = [(P5, from_scaled(5, Fraction(251, 100), Fraction(33, 100)), 40),
+             (P5, from_scaled(5, Fraction(1, 10), Fraction(1, 10)), 5),      # inside
+             (P5, v - (w - v) * Fraction(3, 2), 5),                          # singular
+             (square, from_scaled(4, 3, 2), 10),           # at lam = 1 singular at step 3
+             (square, from_scaled(4, -2, 0), 13),          # at lam = 1 closes at step 4
+             (regular_ngon(7), from_scaled(7, Fraction(3, 2), Fraction(5, 4)), 60)]
+    if lam < 1:  # q_W closes at step 4
+        cases.append((square, code_fixed_point(square, (3, 4, 1, 2), lam), 13))
+    for P, x, depth in cases:
+        try:
+            word = scr_word_by_steps(P, lam, x, depth)
+        except ObcError as exc:
+            with pytest.raises(ObcError) as err:
+                scr_constraints(P, lam, x, depth)
+            assert str(err.value) == str(exc)
+            continue
+        assert scr_constraints(P, lam, x, depth) == code_constraints(P, lam, word)
 
 
 def test_scr_rejects_rate_outside_unit_interval():
@@ -111,6 +142,8 @@ def test_scr_at_rate_one_is_the_tile(septagon_atlas):
         word = t.code.doubled_even()
         cons = scr_constraints(P, 1, t.center(), len(word))
         assert cons == code_constraints(P, 1, word)
+        # past the step where the centre's orbit closes, read on around it
+        assert scr_constraints(P, 1, t.center(), 3 * len(word)) == code_constraints(P, 1, word * 3)
         assert scr_region(P, 1, t.center(), len(word)).polygon == t.polygon
 
 
@@ -152,11 +185,13 @@ def test_atlas_rejects_corruption(tmp_path):
     import re
 
     frag = re.search(r"-?\d+/\d+", lines[1]).group(0)
-    lines[1] = lines[1].replace(frag, "12345/7", 1)
-    path.write_text("\n".join(lines) + "\n")
-    loaded = load_atlas(path)
-    assert len(loaded.entries) == len(atlas.entries) - 1
-    assert any("line 2" in d for d in loaded.provenance["diagnostics"])
+    # a wrong vertex, and one over a zero denominator: a line diagnostic each
+    zero = frag.split("/")[0] + "/0"
+    for bad, reason in (("12345/7", "line 2"), (zero, "line 2: rejected (zero denominator")):
+        path.write_text("\n".join([lines[0], lines[1].replace(frag, bad, 1)] + lines[2:]) + "\n")
+        loaded = load_atlas(path)
+        assert len(loaded.entries) == len(atlas.entries) - 1
+        assert any(d.startswith(reason) for d in loaded.provenance["diagnostics"]), bad
 
 
 def test_atlas_header_required(tmp_path):

@@ -47,6 +47,9 @@ def test_orbit_accepts_serialized_seed(capsys):
     assert "period=4" in out
     code, _, err = run(capsys, "orbit", "--n", "5", "--seed=4:-2/1,0/1")
     assert code == 1 and "conductor" in err
+    code, out, err = run(capsys, "orbit", "--n", "5", "--seed=5:1/0,0/1,0/1,0/1")
+    assert (code, out) == (1, "") and err.count("\n") == 1
+    assert err.startswith("error: bad exact seed '5:1/0,0/1,0/1,0/1': zero denominator"), err
 
 
 def test_stability_pentagon(capsys):
@@ -209,7 +212,12 @@ def test_domain_error_exit_1(capsys):
              "seed's orbit meets the singular set at step 3"),
             # this seed closes on a 10-step cycle (a period-5 tile)
             (["tile", "--n", "5", "--seed", "0.5,2.1", "--max-steps", "3"],
-             "seed is not periodic within 3 steps")):
+             "seed is not periodic within 3 steps"),
+            (["scr", "--n", "5", "--seed", "0.1,0.1"], "point is inside; its code is undefined"),
+            (["scr", "--n", "4", "--square-frame", "--seed", "3,1"],
+             "point is singular; its code is undefined"),
+            (["scr", "--n", "4", "--square-frame", "--seed", "3,2", "--depth", "10"],
+             "orbit hits the singular set at step 3")):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (1, "", f"error: {message}\n"), argv
     code, out, _ = run(capsys, "orbit", "--n", "4", "--square-frame", "--lambda", "1",

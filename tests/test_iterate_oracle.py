@@ -1,11 +1,12 @@
 """``iterate`` against the stepwise loop it replaced.
 
 ``reference_iterate`` is the orbit loop as it was before orbits carried
-their float image: one step per step, each selecting its vertex with
-``select_vertex`` at the point itself and reducing the new point by the
-full gcd of its numerators and denominator.  ``iterate`` must agree with
-it on every point, label and termination, including where its carried
-error bound abstains and the image is re-seeded from the exact point.
+their float image: one ``exact_orbits.reference_step`` per step, each
+selecting its vertex with ``select_vertex`` at the point itself and
+reducing the new point by the full gcd of its numerators and denominator.
+``iterate`` must agree with it on every point, label and termination,
+including where its carried error bound abstains and the image is re-seeded
+from the exact point; ``step`` must agree with its first step.
 """
 
 import math
@@ -13,6 +14,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from exact_orbits import reference_step
 
 from obc import dynamics
 from obc.dynamics import (
@@ -24,26 +26,16 @@ from obc.dynamics import (
     iterate,
     reflect_contract,
     select_vertex,
+    step,
 )
 from obc.errors import ConductorMismatchError, StepDomainError
-from obc.field import _U, CycloNum, _reduced
+from obc.field import _U, CycloNum
 from obc.geometry import from_scaled, regular_ngon
 from obc.periodic import code_fixed_point, tile_from_code
 from obc.square import sk_code, square_polygon
 
 POLYGONS = [(n, regular_ngon(n)) for n in (3, 4, 5, 7, 8, 12)] + [(4, square_polygon())]
 RATES = (Fraction(1, 2), Fraction(4, 5), Fraction(99, 100), Fraction(1))
-
-
-def _reference_step(P, lam, x):
-    p, q = lam.numerator, lam.denominator
-    sel = select_vertex(P, x)
-    if sel.kind != "vertex":
-        raise StepDomainError(sel.kind)
-    v = P.vertices[sel.label - 1]
-    a, b = (p + q) * x.den, p * v.den
-    num = [a * vk - b * xk for vk, xk in zip(v.num, x.num)]
-    return _reduced(x.n, num, q * v.den * x.den), sel.label
 
 
 def reference_iterate(P, lam, x, max_steps):
@@ -53,7 +45,7 @@ def reference_iterate(P, lam, x, max_steps):
     cur = x
     for k in range(max_steps):
         try:
-            cur, label = _reference_step(P, lam, cur)
+            cur, label = reference_step(P, lam, cur)
         except StepDomainError as exc:
             rec.termination = "inside" if exc.kind == "inside" else "hit_singular"
             rec.singular_step = None if exc.kind == "inside" else k
@@ -74,6 +66,8 @@ def _same_orbit(P, lam, x, steps):
     new, old = iterate(P, lam, x, steps), reference_iterate(P, lam, x, steps)
     for name in ("termination", "code", "points", "preperiod", "period", "singular_step"):
         assert getattr(new, name) == getattr(old, name), (name, x.serialize(), lam)
+    if old.code:  # step is the first step of iterate
+        assert step(P, lam, x) == (old.points[1], old.code[0])
     return new
 
 

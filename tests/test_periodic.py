@@ -4,14 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from exact_orbits import endpoint_by_wedges
 
 import obc.geometry
-from obc.dynamics import Code, iterate, step
+from obc.dynamics import Code, iterate, seed_code
 from obc.errors import (
     CodeNotRealizableError,
     IndeterminateFixedPointError,
     StabilityPreconditionError,
-    StepDomainError,
 )
 from obc.atlas import SearchWindow, search_tiles
 from obc.field import CycloNum
@@ -115,19 +115,8 @@ def test_follows_code_needs_labels_and_return():
     assert follows_code(SQ, lam, pt4(3, 1), C1) is False         # singular start
 
 
-def _endpoint_by_step(P, lam, z, code):
-    # reference: re-derive every label through step and compare
-    for a in code:
-        try:
-            z, label = step(P, lam, z)
-        except StepDomainError:
-            return None
-        if label != a:
-            return None
-    return z
-
-
 def test_code_endpoint_agrees_with_step_loop():
+    # reference: the exact wedge test per label, no vertex selection
     for P in (SQ, regular_ngon(4), regular_ngon(5), regular_ngon(7)):
         vs = P.vertices
         m = len(vs)
@@ -151,7 +140,56 @@ def test_code_endpoint_agrees_with_step_loop():
                     bad[j] = bad[j] % (m + 1) + 1  # another label, sometimes m + 1
                     words.append(bad)
                 for w in words:
-                    assert code_endpoint(P, lam, z, w) == _endpoint_by_step(P, lam, z, w), (z, w)
+                    assert code_endpoint(P, lam, z, w) == endpoint_by_wedges(P, lam, z, w), (z, w)
+
+
+# words real at lam < 1: (polygon, lam, one period of the cycle's code)
+_REAL_WORDS = [
+    (SQ, Fraction(1, 2), (1, 2, 3, 4)),
+    (SQ, Fraction(4, 5), (2, 3, 4, 1)),
+    (regular_ngon(5), Fraction(1, 2), (3, 4, 5, 1, 2)),
+    (regular_ngon(5), Fraction(4, 5), (2, 4, 1, 3, 5)),
+    (regular_ngon(7), Fraction(1, 2), (2, 3, 4, 5, 6, 7, 1)),
+    (regular_ngon(7), Fraction(4, 5), (4, 6, 1, 3, 5, 7, 2)),
+]
+
+
+def _periodic_starts():
+    """(P, lam, z, W): z a periodic point whose orbit follows W, a lam = 1
+    tile centre or q_W at lam < 1.  The orbit of z closes exactly after
+    len(W) steps or sooner (an odd tile word's centre, q_W of a doubled
+    odd word), so iterate stops early and its record is read on."""
+    P5 = regular_ngon(5)
+    for P, code in ((SQ, C1), (P5, Code([1, 3, 5, 2, 4])),
+                    (P5, seed_code(P5, from_scaled(5, Fraction(1, 2), Fraction(21, 10)), 64))):
+        yield P, Fraction(1), tile_from_code(P, code).center(), code.doubled_even()
+    for P, lam, word in _REAL_WORDS:
+        W = Code(word).doubled_even()
+        yield P, lam, code_fixed_point(P, W, lam), W
+
+
+def test_code_endpoint_reads_on_around_a_closed_orbit():
+    # words two and three periods long from periodic points, a last label
+    # changed, and the label m + 1: all against the exact wedge oracle
+    for P, lam, z, W in _periodic_starts():
+        m = len(P.vertices)
+        rec = iterate(P, lam, z, len(W))
+        assert rec.termination == "exact_repeat" and rec.preperiod == 0, (W, lam)
+        assert follows_code(P, lam, z, W)
+        for reps in (2, 3):
+            word = W * reps
+            assert endpoint_by_wedges(P, lam, z, word) == z
+            assert code_endpoint(P, lam, z, word) == z, (W, lam, reps)
+            for j in (len(word) - 1, len(word) // 2 + 1):
+                for other in (word[j] % m + 1, m + 1):
+                    bad = word[:j] + (other,) + word[j + 1:]
+                    assert endpoint_by_wedges(P, lam, z, bad) is None
+                    assert code_endpoint(P, lam, z, bad) is None, (W, lam, j, other)
+        # every prefix ends where the oracle does, on the cycle
+        for k in range(1, 2 * len(W) + 2):
+            word = (W * 3)[:k]
+            end = code_endpoint(P, lam, z, word)
+            assert end is not None and end == endpoint_by_wedges(P, lam, z, word), (W, lam, k)
 
 
 def test_unfold_closure_and_step_vectors():
