@@ -26,7 +26,7 @@ from .geometry import (
     hausdorff_distance,
     regular_ngon,
 )
-from .periodic import code_constraints, same_code_region, tile_from_code
+from .periodic import code_constraints, code_region, tile_from_code
 
 
 @dataclass(frozen=True)
@@ -147,11 +147,11 @@ def search_tiles(window, polygon=None):
             if not word:
                 prov["undecided"] += 1
                 continue
-            canon = Code(word).canonical_code()
-            if canon.word in atlas.entries:
+            code = Code(word)
+            if code.canonical() in atlas.entries:
                 continue
             try:
-                atlas.add(tile_from_code(P, canon))
+                atlas.add(tile_from_code(P, code.canonical_code()))
             except CodeNotRealizableError:
                 prov["undecided"] += 1
     return atlas
@@ -170,9 +170,8 @@ class SCRegion:
     polygon: ConvexPolygon
 
 
-def scr_constraints(P, lam, x, depth):
-    """Half-planes carving the set of points outside P that share x's first
-    ``depth`` code symbols: code_constraints of the labels ``iterate`` reads."""
+def _scr_word(P, lam, x, depth):
+    """x's first ``depth`` labels, as ``iterate`` reads them."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     rec = iterate(P, lam, x, depth)
@@ -181,14 +180,21 @@ def scr_constraints(P, lam, x, depth):
     if not rec.code:
         kind = "inside" if rec.termination == "inside" else "singular"
         raise ObcError(f"point is {kind}; its code is undefined")
-    return code_constraints(P, lam, rec.prefix(depth)[0])
+    return rec.prefix(depth)[0]
+
+
+def scr_constraints(P, lam, x, depth):
+    """Half-planes carving the set of points outside P that share x's first
+    ``depth`` code symbols: code_constraints of the labels ``iterate`` reads."""
+    return code_constraints(P, lam, _scr_word(P, lam, x, depth))
 
 
 def scr_region(P, lam, x, depth):
-    """Exact truncated same-code region around x outside P (scr_constraints),
-    for lam < 1 inside the box of ``same_code_region``."""
+    """Exact truncated same-code region around x outside P: the
+    ``code_region`` of scr_constraints' labels, for lam < 1 inside the box
+    of ``same_code_region``."""
     lam = Fraction(lam)
-    res = same_code_region(scr_constraints(P, lam, x, depth), lam)
+    res = code_region(P, lam, _scr_word(P, lam, x, depth))
     if res.polygon is None:
         raise ObcError(f"same-code region degenerated: {res.kind}")
     if not res.polygon.contains(x):

@@ -34,12 +34,15 @@ lying on the clip line, gets the exact value and its sign.  A crossing is the me
 of the clip line with the line of the crossed edge, which each vertex
 carries, through factors cached per pair of normals, so no crossing takes a
 field inverse.  A half-plane clips only if no already clipped one with the
-same normal implies it, again decided from floats first: a pulled-back wedge
-half-plane is one of the polygon's cached edge half-planes with a new
-offset, so a tile of a long code, cut by hundreds of them, needs a few dozen
-clips.  Every sign decided from floats is the exact sign, so the clips and
-the vertices are those of exact clipping, which needs no cleanup pass
-afterwards (proof at ``intersect_halfplanes``).
+same normal implies it, again decided from floats first (``_tighter``): a
+pulled-back wedge half-plane is one of the polygon's cached edge half-planes
+with a new offset, so a tile of a long code, cut by hundreds of them, needs
+a few dozen clips.  periodic.code_region runs the same test before the
+clipper, on floats of those offsets formed from integers and the floats of
+the edge forms each polygon caches (``form_floats``), so most offsets are
+never built exactly.  Every sign decided from floats is the exact sign, so
+the clips and the vertices are those of exact clipping, which needs no
+cleanup pass afterwards (proof at ``intersect_halfplanes``).
 """
 
 from __future__ import annotations
@@ -58,9 +61,10 @@ ExactPoint = CycloNum
 _HALF = Fraction(1, 2)
 
 # Every float error bound below is a sum of products of nonnegative floats,
-# each a true bound, rounded at most 12 times on the way: the computed value
-# is at least (1 - u)^12 of the exact one, u = 2^-53, so 1.01 times it (one
-# more rounding) is at least the exact one.
+# each a true bound, rounded at most k times on the way (k = 12 here, and
+# 2 phi + 6 in periodic._offset_float): the computed value is at least
+# (1 - u)^k of the exact one, u = 2^-53, so for any k below 2^40, 1.01 times
+# it (one more rounding) is at least the exact one.
 _SLACK = 1.01
 
 
@@ -193,11 +197,13 @@ class ConvexPolygon:
     Vertex selection and location read the signs of integer edge forms,
     built once per polygon on first use (``edge_forms``); the same forms give
     exact edge values (``edge_value``) and the offsets of pulled-back edge
-    half-planes (``periodic.code_constraints``), and the 2n edge half-planes
-    are cached next to them (``edge_halfplanes``).
+    half-planes (``periodic.code_constraints``), whose floats come from the
+    floats of the forms (``form_floats``); the 2n edge half-planes are
+    cached next to them (``edge_halfplanes``).
     """
 
-    __slots__ = ("vertices", "_key", "_float", "_extent", "_forms", "_halfplanes", "_wedges")
+    __slots__ = ("vertices", "_key", "_float", "_extent", "_forms", "_form_floats",
+                 "_halfplanes", "_wedges")
 
     def __init__(self, vertices, validate=True):
         vertices = tuple(vertices)
@@ -213,6 +219,7 @@ class ConvexPolygon:
         self._float = None
         self._extent = None
         self._forms = None
+        self._form_floats = None
         self._halfplanes = None
         self._wedges = None
 
@@ -257,6 +264,33 @@ class ConvexPolygon:
             forms = self._forms = tuple(
                 _edge_form(p, q) for p, q in zip(vs, vs[1:] + vs[:1]))
         return forms
+
+    def form_floats(self):
+        """Per edge i, floats of the real values of its integer form
+        (``edge_forms``), built once on first use: (fc, wc, fr, wr), with fc
+        the float of const and fr[j] that of row j, each read as a real
+        element over denominator 1 (``_real_float``, error bound e), and
+        with the weight w = e + (phi + 6) u |f| of each, u = 2^-53: the term
+        per input of ``periodic._offset_float``'s error bound."""
+        ff = self._form_floats
+        if ff is None:
+            n = self.vertices[0].n
+            phi = context(n).phi
+            k = (phi + 6) * _U
+            ff = []
+            for rows, const, _ in self.edge_forms():
+                dense = []
+                for row in rows:
+                    v = [0] * phi
+                    for j, x in row:
+                        v[j] = x
+                    dense.append(tuple(v))
+                pairs = [_real_float(_raw(n, v, 1)) for v in (const, *dense)]
+                fs = tuple(f for f, _ in pairs)
+                ws = tuple(e + k * abs(f) for f, e in pairs)
+                ff.append((fs[0], ws[0], fs[1:], ws[1:]))
+            ff = self._form_floats = tuple(ff)
+        return ff
 
     def edge_sign(self, i, z):
         """Exact sign of cross(v[i+1] - v[i], z - v[i]); +1 left of edge i.
@@ -578,13 +612,33 @@ def _clip(chain, hp):
     return out
 
 
-def _auto_half_width(constraints):
-    """int(4 W) + 4 with W the larger of 4 and every |c| / |(a, b)| in floats.
+def _half_width(most):
+    """int(4 W) + 4 as a Fraction, W the larger of 4 and every cv / |(a, b)|
+    in floats, cv = most[(a, b)]; OverflowError when 4 W is infinite.
 
-    Only the largest |c| per normal is divided: correctly rounded division
-    by a positive float is monotone, so it gives the largest quotient.
-    GeometryError when an offset or the box is past the float range, where
-    no float box exists and the caller must pass one.
+    Every step is monotone in each cv: correctly rounded division by a
+    positive float, max, the exact scaling by 4 and int.  So cv at most
+    (at least) the largest |c| float per normal gives an int(4 W) at most
+    (at least) that of those largest floats.
+    """
+    worst = 4.0
+    for (a, b), cv in most.items():
+        scale = math.hypot(a.to_complex().real, b.to_complex().real)
+        if scale > 0:
+            worst = max(worst, cv / scale)
+    return Fraction(int(4 * worst) + 4)
+
+
+def _auto_half_width(constraints):
+    """int(4 W) + 4 with W the larger of 4 and every |c| / |(a, b)| in floats,
+    |c| the float ``abs(c.to_complex().real)``.
+
+    Only the largest |c| per normal is divided (``_half_width``).
+    ``periodic._clipped`` gives the same Fraction for the half-planes of
+    ``code_constraints`` from bounded floats of their offsets, and passes
+    here only the offsets that its bound cannot separate from a normal's
+    largest.  GeometryError when an offset or the box is past the float
+    range, where no float box exists and the caller must pass one.
     """
     most = {}
     try:
@@ -595,15 +649,37 @@ def _auto_half_width(constraints):
                 raise OverflowError
             if cv > most.get(key, -1.0):
                 most[key] = cv
-        worst = 4.0
-        for (a, b), cv in most.items():
-            scale = math.hypot(a.to_complex().real, b.to_complex().real)
-            if scale > 0:
-                worst = max(worst, cv / scale)
-        return Fraction(int(4 * worst) + 4)
+        return _half_width(most)
     except OverflowError:
         raise GeometryError(
             "a half-plane offset exceeds the float range: pass half_width") from None
+
+
+def _tighter(tightest, key, f, e, exact):
+    """The exact offset c of a half-plane with normal ``key`` if it clips,
+    else None; the one skip test of ``intersect_halfplanes`` (proof there).
+
+    It clips unless a clipped half-plane with that normal has an offset
+    c0 <= c.  ``tightest`` maps each normal to (c0, f0, e0) of its tightest
+    clipped half-plane, and is updated when this one clips.  f is a float
+    within e of c, e = math.inf when nothing is known, and ``exact()``
+    builds c: it is called once, and only when the half-plane clips or f
+    lies within the bound of f0, where the exact c - c0 decides.
+    """
+    least = tightest.get(key)
+    if least is None:
+        c = exact()
+    else:
+        c0, f0, e0 = least
+        d = f - f0
+        bound = _SLACK * (e + e0)
+        if d > bound:
+            return None
+        c = exact()
+        if d >= -bound and (c == c0 or sign_of_real(c - c0, _checked=True) >= 0):
+            return None
+    tightest[key] = (c, f, e)
+    return c
 
 
 def intersect_halfplanes(constraints, half_width=None):
@@ -640,12 +716,17 @@ def intersect_halfplanes(constraints, half_width=None):
     is implied by that tighter clip, which every chain vertex satisfies;
     later clips keep vertices or add convex combinations of them, so they
     satisfy it too and the skipped ``_clip`` would return the chain
-    unchanged.  With (fc, ec) and (f0, e0) the ``_real_float`` of c and c0,
-    the computed d = fc - f0 above the computed B = 1.01 (ec + e0) proves
-    c > c0: B is at least (1 + u)(ec + e0) after its two roundings, u = 2^-53,
-    so fc - f0 >= d / (1 + u) > ec + e0.  Likewise d < -B proves c < c0.
-    Otherwise, and whenever a bound is infinite, c == c0 (a duplicate) or
-    the exact sign of c - c0 decides.
+    unchanged.  With floats fc and f0 within ec and e0 of c and c0, here
+    the ``_real_float`` of each, the computed d = fc - f0 above the computed
+    B = 1.01 (ec + e0) proves c > c0: B is at least (1 + u)(ec + e0) after
+    its two roundings, u = 2^-53, so fc - f0 >= d / (1 + u) > ec + e0.
+    Likewise d < -B proves c < c0.  Otherwise, and whenever a bound is
+    infinite, c == c0 (a duplicate) or the exact sign of c - c0 decides.
+    ``_tighter`` holds this test; ``periodic.code_region`` runs it on floats
+    of ``code_constraints``' offsets formed from integers, and hands this
+    function only the half-planes that clip, with the half-width that
+    ``_auto_half_width`` gives the whole list, so its clips and vertices are
+    those of the whole list.
     """
     constraints = tuple(constraints)  # any iterable; read twice
     if not constraints:
@@ -655,20 +736,11 @@ def intersect_halfplanes(constraints, half_width=None):
         half_width = _auto_half_width(constraints)
     w = CycloNum.from_rational(n, Fraction(half_width))
     chain = _box(w)
-    # least clipped offset per normal, with its float and error bound
     tightest = {}
     for hp in constraints:
-        key = (hp.a, hp.b)
         fc, ec = _real_float(hp.c)
-        least = tightest.get(key)
-        if least is not None:
-            c0, f0, e0 = least
-            d = fc - f0
-            bound = _SLACK * (ec + e0)
-            if d > bound or (d >= -bound and (
-                    hp.c == c0 or sign_of_real(hp.c - c0, _checked=True) >= 0)):
-                continue
-        tightest[key] = (hp.c, fc, ec)
+        if _tighter(tightest, (hp.a, hp.b), fc, ec, lambda: hp.c) is None:
+            continue
         chain = _clip(chain, hp)
         if not chain:
             return RegionResult("empty", None)

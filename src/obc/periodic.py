@@ -31,12 +31,15 @@ from .errors import (
     IndeterminateFixedPointError,
     StabilityPreconditionError,
 )
-from .field import CycloNum, _reduced
+from .field import CycloNum, _reduced, context
 from .dynamics import Code, float_select, iterate, reflect_contract
 from .geometry import (
     _SLACK,
     ConvexPolygon,
     HalfPlane,
+    _auto_half_width,
+    _half_width,
+    _tighter,
     halfplane_left_of,
     intersect_halfplanes,
     side_filter,
@@ -212,7 +215,8 @@ def capture_region(P, W, lam):
     ``CaptureRegion``; None when q_W is not real (``follows_code``) or does
     not lie in the interior of K.  Needs 0 < lam < 1.
 
-    K = ``same_code_region(code_constraints(P, lam, W), lam)``.  Proof that
+    K = ``code_region(P, lam, W)``, the ``same_code_region`` of W's
+    ``code_constraints``.  Proof that
     every point z of K's interior follows W forever.  K is the intersection
     of closed half-planes with q_W in its interior, so its interior is the
     intersection of the open ones: it lies in the open box and in the open
@@ -232,7 +236,7 @@ def capture_region(P, W, lam):
     q = code_fixed_point(P, W, lam)
     if not follows_code(P, lam, q, W):
         return None
-    K = same_code_region(code_constraints(P, lam, W), lam).polygon
+    K = code_region(P, lam, W).polygon
     if K is None or K.locate(q) != "interior":
         return None
     vs = K.vertices
@@ -317,6 +321,87 @@ def unfold(P, code, base=None):
     return UnfoldingChain(base, tuple(pts), tuple(ws))
 
 
+def _pullbacks(P, lam, word):
+    """Per label a of the word, in order, (a, s, Q, B): the inverse G_i of
+    the steps before it is z -> alpha*z + beta with alpha = s / Q and
+    beta = B / Q, Q = L p^i, s = (-q)^i L and the integer vector B
+    (``code_constraints``).  Each step makes a new B."""
+    p, q = lam.numerator, lam.denominator
+    vs = P.vertices
+    L = math.lcm(*(v.den for v in vs))
+    vnum = [tuple(c * (L // v.den) for c in v.num) for v in vs]
+    B = [0] * len(vnum[0])
+    an, ad = 1, 1  # alpha = an / ad
+    for a in word:
+        yield a, an * L, ad * L, B
+        # next inverse map: z -> G_i(((1+lam) v - z)/lam)
+        f = an * (p + q)
+        B = [p * b + f * c for b, c in zip(B, vnum[a - 1])]
+        an *= -q
+        ad *= p
+
+
+def _edge_offset(n, form, s, B, Q, forward):
+    """The offset of edge e's half-plane pulled back through z -> (s z + B)/Q,
+    exactly: g = s*const - rows.B over D*Q, reduced by one gcd, from edge
+    e's integer form (rows, const, D); negated for the reversed half-plane
+    (``code_constraints``)."""
+    rows, const, D = form
+    g = [s * c for c in const]
+    for b, row in zip(B, rows):
+        if b:
+            for k, r in row:
+                g[k] -= b * r
+    c = _reduced(n, g, D * Q)
+    return c if forward else -c
+
+
+def _offset_float(entry, fs, fB, fQ):
+    """(f, e): a float f of the offset (s*C - sum_j B_j R_j) / Q that
+    ``_edge_offset`` builds exactly, and a bound e >= |f - offset|.
+
+    Inputs: fs, fB and fQ are the correctly rounded floats of the integers
+    s, B and Q, here the whole denominator D*Q of ``_edge_offset``.
+    ``entry`` is the edge's row of ``P.form_floats()``: floats fC and fR_j
+    within eC and eR_j of the real values C of const and R_j of row j
+    (``_real_float``), with the weights wC = eC + (m + 5) u |fC| and
+    wR_j = eR_j + (m + 5) u |fR_j|, m = phi + 1 products, u = 2^-53.
+
+    Claim: with x the integers (s, -B_j), y the reals (C, R_j) and fx, fy
+    their floats within u |x| and eps of them,
+
+        |f - offset| <= (1 + 4u) sum |fx| (eps + (m + 5) u |fy|) / fQ,
+
+    and e is computed as 1.01 times the right side without its (1 + 4u).
+    (a) |fx fy - x y| <= u |x| |y| + |fx| eps and |x| <= |fx| / (1 - u),
+    |y| <= |fy| + eps.  (b) The sum v of the m products, in any order,
+    errs by at most gamma_m sum |fx fy| from their exact sum, gamma_m =
+    m u / (1 - m u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, (3.5)).  (c) f = fl(v / fQ) with |fQ - Q| <= u Q, so
+    |f - N/Q| <= (2u |v| + (1 + u) |v - N|) / fQ for N = s C - sum B_j R_j,
+    and |v| <= (1 + gamma_m) sum |fx fy|.  Gathering (a)-(c): each |fx| eps
+    term carries at most (1 + 4u), each |fx fy| at most (m + 5) u.  The
+    bound's own evaluation rounds at most 2m + 4 times (the weights
+    included), far below what the 1 % of ``_SLACK`` covers.  Underflow:
+    each product and the division err by at most 2^-1075 more, under
+    2^-1066 in all; the caller passes only Q < 2^960, and |s| / Q >= 1 / D
+    >= 2^-960 with eC >= E >= 2^-47 (``to_complex_error``), so e exceeds
+    2^-1007 and its 1 % slack covers that.  A product that overflowed
+    leaves f or e infinite or NaN, and then (0.0, math.inf) is returned,
+    which decides nothing.
+    """
+    fc, wc, fr, wr = entry
+    v = fs * fc
+    m = abs(fs) * wc
+    for b, r, w in zip(fB, fr, wr):
+        v -= b * r
+        m += abs(b) * w
+    f, e = v / fQ, _SLACK * m / fQ
+    if not abs(f) + e < math.inf:
+        return 0.0, math.inf
+    return f, e
+
+
 def code_constraints(P, lam, word):
     """Two half-planes per label, carving the set of points whose first
     len(word) labels under the map with rate lam are the word.
@@ -336,46 +421,142 @@ def code_constraints(P, lam, word):
     No label takes a field product.  For lam = p/q, alpha = (-q)^i / p^i and
     beta = B / (L p^i) with an integer vector B and L the common denominator
     of P's vertices: beta gains v_a * alpha * (1 + lam) / lam per step, so
-    B becomes p*B + (-q)^i (p + q) L v_a.  Edge e's integer form
-    (``ConvexPolygon.edge_forms``, const = D*c0 and rows giving
+    B becomes p*B + (-q)^i (p + q) L v_a (``_pullbacks``).  Edge e's integer
+    form (``ConvexPolygon.edge_forms``, const = D*c0 and rows giving
     D*den*(F(w) - c0) from w's numerators) then gives g's numerators
-    (-q)^i L const - rows.B over D L p^i, reduced by one gcd.  At lam = 1
-    alpha = +-1 and B is a sum of +-2 L v_a.  Tiles (lam = 1) and same-code
-    regions (lam < 1) are both intersections of these half-planes.
+    s*const - rows.B over D*Q, s = (-q)^i L and Q = L p^i, reduced by one
+    gcd (``_edge_offset``).  At lam = 1 alpha = +-1 and B is a sum of
+    +-2 L v_a.  The float of each offset is the same sum over the real
+    values of const and rows, which P caches (``_offset_float``).  Tiles
+    (lam = 1) and same-code regions (lam < 1) are both intersections of
+    these half-planes (``code_region``).
     """
     lam = Fraction(lam)
     if not 0 < lam <= 1:
         raise ValueError("need 0 < lam <= 1")
-    p, q = lam.numerator, lam.denominator
-    vs = P.vertices
-    n = vs[0].n
+    n = P.vertices[0].n
     base = P.edge_halfplanes()
     forms = P.edge_forms()
-    L = math.lcm(*(v.den for v in vs))
-    vnum = [tuple(c * (L // v.den) for c in v.num) for v in vs]
-    B = [0] * len(vnum[0])
-    an, ad = 1, 1  # alpha = an / ad
     cons = []
-    for a in word:
+    for a, s, Q, B in _pullbacks(P, lam, word):
         # left of edge a-1 and right of edge a-2, both flipped for alpha < 0
-        for e, forward in ((a - 1, an > 0), (a - 2, an < 0)):
-            rows, const, D = forms[e]
-            s = an * L if forward else -an * L
-            g = [s * c for c in const]
-            for b, row in zip(B, rows):
-                if b:
-                    if not forward:
-                        b = -b
-                    for k, r in row:
-                        g[k] -= b * r
+        for e, forward in ((a - 1, s > 0), (a - 2, s < 0)):
             hp = base[e][0 if forward else 1]
-            cons.append(HalfPlane(hp.a, hp.b, _reduced(n, g, D * L * ad)))
-        # next inverse map: z -> G_i(((1+lam) v - z)/lam)
-        f = an * (p + q)
-        B = [p * b + f * c for b, c in zip(B, vnum[a - 1])]
-        an *= -q
-        ad *= p
+            cons.append(HalfPlane(hp.a, hp.b, _edge_offset(n, forms[e], s, B, Q, forward)))
     return cons
+
+
+def _offset_floats(P, lam, word, built):
+    """Per half-plane of ``code_constraints(P, lam, word)``, in its order,
+    (e, forward, f, err, exact): edge e's cached half-plane, or its reversal
+    unless forward; a float f of its offset within err (``_offset_float``;
+    err = math.inf where an integer passes the float range, or D*Q passes
+    2^960); and exact(), which builds the offset (``_edge_offset``) once,
+    keeping it in the dict ``built`` by the half-plane's index.  lam is a
+    Fraction in (0, 1]."""
+    n = P.vertices[0].n
+    forms = P.edge_forms()
+    floats = P.form_floats()
+    i = 0
+    for a, s, Q, B in _pullbacks(P, lam, word):
+        try:
+            fs, fB = float(s), [float(b) for b in B]
+        except OverflowError:
+            fs = None
+        for e, forward in ((a - 1, s > 0), (a - 2, s < 0)):
+            DQ = forms[e][2] * Q
+            if fs is None or DQ.bit_length() > 960:
+                f, err = 0.0, math.inf
+            else:
+                f, err = _offset_float(floats[e], fs, fB, float(DQ))
+                if not forward:
+                    f = -f
+
+            def exact(i=i, e=e, s=s, B=B, Q=Q, forward=forward):
+                c = built.get(i)
+                if c is None:
+                    c = built[i] = _edge_offset(n, forms[e], s, B, Q, forward)
+                return c
+
+            yield e, forward, f, err, exact
+            i += 1
+
+
+def _clipped(P, lam, word):
+    """(hps, width): the half-planes of ``code_constraints(P, lam, word)``
+    that ``intersect_halfplanes`` clips, in order, and a function that
+    returns ``_auto_half_width`` of the whole list, Fraction for Fraction.
+
+    Each offset is first a float with a proved bound (``_offset_float``):
+    one dot product of the step's integers with floats P caches.  The skip
+    test is ``intersect_halfplanes``' own (``_tighter``), so it clips the
+    same half-planes, the strict prefix minima of each normal's offsets,
+    and builds an exact offset (``_edge_offset``) only for a half-plane
+    that clips or whose float lies within the bound of the tightest
+    clipped one's; past the float range the bound is infinite and every
+    comparison is exact.
+
+    Half-width.  Per normal, |to_complex(c).real| lies within
+    r = 3 e + 2 E of |f|, E = ``to_complex_error()``: |f - c| <= e, and
+    to_complex errs by at most E (T + 1) with T = sum |g_k| / (D Q) of the
+    unreduced numerators (a gcd divides both), at most
+    (|s| sum |const| + sum |B_j| sum |row_j|) / (D Q), which e exceeds
+    divided by E; the rest of r covers the roundings of |f| +- r, as
+    u |f| <= u (T + e) is below e / 64.  ``_half_width`` is monotone, so if
+    it gives one value at the largest |f| - r and at the largest |f| + r of
+    each normal, that is the value.  Otherwise a second pass passes
+    ``_auto_half_width`` the exact offsets whose |f| + r reaches their
+    normal's largest |f| - r, among them every largest |to_complex| one;
+    an offset built in the first pass is not built again.
+    """
+    lam = Fraction(lam)
+    if not 0 < lam <= 1:
+        raise ValueError("need 0 < lam <= 1")
+    ids = {}
+    sides = [tuple(ids.setdefault((hp.a, hp.b), len(ids)) for hp in pair)
+             for pair in P.edge_halfplanes()]
+    normals = tuple(ids)
+    slack = 2 * context(P.vertices[0].n).to_complex_error()
+    built = {}
+    tightest, hps, lo, hi = {}, [], {}, {}
+    for e, forward, f, err, exact in _offset_floats(P, lam, word, built):
+        key = sides[e][0 if forward else 1]
+        c = _tighter(tightest, key, f, err, exact)
+        if c is not None:
+            hps.append(HalfPlane(*normals[key], c))
+        r, af = 3 * err + slack, abs(f)
+        if af - r > lo.get(key, -math.inf):
+            lo[key] = af - r
+        if af + r > hi.get(key, -math.inf):
+            hi[key] = af + r
+
+    def width():
+        try:
+            w = _half_width({normals[k]: v for k, v in hi.items()})
+            if w == _half_width({normals[k]: v for k, v in lo.items()}):
+                return w
+        except OverflowError:
+            pass
+        near = []
+        for e, forward, f, err, exact in _offset_floats(P, lam, word, built):
+            key = sides[e][0 if forward else 1]
+            if abs(f) + (3 * err + slack) >= lo.get(key, -math.inf):
+                near.append(HalfPlane(*normals[key], exact()))
+        return _auto_half_width(near)
+
+    return hps, width
+
+
+def code_region(P, lam, word):
+    """``intersect_halfplanes`` of ``code_constraints(P, lam, word)``: at
+    lam = 1 in the box of ``_auto_half_width``, for lam < 1 in that of
+    ``same_code_region``.  The clipper gets only the half-planes that clip
+    and that box (``_clipped``), so its clips and vertices are those of the
+    whole list."""
+    hps, width = _clipped(P, lam, word)
+    if lam < 1:
+        return same_code_region(hps, lam)
+    return intersect_halfplanes(hps, half_width=width())
 
 
 def tile_from_code(P, code):
@@ -399,7 +580,7 @@ def tile_from_code(P, code):
         limit = stability_limit(P, code)
     except StabilityPreconditionError as exc:
         raise CodeNotRealizableError(f"code not periodic: {exc}") from None
-    res = intersect_halfplanes(code_constraints(P, 1, code.doubled_even()))
+    res = code_region(P, 1, code.doubled_even())
     if res.kind != "polygon":
         raise CodeNotRealizableError(f"code not realizable ({res.kind})")
     membership = res.polygon.locate(limit)
@@ -458,10 +639,12 @@ def is_symmetric(P, tile):
     one of its own map-iterates.  The rotation commutes with the map and
     adds j to every label (mod n; P is centred at 0, labelled CCW), and the
     iterates are the tiles of the code's cyclic shifts, so this reads only
-    the code: some C + j must have C's canonical code."""
+    the code: some C + j must have C's canonical code, that is, the word
+    W = C.doubled_even() shifted by j must be a rotation of W, a substring
+    of W written twice.  One linear substring search per j, over strings
+    of chr(label)."""
     n = len(P.vertices)
-    word = tile.code.word
-    canon = tile.code.canonical()
-    return any(Code([(a - 1 + j) % n + 1 for a in word]).canonical() == canon
+    word = tile.code.doubled_even()
+    twice = "".join(map(chr, word)) * 2
+    return any("".join([chr((a - 1 + j) % n + 1) for a in word]) in twice
                for j in range(1, n))
-
