@@ -26,22 +26,17 @@ from .dynamics import Code, OrbitRecord, iterate, orbit_bound, select_vertex, st
 from .periodic import (
     StabilityReport,
     Tile,
-    UnfoldingChain,
     code_fixed_point,
     is_lambda_stable,
     is_symmetric,
     stability_limit,
     tile_from_code,
-    unfold,
     validate_periodic,
 )
 from .square import (
-    DegenerateOrbit,
     count_attractors,
-    degenerate_orbit,
     existence_condition,
     lambda_k,
-    qk_closed_form,
     sk_code,
     square_polygon,
 )

@@ -26,7 +26,7 @@ from .geometry import (
     hausdorff_distance,
     regular_ngon,
 )
-from .periodic import code_constraints, code_region, tile_from_code
+from .periodic import code_region, tile_from_code
 
 
 @dataclass(frozen=True)
@@ -183,22 +183,18 @@ def _scr_word(P, lam, x, depth):
     return rec.prefix(depth)[0]
 
 
-def scr_constraints(P, lam, x, depth):
-    """Half-planes carving the set of points outside P that share x's first
-    ``depth`` code symbols: code_constraints of the labels ``iterate`` reads."""
-    return code_constraints(P, lam, _scr_word(P, lam, x, depth))
-
-
 def scr_region(P, lam, x, depth):
     """Exact truncated same-code region around x outside P: the
-    ``code_region`` of scr_constraints' labels, for lam < 1 inside the box
-    of ``same_code_region``."""
+    ``code_region`` of x's first ``depth`` labels.  ObcError when x lies
+    outside the box that ``code_region`` clips to, as a far seed can."""
     lam = Fraction(lam)
     res = code_region(P, lam, _scr_word(P, lam, x, depth))
     if res.polygon is None:
         raise ObcError(f"same-code region degenerated: {res.kind}")
     if not res.polygon.contains(x):
-        raise ObcError("region does not contain its seed")  # pragma: no cover
+        raise ObcError(
+            "region does not contain its seed: the seed lies outside the box "
+            f"|x|, |ytilde| <= w that clips the region, half-width w = {float(res.half_width):g}")
     return SCRegion(x, lam, depth, res.polygon)
 
 

@@ -12,8 +12,8 @@ of the float point (``_select_margin``), certify a vertex without any exact
 arithmetic; only a point the filter cannot decide reads the signs of the
 polygon's integer edge forms (``ConvexPolygon.edge_sign``), one per edge.
 ``iterate`` is the one loop that selects and reflects along an orbit
-(``step``, ``periodic.code_endpoint`` and ``atlas.scr_constraints`` read
-its record); it carries a float image of each point with a running error
+(``step``, ``periodic.code_endpoint`` and ``atlas.scr_region`` read its
+record); it carries a float image of each point with a running error
 bound, re-seeded from the exact point only where the filter abstains.  A
 step is one integer combination of the numerators of v and x, reduced by a
 gcd that divides a small integer.
@@ -133,9 +133,10 @@ def _select_margin(w, e):
     the slack of 3.9 u w^2 >= 3.9 u.  The first orientation is (v_(a+1) -
     v_a) x (p - v_a), a positive multiple of edge a - 1's value at p, and
     the second is minus that of edge a - 2 (``edge_sign``, 0-based); both
-    above M prove ``P.in_wedge(a, x)``.  With w < 2^502 no difference or
-    product overflows.  A NaN coordinate makes every orientation NaN, and an
-    infinite or NaN w or e makes M so: no comparison passes either.
+    above M prove x strictly inside the wedge of v_a.  With w < 2^502 no
+    difference or product overflows.  A NaN coordinate makes every
+    orientation NaN, and an infinite or NaN w or e makes M so: no comparison
+    passes either.
     """
     if not w < 2.0**502:
         return math.inf
@@ -341,20 +342,15 @@ def seed_code(P, x, max_steps):
     return Code(rec.cycle_code())
 
 
-def orbit_bound(P, lam, norm="euclidean"):
-    """(1 + lam)/(1 - lam) * max_i ||v_i|| in the requested norm."""
+def orbit_bound(P, lam):
+    """(1 + lam)/(1 - lam) * max_i |v_i|, the Euclidean norm."""
     lam = Fraction(lam)
     if not 0 < lam < 1:
         raise ValueError("bound defined for 0 < lam < 1 only")
     worst = 0.0
     for v in P.vertices:
         x, y = point_xy(v)
-        if norm == "euclidean":
-            worst = max(worst, (x * x + y * y) ** 0.5)
-        elif norm == "sup":
-            worst = max(worst, abs(x), abs(y))
-        else:
-            raise ValueError(f"unknown norm {norm!r}")
+        worst = max(worst, (x * x + y * y) ** 0.5)
     return float(Fraction(1 + lam, 1 - lam)) * worst
 
 

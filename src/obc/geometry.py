@@ -20,9 +20,8 @@ which each ConvexPolygon builds once: for z = num/den, an integer
 matrix-vector product of num and den with the form of edge i gives the
 numerators of a known positive multiple of cross(v[i+1] - v[i], z - v[i]) / sin(2*pi/n), and
 sign_of_real decides its sign without building any intermediate element.
-Divided by that multiple, the same product is the exact edge value
-(``edge_value``); periodic.code_constraints builds the offsets of pulled-back
-edge half-planes from the same integer rows.
+periodic.code_constraints builds the offsets of pulled-back edge half-planes
+from the same integer rows.
 
 Half-plane intersection clips (x, ytilde) pairs of real field elements
 directly, and the pairs become points x + i*sin(2*pi/n)*ytilde once, at the
@@ -33,16 +32,15 @@ proved at ``side_filter``; only a vertex within that bound, in practice one
 lying on the clip line, gets the exact value and its sign.  A crossing is the meet
 of the clip line with the line of the crossed edge, which each vertex
 carries, through factors cached per pair of normals, so no crossing takes a
-field inverse.  A half-plane clips only if no already clipped one with the
-same normal implies it, again decided from floats first (``_tighter``): a
-pulled-back wedge half-plane is one of the polygon's cached edge half-planes
-with a new offset, so a tile of a long code, cut by hundreds of them, needs
-a few dozen clips.  periodic.code_region runs the same test before the
-clipper, on floats of those offsets formed from integers and the floats of
-the edge forms each polygon caches (``form_floats``), so most offsets are
-never built exactly.  Every sign decided from floats is the exact sign, so
-the clips and the vertices are those of exact clipping, which needs no
-cleanup pass afterwards (proof at ``intersect_halfplanes``).
+field inverse.  ``intersect_halfplanes`` clips every half-plane it is given;
+periodic.code_region hands it only those that no already clipped one with
+the same normal implies, decided on floats of the offsets formed from
+integers and the floats of the edge forms each polygon caches
+(``form_floats``), so a tile of a long code, cut by hundreds of pulled-back
+half-planes, needs a few dozen clips and most offsets are never built
+exactly.  Every sign decided from floats is the exact sign, so the vertices
+are those of exact clipping, which needs no cleanup pass afterwards (proof
+at ``intersect_halfplanes``).
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ConductorMismatchError, GeometryError
-from .field import _U, CycloNum, _apply, _raw, _reduced, approximate, context, sign_of_real
+from .field import _U, CycloNum, _apply, _raw, approximate, context, sign_of_real
 
 # A plane point is just a CycloNum used as a complex coordinate.
 ExactPoint = CycloNum
@@ -196,10 +194,9 @@ class ConvexPolygon:
 
     Vertex selection and location read the signs of integer edge forms,
     built once per polygon on first use (``edge_forms``); the same forms give
-    exact edge values (``edge_value``) and the offsets of pulled-back edge
-    half-planes (``periodic.code_constraints``), whose floats come from the
-    floats of the forms (``form_floats``); the 2n edge half-planes are
-    cached next to them (``edge_halfplanes``).
+    the offsets of pulled-back edge half-planes (``periodic.code_constraints``),
+    whose floats come from the floats of the forms (``form_floats``); the 2n
+    edge half-planes are cached next to them (``edge_halfplanes``).
     """
 
     __slots__ = ("vertices", "_key", "_float", "_extent", "_forms", "_form_floats",
@@ -301,12 +298,6 @@ class ConvexPolygon:
         """
         return sign_of_real(_raw(z.n, tuple(self._edge_acc(i, z)), 1), _checked=True)
 
-    def edge_value(self, i, z):
-        """cross(v[i+1] - v[i], z - v[i]) / sin(2*pi/n) as an exact real
-        field element: the value of edge i's left half-plane at z."""
-        acc = self._edge_acc(i, z)
-        return _reduced(z.n, acc, self.edge_forms()[i][2] * z.den)
-
     def edge_halfplanes(self):
         """Per edge i, the half-planes strictly left of v[i] -> v[i+1] and
         strictly left of v[i+1] -> v[i] (``halfplane_left_of``), built once."""
@@ -317,12 +308,6 @@ class ConvexPolygon:
                 (halfplane_left_of(p, q), halfplane_left_of(q, p))
                 for p, q in zip(vs, vs[1:] + vs[:1]))
         return hps
-
-    def in_wedge(self, a, z):
-        """True iff z lies strictly inside the wedge of label a (1-based), so
-        selects v_a off the singular set: strictly left of the edge leaving
-        v_a and strictly right of the edge entering it (exact)."""
-        return self.edge_sign(a - 1, z) > 0 and self.edge_sign(a - 2, z) < 0
 
     def locate(self, z):
         """"interior" / "boundary" / "exterior" of the closed polygon."""
@@ -337,9 +322,6 @@ class ConvexPolygon:
 
     def contains(self, z):
         return self.locate(z) != "exterior"
-
-    def translated(self, d):
-        return ConvexPolygon([v + d for v in self.vertices], validate=False)
 
     def mapped(self, f):
         """Image under an orientation-preserving affine map f (unvalidated)."""
@@ -448,12 +430,6 @@ class HalfPlane:
         if self.a.is_zero() and self.b.is_zero():
             raise GeometryError("half-plane normal must be nonzero")
 
-    def value(self, z):
-        return self.a * real_part(z) + self.b * imag_scaled(z) + self.c
-
-    def side(self, z):
-        return sign_of_real(self.value(z), _checked=True)
-
 
 def halfplane_left_of(p, q):
     """Half-plane strictly left of the directed line p -> q.
@@ -470,10 +446,12 @@ def halfplane_left_of(p, q):
 
 @dataclass(frozen=True)
 class RegionResult:
-    """Outcome of a half-plane intersection."""
+    """Outcome of a half-plane intersection; with a polygon, the half-width
+    of the box [-w, w]^2 in (x, ytilde) that it was clipped to."""
 
     kind: str  # "polygon" | "empty" | "lower_dimensional" | "unbounded"
     polygon: ConvexPolygon | None = None
+    half_width: Fraction | None = None
 
 
 def _real_float(z):
@@ -655,46 +633,17 @@ def _auto_half_width(constraints):
             "a half-plane offset exceeds the float range: pass half_width") from None
 
 
-def _tighter(tightest, key, f, e, exact):
-    """The exact offset c of a half-plane with normal ``key`` if it clips,
-    else None; the one skip test of ``intersect_halfplanes`` (proof there).
-
-    It clips unless a clipped half-plane with that normal has an offset
-    c0 <= c.  ``tightest`` maps each normal to (c0, f0, e0) of its tightest
-    clipped half-plane, and is updated when this one clips.  f is a float
-    within e of c, e = math.inf when nothing is known, and ``exact()``
-    builds c: it is called once, and only when the half-plane clips or f
-    lies within the bound of f0, where the exact c - c0 decides.
-    """
-    least = tightest.get(key)
-    if least is None:
-        c = exact()
-    else:
-        c0, f0, e0 = least
-        d = f - f0
-        bound = _SLACK * (e + e0)
-        if d > bound:
-            return None
-        c = exact()
-        if d >= -bound and (c == c0 or sign_of_real(c - c0, _checked=True) >= 0):
-            return None
-    tightest[key] = (c, f, e)
-    return c
-
-
 def intersect_halfplanes(constraints, half_width=None):
     """Exact intersection of half-planes, clipped against a large box.
 
     Clipping works on (x, ytilde) pairs, the coordinates the half-planes
-    are written in; the pairs become points only at the end.  Distinct
-    half-planes clip in the given order, except that one is skipped when an
-    already clipped half-plane with the identical normal (a, b) has an
-    offset at most its own (parallel normals of different lengths both
-    clip; periodic.code_constraints emits none).  Returns a RegionResult;
-    "unbounded" means the true intersection was truncated by the box (some
-    output vertex lies on it).  Each half-plane is clipped as closed
-    (vertices on boundary lines are kept); interior membership tests handle
-    strictness.
+    are written in; the pairs become points only at the end.  Every
+    half-plane clips, in the given order; ``periodic.code_region`` hands
+    over only those that no already clipped one implies.  Returns a
+    RegionResult; "unbounded" means the true intersection was truncated by
+    the box (some output vertex lies on it).  Each half-plane is clipped as
+    closed (vertices on boundary lines are kept); interior membership tests
+    handle strictness.
 
     No cleanup follows the clips: each chain is strictly convex with no
     repeated point, or has at most 2 distinct points.  The box is strictly
@@ -709,24 +658,6 @@ def intersect_halfplanes(constraints, half_width=None):
     segment, which meets the clip line in at most one point, added only where
     an old point is dropped.  Fewer than 3 distinct points is
     "lower_dimensional".
-
-    Skip test.  A half-plane with offset c is skipped when c >= c0, the
-    offset of the tightest clipped one with its normal; an identical
-    half-plane is one such, so duplicates clip once.  A skipped half-plane
-    is implied by that tighter clip, which every chain vertex satisfies;
-    later clips keep vertices or add convex combinations of them, so they
-    satisfy it too and the skipped ``_clip`` would return the chain
-    unchanged.  With floats fc and f0 within ec and e0 of c and c0, here
-    the ``_real_float`` of each, the computed d = fc - f0 above the computed
-    B = 1.01 (ec + e0) proves c > c0: B is at least (1 + u)(ec + e0) after
-    its two roundings, u = 2^-53, so fc - f0 >= d / (1 + u) > ec + e0.
-    Likewise d < -B proves c < c0.  Otherwise, and whenever a bound is
-    infinite, c == c0 (a duplicate) or the exact sign of c - c0 decides.
-    ``_tighter`` holds this test; ``periodic.code_region`` runs it on floats
-    of ``code_constraints``' offsets formed from integers, and hands this
-    function only the half-planes that clip, with the half-width that
-    ``_auto_half_width`` gives the whole list, so its clips and vertices are
-    those of the whole list.
     """
     constraints = tuple(constraints)  # any iterable; read twice
     if not constraints:
@@ -734,13 +665,10 @@ def intersect_halfplanes(constraints, half_width=None):
     n = constraints[0].a.n
     if half_width is None:
         half_width = _auto_half_width(constraints)
-    w = CycloNum.from_rational(n, Fraction(half_width))
+    half_width = Fraction(half_width)
+    w = CycloNum.from_rational(n, half_width)
     chain = _box(w)
-    tightest = {}
     for hp in constraints:
-        fc, ec = _real_float(hp.c)
-        if _tighter(tightest, (hp.a, hp.b), fc, ec, lambda: hp.c) is None:
-            continue
         chain = _clip(chain, hp)
         if not chain:
             return RegionResult("empty", None)
@@ -751,8 +679,8 @@ def intersect_halfplanes(constraints, half_width=None):
     poly = ConvexPolygon([x + half_eta * t for x, t in pairs], validate=False)
     for x, t in pairs:
         if x == w or x == -w or t == w or t == -w:
-            return RegionResult("unbounded", poly)
-    return RegionResult("polygon", poly)
+            return RegionResult("unbounded", poly, half_width)
+    return RegionResult("polygon", poly, half_width)
 
 
 # -- approximate metric utilities -------------------------------------------

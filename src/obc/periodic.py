@@ -1,5 +1,5 @@
-"""Periodic points and their capture regions, unfolding chains, tiles and
-the two tile verdicts.
+"""Periodic points and their capture regions, tiles and the two tile
+verdicts.
 
 A finite code C of length k determines the composed affine map
 F_{k-1} o ... o F_0, each F_i being the reflection across the coded vertex
@@ -31,7 +31,7 @@ from .errors import (
     IndeterminateFixedPointError,
     StabilityPreconditionError,
 )
-from .field import CycloNum, _reduced, context
+from .field import CycloNum, _reduced, context, sign_of_real
 from .dynamics import Code, float_select, iterate, reflect_contract
 from .geometry import (
     _SLACK,
@@ -39,30 +39,10 @@ from .geometry import (
     HalfPlane,
     _auto_half_width,
     _half_width,
-    _tighter,
     halfplane_left_of,
     intersect_halfplanes,
     side_filter,
 )
-
-
-@dataclass(frozen=True)
-class UnfoldingChain:
-    """Base-point chain p_0..p_k with step vectors w_i (p_{i+1} = p_i + 2 w_i)."""
-
-    base: CycloNum
-    points: tuple
-    step_vectors: tuple
-
-    def closes(self):
-        return self.points[0] == self.points[-1]
-
-    def barycenter(self):
-        k = len(self.points) - 1
-        s = self.points[0]
-        for p in self.points[1:k]:
-            s = s + p
-        return s * Fraction(1, k)
 
 
 @dataclass(frozen=True)
@@ -198,27 +178,14 @@ class CaptureRegion:
         return True
 
 
-def same_code_region(constraints, lam):
-    """``intersect_halfplanes`` of same-code half-planes (``code_constraints``)
-    at rate lam; for lam < 1 inside the box of half-width
-    2n(1 + lam)/(1 - lam) + 4, n the conductor.  A fixed box, as the offsets
-    of a long word at small lam pass the float range, where
-    ``_auto_half_width`` raises."""
-    w = None
-    if lam < 1:
-        w = Fraction(2 * constraints[0].a.n) * (1 + lam) / (1 - lam) + 4
-    return intersect_halfplanes(constraints, half_width=w)
-
-
 def capture_region(P, W, lam):
     """The capture region of the word W (doubled when odd) at rate lam, a
     ``CaptureRegion``; None when q_W is not real (``follows_code``) or does
     not lie in the interior of K.  Needs 0 < lam < 1.
 
-    K = ``code_region(P, lam, W)``, the ``same_code_region`` of W's
-    ``code_constraints``.  Proof that
-    every point z of K's interior follows W forever.  K is the intersection
-    of closed half-planes with q_W in its interior, so its interior is the
+    K = ``code_region(P, lam, W)``.  Proof that every point z of K's
+    interior follows W forever.  K is the intersection of closed
+    half-planes with q_W in its interior, so its interior is the
     intersection of the open ones: it lies in the open box and in the open
     region R_W of points whose first |W| labels are W, strictly inside each
     vertex wedge (``code_constraints``).  So z follows W for |W| steps and
@@ -298,27 +265,6 @@ def captured_word(P, x, y, lam, max_steps, regions):
         if key not in tails:
             tails[key] = capture_region(P, key, lam), Code(key).canonical()
     return None
-
-
-def unfold(P, code, base=None):
-    """Reflect P along the code, keeping the point fixed.
-
-    After i reflections the copy of P is z -> (-1)^i z + c_i, so the base
-    point's copy p_i reaches the copy of the coded vertex v_{a_i} by the step
-    vector w_i = (-1)^i (v_{a_i} - base), and p_{i+1} = p_i + 2 w_i.  Returns
-    the chain p_0..p_k with its step vectors.
-    """
-    code = Code.coerce(code)
-    code.validate_labels(len(P.vertices))
-    if base is None:
-        base = P.centroid()
-    pts = [base]
-    ws = []
-    for i, v in enumerate(_code_vertices(P, code.word)):
-        w = v - base if i % 2 == 0 else base - v
-        ws.append(w)
-        pts.append(pts[-1] + w * 2)
-    return UnfoldingChain(base, tuple(pts), tuple(ws))
 
 
 def _pullbacks(P, lam, word):
@@ -482,19 +428,54 @@ def _offset_floats(P, lam, word, built):
             i += 1
 
 
+def _tighter(tightest, key, f, e, exact):
+    """The exact offset c of a half-plane with normal ``key`` if it clips,
+    else None; the skip test of ``_clipped``.
+
+    It clips unless a clipped half-plane with that normal has an offset
+    c0 <= c.  ``tightest`` maps each normal to (c0, f0, e0) of its tightest
+    clipped half-plane, and is updated when this one clips.  f is a float
+    within e of c, e = math.inf when nothing is known, and ``exact()``
+    builds c: it is called once, and only when the half-plane clips or f
+    lies within the bound of f0, where the exact c - c0 decides.
+
+    A skipped half-plane is implied by that tighter clip, which every chain
+    vertex satisfies; later clips keep vertices or add convex combinations
+    of them, so they satisfy it too and its ``_clip`` would return the chain
+    unchanged.  The computed d = f - f0 above the computed B = 1.01 (e + e0)
+    proves c > c0: B is at least (1 + u)(e + e0) after its two roundings,
+    u = 2^-53, so f - f0 >= d / (1 + u) > e + e0.  Likewise d < -B proves
+    c < c0.  Otherwise, and whenever a bound is infinite, c == c0 (an
+    identical half-plane) or the exact sign of c - c0 decides.
+    """
+    least = tightest.get(key)
+    if least is None:
+        c = exact()
+    else:
+        c0, f0, e0 = least
+        d = f - f0
+        bound = _SLACK * (e + e0)
+        if d > bound:
+            return None
+        c = exact()
+        if d >= -bound and (c == c0 or sign_of_real(c - c0, _checked=True) >= 0):
+            return None
+    tightest[key] = (c, f, e)
+    return c
+
+
 def _clipped(P, lam, word):
     """(hps, width): the half-planes of ``code_constraints(P, lam, word)``
-    that ``intersect_halfplanes`` clips, in order, and a function that
-    returns ``_auto_half_width`` of the whole list, Fraction for Fraction.
+    that no earlier one implies, in order, and a function that returns
+    ``_auto_half_width`` of the whole list, Fraction for Fraction.
 
     Each offset is first a float with a proved bound (``_offset_float``):
     one dot product of the step's integers with floats P caches.  The skip
-    test is ``intersect_halfplanes``' own (``_tighter``), so it clips the
-    same half-planes, the strict prefix minima of each normal's offsets,
-    and builds an exact offset (``_edge_offset``) only for a half-plane
-    that clips or whose float lies within the bound of the tightest
-    clipped one's; past the float range the bound is infinite and every
-    comparison is exact.
+    test (``_tighter``) keeps the strict prefix minima of each normal's
+    offsets, and builds an exact offset (``_edge_offset``) only for a
+    half-plane that clips or whose float lies within the bound of the
+    tightest clipped one's; past the float range the bound is infinite and
+    every comparison is exact.
 
     Half-width.  Per normal, |to_complex(c).real| lies within
     r = 3 e + 2 E of |f|, E = ``to_complex_error()``: |f - c| <= e, and
@@ -549,14 +530,18 @@ def _clipped(P, lam, word):
 
 def code_region(P, lam, word):
     """``intersect_halfplanes`` of ``code_constraints(P, lam, word)``: at
-    lam = 1 in the box of ``_auto_half_width``, for lam < 1 in that of
-    ``same_code_region``.  The clipper gets only the half-planes that clip
-    and that box (``_clipped``), so its clips and vertices are those of the
-    whole list."""
+    lam = 1 in the box of ``_auto_half_width``; for lam < 1 in the box of
+    half-width 2n(1 + lam)/(1 - lam) + 4, n the conductor, a fixed box, as
+    the offsets of a long word at small lam pass the float range, where
+    ``_auto_half_width`` raises.  The clipper gets only the half-planes
+    that clip and that box (``_clipped``), so its vertices are those of
+    the whole list."""
     hps, width = _clipped(P, lam, word)
     if lam < 1:
-        return same_code_region(hps, lam)
-    return intersect_halfplanes(hps, half_width=width())
+        w = Fraction(2 * P.vertices[0].n) * (1 + lam) / (1 - lam) + 4
+    else:
+        w = width()
+    return intersect_halfplanes(hps, half_width=w)
 
 
 def tile_from_code(P, code):

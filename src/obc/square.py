@@ -1,10 +1,11 @@
 """Verification machinery for the square: the threshold polynomials
-p_k(t) = 1 - t^(k-1) - t^k + t^(2k), their roots lambda_k, closed-form
-periodic coordinates, attractor counts, and the degenerate boundary orbit.
+p_k(t) = 1 - t^(k-1) - t^k + t^(2k), their roots lambda_k, the index-k
+codes and attractor counts.
 
 The square here has vertices (+-1, +-1) in Q(i), labeled counterclockwise
 from (1, 1); the index-k orbit has period 4k and its tile is the unit-side
-grid square centered at (-2k, 0).
+grid square centered at (-2k, 0).  Whether its cycle exists at a rate is
+decided exactly by ``periodic.follows_code`` at the code's fixed point.
 
 Threshold brackets bisect in integers on the dyadic grid (``lambda_k``).
 Attractor counts sample random starts outside the square and hand each
@@ -18,12 +19,10 @@ attractor was missed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .dynamics import orbit_bound, reflect_contract, seed_code
-from .field import CycloNum
-from .geometry import ConvexPolygon, from_scaled, imag_scaled, real_part
+from .dynamics import orbit_bound, seed_code
+from .geometry import ConvexPolygon, from_scaled
 from .periodic import captured_word
 
 
@@ -148,122 +147,6 @@ def sk_code(k):
     if len(code) != 4 * k:  # pragma: no cover
         raise ArithmeticError(f"unexpected orbit structure for index {k}")
     return code
-
-
-def qk_closed_form(k, lam):
-    """Closed-form coordinates of the index-k fixed point.
-
-    x = -(1+lam)(1-lam^(2k)) / ((1-lam)(1+lam^(2k))),
-    y =  (1+lam)(1-lam^k)^2 / ((1-lam)(1+lam^(2k))); at lam = 1 the curve
-    extends continuously to the tile center (-2k, 0).
-    """
-    lam = Fraction(lam)
-    if not 0 < lam <= 1:
-        raise ValueError("need 0 < lam <= 1")
-    if lam == 1:
-        return from_scaled(4, -2 * k, 0)
-    den = (1 - lam) * (1 + lam ** (2 * k))
-    x = -(1 + lam) * (1 - lam ** (2 * k)) / den
-    y = (1 + lam) * (1 - lam**k) ** 2 / den
-    return from_scaled(4, x, y)
-
-
-def yhat(k, lam):
-    """y-coordinate of the last subdivision point on the rotated segment:
-    the convex combination ((1-t^(k-1)) y_k + (t^(k-1)-t^k) x_k) / (1-t^k)."""
-    lam = Fraction(lam)
-    q = qk_closed_form(k, lam)
-    x = real_part(q).coeffs[0]
-    y = imag_scaled(q).coeffs[0]
-    den = 1 - lam**k
-    return ((1 - lam ** (k - 1)) * y + (lam ** (k - 1) - lam**k) * x) / den
-
-
-@dataclass
-class TransitionCheck:
-    index: int
-    vertex_label: int
-    identity_ok: bool
-    in_wedge: bool  # the point lies strictly inside its coded vertex wedge
-
-
-@dataclass
-class DegenerateOrbit:
-    """The 4k-point boundary orbit built from the index-k fixed point by
-    quarter-turn symmetry and geometric subdivision of one segment."""
-
-    k: int
-    lam: Fraction
-    E: list
-    F: list
-    G: list
-    H: list
-    transitions: list
-
-    def all_identities_hold(self):
-        return all(t.identity_ok for t in self.transitions)
-
-    def all_in_wedges(self):
-        return all(t.in_wedge for t in self.transitions)
-
-
-def _rot90(z):
-    # counterclockwise quarter turn: multiply by i = zeta_4
-    return z * CycloNum.zeta(4)
-
-
-# vertex the points of each family reflect on: E -> (1,-1), F -> (1,1),
-# G -> (-1,1), H -> (-1,-1); labels in the CCW square are 4, 1, 2, 3.
-_FAMILY_VERTEX_LABEL = (4, 1, 2, 3)
-
-
-def degenerate_orbit(k, lam):
-    """Construct the 4k points and verify every transition.
-
-    Each transition is checked two ways, both exactly: the affine identity
-    (1+lam) * v - lam * p == p_next (an algebraic identity in lam), and
-    whether p lies strictly inside the wedge of its coded vertex
-    (``ConvexPolygon.in_wedge``); the tests check that every p does just
-    above the threshold root lambda_k and some p does not just below it.
-    """
-    lam = Fraction(lam)
-    if not 0 < lam < 1:
-        raise ValueError("need 0 < lam < 1")
-    H0 = qk_closed_form(k, lam)
-    E0 = _rot90(H0)
-    F0 = _rot90(E0)
-    G0 = _rot90(F0)
-    den = 1 - lam**k
-    E = [E0]
-    for j in range(1, k):
-        t = (1 - lam**j) / den
-        E.append(E0 + (H0 - E0) * t)
-    F = [_rot90(z) for z in E]
-    G = [_rot90(z) for z in F]
-    H = [_rot90(z) for z in G]
-    fams = (E, F, G, H)
-
-    def succ(fam, j):
-        # family advances by a half turn each step; index k wraps to the
-        # quarter-turn-behind family at index 0 (E_k = H_0 and its rotations)
-        fam2, j2 = (fam + 2) % 4, j + 1
-        if j2 == k:
-            fam2, j2 = (fam2 - 1) % 4, 0
-        return fam2, j2
-
-    P = _sq()
-    transitions = []
-    fam, j = 3, 0  # start at H_0
-    for i in range(4 * k):
-        cur = fams[fam][j]
-        fam2, j2 = succ(fam, j)
-        nxt = fams[fam2][j2]
-        label = _FAMILY_VERTEX_LABEL[fam]
-        identity_ok = reflect_contract(P.vertices[label - 1], lam.numerator,
-                                       lam.denominator, cur) == nxt
-        transitions.append(TransitionCheck(i, label, identity_ok, P.in_wedge(label, cur)))
-        fam, j = fam2, j2
-    return DegenerateOrbit(k, lam, E, F, G, H, transitions)
 
 
 # -- attractor counting -------------------------------------------------------

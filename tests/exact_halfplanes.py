@@ -3,9 +3,10 @@
 Every side is an exact sign of a*x + b*ytilde + c and every crossing is
 p + s*(q - p) with s = f(p)/(f(p) - f(q)), one field inverse each; no float
 is read.  It keeps ``obc.geometry.intersect_halfplanes``'s contract (the same
-box, the same skip of a half-plane implied by a clipped one with the
-identical normal, the same kinds), so the library's filtered clip must
-return the same vertex sequence, clip for clip.
+box, the same kinds), so the library's filtered clip must return the same
+vertex sequence, clip for clip.  Its skip of a half-plane implied by a
+clipped one with the identical normal is the reference for the skip of
+``obc.periodic.code_region``.
 """
 
 from fractions import Fraction
@@ -37,9 +38,8 @@ def clipped_pairs(constraints, half_width=None, skip=True):
     """The final chain of (x, ytilde) pairs (or [] when a clip empties it),
     the box half-width w as a field element, and the number of clips.
 
-    With ``skip`` False every distinct half-plane clips, in order of first
-    appearance."""
-    constraints = list(dict.fromkeys(constraints))
+    With ``skip`` False every half-plane clips, in order."""
+    constraints = list(constraints)
     n = constraints[0].a.n
     if half_width is None:
         half_width = _auto_half_width(constraints)
@@ -60,12 +60,12 @@ def clipped_pairs(constraints, half_width=None, skip=True):
     return pairs, w, clips
 
 
-def intersect_halfplanes(constraints, half_width=None):
+def intersect_halfplanes(constraints, half_width=None, skip=True):
     """(RegionResult, number of clips), as the library computes them."""
     constraints = list(constraints)
     if not constraints:
         return RegionResult("unbounded", None), 0
-    pairs, w, clips = clipped_pairs(constraints, half_width)
+    pairs, w, clips = clipped_pairs(constraints, half_width, skip)
     if not pairs:
         return RegionResult("empty", None), clips
     if len(set(pairs)) < 3:

@@ -1,11 +1,12 @@
 """Reference orbit loops for the tests: one exact selection per step.
 
 ``obc.dynamics.iterate`` is the library's one orbit loop; ``step``,
-``periodic.code_endpoint`` and ``atlas.scr_constraints`` read its record.
+``periodic.code_endpoint`` and ``atlas.scr_region`` read its record.
 These loops do not call it.  ``reference_step`` selects each vertex with
 ``select_vertex`` at the point itself and reduces the new point by the full
 gcd of its numerators and denominator; ``endpoint_by_wedges`` confirms each
-expected label by the exact wedge test alone, selecting nothing.
+expected label by the exact wedge test alone (``in_wedge``), selecting
+nothing.
 """
 
 from fractions import Fraction
@@ -27,14 +28,21 @@ def reference_step(P, lam, x):
     return _reduced(x.n, num, q * v.den * x.den), sel.label
 
 
+def in_wedge(P, a, z):
+    """True iff z lies strictly inside the wedge of label a (1-based), so
+    selects v_a off the singular set: strictly left of the edge leaving
+    v_a and strictly right of the edge entering it (exact)."""
+    return P.edge_sign(a - 1, z) > 0 and P.edge_sign(a - 2, z) < 0
+
+
 def endpoint_by_wedges(P, lam, z, word):
     """The point the orbit of z reaches after the labels of word, each taken
-    strictly inside its vertex wedge (``ConvexPolygon.in_wedge``); None as
-    soon as a label is another or the point is on no wedge's inside."""
+    strictly inside its vertex wedge (``in_wedge``); None as soon as a label
+    is another or the point is on no wedge's inside."""
     lam = Fraction(lam)
     vs = P.vertices
     for a in word:
-        if a > len(vs) or not P.in_wedge(a, z):
+        if a > len(vs) or not in_wedge(P, a, z):
             return None
         z = reflect_contract(vs[a - 1], lam.numerator, lam.denominator, z)
     return z
@@ -42,7 +50,7 @@ def endpoint_by_wedges(P, lam, z, word):
 
 def scr_word_by_steps(P, lam, x, depth):
     """x's first ``depth`` labels, one ``reference_step`` per symbol, with
-    the errors that ``atlas.scr_constraints`` raises."""
+    the errors that ``atlas.scr_region`` raises."""
     lam = Fraction(lam)
     word = []
     cur = x

@@ -7,6 +7,7 @@ import random
 import time
 from fractions import Fraction
 
+from exact_closed_forms import qk_closed_form, unfold
 from mpmath import mp
 
 from obc.atlas import SearchWindow, picture_convergence, scr_region, search_tiles
@@ -18,13 +19,11 @@ from obc.periodic import (
     compose_code_map,
     is_lambda_stable,
     stability_limit,
-    unfold,
 )
 from obc.square import (
     count_attractors,
     existence_identity_holds,
     lambda_k,
-    qk_closed_form,
     sk_code,
     square_polygon,
 )

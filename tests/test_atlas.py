@@ -14,7 +14,6 @@ from obc.atlas import (
     load_atlas,
     picture_convergence,
     save_atlas,
-    scr_constraints,
     scr_region,
     search_tiles,
 )
@@ -100,12 +99,12 @@ def test_scr_rejects_bad_seed():
         scr_region(square_polygon(), 1, from_scaled(4, 3, 2), 10)
     for depth in (0, -1):
         with pytest.raises(ValueError, match="^depth must be >= 1$"):
-            scr_constraints(regular_ngon(4), 1, from_scaled(4, 3, 0), depth)
+            scr_region(regular_ngon(4), 1, from_scaled(4, 3, 0), depth)
 
 
 @pytest.mark.parametrize("lam", (Fraction(1), Fraction(1, 2), Fraction(4, 5)), ids=str)
 def test_scr_constraints_match_the_step_loop(lam, square):
-    # scr_constraints reads iterate's orbit; the reference takes one exact
+    # scr_region reads iterate's orbit; the reference takes one exact
     # selection per symbol, and must give the same half-planes and errors
     P5 = regular_ngon(5)
     v, w = P5.vertices[0], P5.vertices[1]
@@ -122,10 +121,11 @@ def test_scr_constraints_match_the_step_loop(lam, square):
             word = scr_word_by_steps(P, lam, x, depth)
         except ObcError as exc:
             with pytest.raises(ObcError) as err:
-                scr_constraints(P, lam, x, depth)
+                scr_region(P, lam, x, depth)
             assert str(err.value) == str(exc)
             continue
-        assert scr_constraints(P, lam, x, depth) == code_constraints(P, lam, word)
+        labels, _ = iterate(P, lam, x, depth).prefix(depth)
+        assert code_constraints(P, lam, labels) == code_constraints(P, lam, word)
 
 
 def test_scr_rejects_rate_outside_unit_interval():
@@ -140,10 +140,11 @@ def test_scr_at_rate_one_is_the_tile(septagon_atlas):
     assert len(short) == 4
     for t in short:
         word = t.code.doubled_even()
-        cons = scr_constraints(P, 1, t.center(), len(word))
-        assert cons == code_constraints(P, 1, word)
+        rec = iterate(P, 1, t.center(), len(word))
+        assert code_constraints(P, 1, rec.prefix(len(word))[0]) == code_constraints(P, 1, word)
         # past the step where the centre's orbit closes, read on around it
-        assert scr_constraints(P, 1, t.center(), 3 * len(word)) == code_constraints(P, 1, word * 3)
+        labels, _ = rec.prefix(3 * len(word))
+        assert code_constraints(P, 1, labels) == code_constraints(P, 1, word * 3)
         assert scr_region(P, 1, t.center(), len(word)).polygon == t.polygon
 
 

@@ -217,7 +217,14 @@ def test_domain_error_exit_1(capsys):
             (["scr", "--n", "4", "--square-frame", "--seed", "3,1"],
              "point is singular; its code is undefined"),
             (["scr", "--n", "4", "--square-frame", "--seed", "3,2", "--depth", "10"],
-             "orbit hits the singular set at step 3")):
+             "orbit hits the singular set at step 3"),
+            # far seeds at lam < 1: the box of half-width 2n(1 + lam)/(1 - lam) + 4
+            (["scr", "--n", "5", "--seed", "100,100", "--lambda", "1/1000", "--depth", "3"],
+             "region does not contain its seed: the seed lies outside the box "
+             "|x|, |ytilde| <= w that clips the region, half-width w = 14.02"),
+            (["scr", "--n", "4", "--seed", "1e30,1e30", "--lambda", "1/2", "--depth", "3"],
+             "region does not contain its seed: the seed lies outside the box "
+             "|x|, |ytilde| <= w that clips the region, half-width w = 28")):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (1, "", f"error: {message}\n"), argv
     code, out, _ = run(capsys, "orbit", "--n", "4", "--square-frame", "--lambda", "1",

@@ -1,13 +1,16 @@
 """The filtered half-plane intersection against the exact reference.
 
-``obc.geometry.intersect_halfplanes`` decides each side and each skip from
-floats under a proved bound and computes each crossing as the meet of two
-lines; the reference in ``exact_halfplanes`` signs everything exactly and
-crosses edges at p + s*(q - p).  Both must give the same kind, the same
-vertex sequence (by ``serialize()``) and the same clips, here on half-plane
-sets built from each polygon's cached edge normals, with offsets that make
-the floats hard: exact ties, offsets 2^-60 apart or an irrational hair
-apart, three lines through one point, a line in both orientations.
+``obc.geometry.intersect_halfplanes`` decides each side from floats under a
+proved bound and computes each crossing as the meet of two lines; the
+reference in ``exact_halfplanes`` signs everything exactly and crosses edges
+at p + s*(q - p).  Both must give the same kind, the same vertex sequence
+(by ``serialize()``) and the same clips, one per half-plane given, here on
+half-plane sets built from each polygon's cached edge normals, with offsets
+that make the floats hard: exact ties, offsets 2^-60 apart or an irrational
+hair apart, three lines through one point, a line in both orientations.
+The reference's skip of implied parallel half-planes, which
+``periodic.code_region`` runs before the clipper, must leave the kind and
+the vertex sequence as they are.
 """
 
 from fractions import Fraction
@@ -56,9 +59,11 @@ def _library(constraints, half_width):
 
 def _same_as_exact(cons, feed="list", half_width=None):
     got, clips = _library(FEEDS[feed](cons), half_width)
-    ref, ref_clips = exact_intersect(FEEDS[feed](cons), half_width)
-    assert got.kind == ref.kind
-    assert (got.polygon and got.polygon.serialize()) == (ref.polygon and ref.polygon.serialize())
+    ref, ref_clips = exact_intersect(FEEDS[feed](cons), half_width, skip=False)
+    skipped, _ = exact_intersect(FEEDS[feed](cons), half_width)
+    for res in (ref, skipped):
+        assert got.kind == res.kind
+        assert (got.polygon and got.polygon.serialize()) == (res.polygon and res.polygon.serialize())
     assert clips == ref_clips
     return got.kind
 

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from exact_orbits import in_wedge
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -114,14 +115,15 @@ def test_float_select_answer_does_not_depend_on_the_order(case):
     for order in orders[1:]:
         row = float_select(order, f.real, f.imag)
         assert (None if row is None else row[0]) == label
-    if label is None or P.in_wedge(label, z):
+    if label is None or in_wedge(P, label, z):
         return
     band = 2.0**-48 * (abs(f) + 2) ** 2
     scale = math.sin(2 * math.pi / z.n)
     for i, bad in ((label - 1, P.edge_sign(label - 1, z) <= 0),
                    (label - 2, P.edge_sign(label - 2, z) >= 0)):
         if bad:
-            assert abs(P.edge_value(i, z).to_complex().real) * scale <= band
+            d = P.vertices[(i + 1) % len(P.vertices)] - P.vertices[i]
+            assert abs(cross_scaled(d, z - P.vertices[i]).to_complex().real) * scale <= band
 
 
 def test_select_vertex_square_examples():
@@ -374,8 +376,7 @@ def test_iterate_singular_and_cap():
 
 
 def test_orbit_bound_examples():
-    assert abs(orbit_bound(SQ, Fraction(1, 2), "sup") - 3.0) < 1e-12
-    assert abs(orbit_bound(SQ, Fraction(1, 2), "euclidean") - 3 * math.sqrt(2)) < 1e-9
+    assert abs(orbit_bound(SQ, Fraction(1, 2)) - 3 * math.sqrt(2)) < 1e-9
     b1 = orbit_bound(SQ, Fraction(1, 2))
     b2 = orbit_bound(SQ, Fraction(3, 4))
     b3 = orbit_bound(SQ, Fraction(9, 10))
@@ -386,7 +387,7 @@ def test_orbit_bound_examples():
 
 def test_boundedness_spot_check():
     lam = Fraction(1, 2)
-    bound = orbit_bound(SQ, lam, "sup")
+    bound = 3.0  # (1 + lam)/(1 - lam) times the vertices' sup norm, 1
     done = 0
     while done < 15:
         x = pt4(Fraction(rng.randint(-40, 40), 16), Fraction(rng.randint(-40, 40), 16))

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import obc.geometry
-from obc.atlas import scr_constraints
 from obc.dynamics import iterate
 from obc.errors import ConductorMismatchError, GeometryError
 from obc.field import CycloNum, sign_of_real
@@ -27,7 +26,7 @@ from obc.geometry import (
     real_part,
     regular_ngon,
 )
-from obc.periodic import code_constraints
+from obc.periodic import code_constraints, code_region
 
 rng = random.Random(77)
 
@@ -69,6 +68,11 @@ def test_orientation_antisymmetry():
             assert orientation(c, b, a) == -s
 
 
+def _side(hp, z):
+    # the exact sign of hp's value at z
+    return sign_of_real(hp.a * real_part(z) + hp.b * imag_scaled(z) + hp.c, _checked=True)
+
+
 def test_real_imag_parts_are_real():
     for n in (3, 5, 8):
         z = rand_pt(n)
@@ -108,8 +112,8 @@ def test_halfplane_intersection_constraints_hold_on_output():
     poly = intersect_halfplanes(cons).polygon
     for hp in cons:
         for v in poly.vertices:
-            assert hp.side(v) >= 0
-        assert hp.side(poly.centroid()) > 0
+            assert _side(hp, v) >= 0
+        assert _side(hp, poly.centroid()) > 0
 
 
 def test_halfplane_intersection_empty_and_degenerate():
@@ -122,23 +126,6 @@ def test_halfplane_intersection_empty_and_degenerate():
                                  HalfPlane(-one, zero, zero),
                                  HalfPlane(zero, one, one), HalfPlane(zero, -one, one)])
     assert res2.kind == "lower_dimensional"
-
-
-def test_identical_halfplanes_clip_once(monkeypatch):
-    clips = []
-    clip = obc.geometry._clip
-
-    def counting(pairs, hp):
-        clips.append(hp)
-        return clip(pairs, hp)
-
-    monkeypatch.setattr(obc.geometry, "_clip", counting)
-    cons = _strip_constraints()
-    cons = cons + [cons[0]]
-    res = intersect_halfplanes(cons + cons)
-    assert len(clips) == len(set(cons)) == 4
-    pts = sorted(point_xy(v) for v in res.polygon.vertices)
-    assert pts == [(-3.0, -1.0), (-3.0, 1.0), (-1.0, -1.0), (-1.0, 1.0)]
 
 
 # p/d + (q/d)*(zeta + conj(zeta)): a real field element, irrational for n = 5, 7
@@ -172,11 +159,11 @@ def test_halfplane_intersection_property(n, planes):
         return
     vs = res.polygon.vertices
     for hp in cons:
-        assert all(hp.side(v) >= 0 for v in vs)
+        assert all(_side(hp, v) >= 0 for v in vs)
     ConvexPolygon(vs, validate=True)
     if res.kind == "polygon":
         for p, q in res.polygon.edges():
-            assert any(hp.side(p) == 0 and hp.side(q) == 0 for hp in cons)
+            assert any(_side(hp, p) == 0 and _side(hp, q) == 0 for hp in cons)
 
 
 def _dedupe_collinear(pairs):
@@ -204,10 +191,10 @@ def _dedupe_collinear(pairs):
     return cleaned
 
 
-def _clip_every_distinct(constraints):
-    # reference without the parallel skip, and with the old cleanup: every
-    # distinct half-plane clips exactly, in order of first appearance
-    pairs, w, _ = clipped_pairs(constraints, skip=False)
+def _reference(constraints, skip, half_width=None):
+    # the exact reference, with or without the parallel skip, and with the
+    # old cleanup
+    pairs, w, _ = clipped_pairs(constraints, half_width, skip)
     if not pairs:
         return "empty", None
     pairs = _dedupe_collinear(pairs)
@@ -219,15 +206,16 @@ def _clip_every_distinct(constraints):
     return ("unbounded" if boxed else "polygon"), poly.serialize()
 
 
-def _same_as_every_distinct_clip(cons):
-    res = intersect_halfplanes(cons)
+def _same_as_every_clip(res, cons, half_width=None):
+    # res, here or after the skip of periodic.code_region, is the reference
+    # clipping every half-plane, and the skip changes no vertex there either
     got = (res.kind, res.polygon.serialize() if res.polygon else None)
-    assert got == _clip_every_distinct(cons)
+    assert got == _reference(cons, False, half_width) == _reference(cons, True, half_width)
 
 
 # (source index, antiparallel?, positive scale, offset shift): a parallel copy
-# of scale 1 has the identical normal, so the skip can drop it; shift 0 gives
-# equal offsets; for an antiparallel copy |shift| is the width of the strip
+# of scale 1 has the identical normal, which code_region's skip reads; shift 0
+# gives equal offsets; for an antiparallel copy |shift| is the width of the strip
 _copy = st.tuples(st.integers(0, 6), st.booleans(),
                   st.sampled_from((Fraction(1), Fraction(2), Fraction(1, 3), Fraction(7, 2))),
                   st.sampled_from((Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(3))))
@@ -255,7 +243,7 @@ def test_parallel_skip_keeps_the_vertex_sequence(n, planes, copies, shuffle):
             copy = HalfPlane(hp.a * k, hp.b * k, hp.c * k + shift)
         cons.append(copy)
     shuffle.shuffle(cons)
-    _same_as_every_distinct_clip(cons)
+    _same_as_every_clip(intersect_halfplanes(cons), cons)
 
 
 @settings(max_examples=40, deadline=None)
@@ -263,13 +251,15 @@ def test_parallel_skip_keeps_the_vertex_sequence(n, planes, copies, shuffle):
        st.sampled_from((Fraction(1, 2), Fraction(4, 5), Fraction(999, 1000))),
        st.integers(-40, 40), st.integers(-40, 40), st.integers(1, 10))
 def test_parallel_skip_on_contracted_code_regions(n, lam, x, y, depth):
-    # regions of lam < 1 codes: the pull-back factor alpha = (-1/lam)^i is
-    # not +-1, so parallel half-planes differ by a rational scale
+    # regions of lam < 1 codes, through code_region's skip: the pull-back
+    # factor alpha = (-1/lam)^i is not +-1, so parallel half-planes differ
+    # by a rational scale
     P = regular_ngon(n)
     z = from_scaled(n, Fraction(x, 8) + Fraction(1, 97), Fraction(y, 8) + Fraction(1, 89))
     code = iterate(P, lam, z, depth).code
     if code:
-        _same_as_every_distinct_clip(code_constraints(P, lam, code))
+        res = code_region(P, lam, code)
+        _same_as_every_clip(res, code_constraints(P, lam, code), res.half_width)
 
 
 def _left_of(p, q):
@@ -339,9 +329,11 @@ def test_halfplane_intersection_unbounded():
 
 def test_offsets_past_the_float_range_need_a_given_box():
     # offsets near 2^1100: no float box exists, so the caller must pass one
-    # (scr_region does, and its result is the scr_deep pin)
-    cons = scr_constraints(regular_ngon(5), Fraction(1, 2),
-                           from_scaled(5, Fraction(251, 100), Fraction(33, 100)), 1100)
+    # (code_region does, and scr_region's result is the scr_deep pin)
+    P, lam = regular_ngon(5), Fraction(1, 2)
+    word, _ = iterate(P, lam, from_scaled(5, Fraction(251, 100), Fraction(33, 100)),
+                      1100).prefix(1100)
+    cons = code_constraints(P, lam, word)
     with pytest.raises(GeometryError, match="half_width"):
         intersect_halfplanes(cons)
     huge = CycloNum.from_rational(4, 2**1030)
@@ -360,7 +352,8 @@ def test_halfplane_from_edge_matches_cross():
             if p == q:
                 continue
             hp = halfplane_left_of(p, q)
-            assert hp.value(z) == cross_scaled(q - p, z - p)
+            value = hp.a * real_part(z) + hp.b * imag_scaled(z) + hp.c
+            assert value == cross_scaled(q - p, z - p)
 
 
 def test_edge_value_is_the_scaled_cross():
@@ -373,11 +366,13 @@ def test_edge_value_is_the_scaled_cross():
         for _ in range(10):
             z = CycloNum(n, [Fraction(rng.randint(-99, 99), rng.randint(1, 30))
                              for _ in range(phi)])
-            for i in range(len(vs)):
+            for i, (hp, _) in enumerate(P.edge_halfplanes()):
                 d = vs[(i + 1) % len(vs)] - vs[i]
-                assert P.edge_value(i, z) == cross_scaled(d, z - vs[i])
+                value = cross_scaled(d, z - vs[i])
+                assert hp.a * real_part(z) + hp.b * imag_scaled(z) + hp.c == value
+                assert P.edge_sign(i, z) == sign_of_real(value, _checked=True)
         with pytest.raises(ConductorMismatchError):
-            P.edge_value(0, CycloNum.zeta(n + 1))
+            P.edge_sign(0, CycloNum.zeta(n + 1))
 
 
 def test_polygon_locate_and_validation():
@@ -410,7 +405,7 @@ def test_is_regular():
 def test_hausdorff_examples():
     sq = ConvexPolygon([pt4(0, 0), pt4(1, 0), pt4(1, 1), pt4(0, 1)])
     assert hausdorff_distance(sq, sq) == 0.0
-    moved = sq.translated(pt4(Fraction(1, 10), 0))
+    moved = sq.mapped(lambda z: z + pt4(Fraction(1, 10), 0))
     assert abs(hausdorff_distance(sq, moved) - 0.1) < 1e-12
     with pytest.raises(GeometryError):
         hausdorff_distance(sq, None)

@@ -2,7 +2,7 @@
 
 ``periodic._clipped`` forms each offset of ``code_constraints`` as a float
 with a proved bound, from integers and floats the polygon caches, and
-builds an exact offset only where the skip of ``intersect_halfplanes``
+builds an exact offset only where its skip of implied parallel half-planes
 needs one.  Checked here against exact references, on the census codes,
 the septagon fixture (period 276 among them), the n = 7 window at
 N = 3 000 (periods up to 2 702), random words at three rates, words
@@ -13,7 +13,9 @@ that its integers pass the float range:
   enclosure (``approximate``), not by another float;
 * the half-planes handed to the clipper are, in order, those an exact skip
   clips on the whole ``code_constraints`` list;
-* the half-width is ``_auto_half_width`` of that list.
+* the half-width is ``_auto_half_width`` of that list;
+* a word repeated three times, whose repeats are identical half-planes,
+  clips as often as the word once and gives the same polygon.
 
 ``is_symmetric``'s substring search is checked against its earlier form,
 the canonical code of every label shift, on the codes of the same windows.
@@ -25,12 +27,20 @@ from fractions import Fraction
 
 import pytest
 
+import obc.geometry
 import obc.periodic
 from obc.atlas import SearchWindow, search_tiles
 from obc.dynamics import Code
 from obc.field import approximate, sign_of_real
 from obc.geometry import _auto_half_width, regular_ngon
-from obc.periodic import Tile, _clipped, _offset_floats, code_constraints, is_symmetric
+from obc.periodic import (
+    Tile,
+    _clipped,
+    _offset_floats,
+    code_constraints,
+    code_region,
+    is_symmetric,
+)
 from obc.square import square_polygon
 
 WINDOW = (Fraction(3, 10), Fraction(4), Fraction(3, 10), Fraction(4))
@@ -91,6 +101,27 @@ def test_tile_codes(pentagon_atlas, septagon_atlas, n4_square_frame_atlas):
             assert _check(atlas.polygon, 1, word) == 0
             assert _check(atlas.polygon, 1, word * 3) == 0
     assert any(t.period == 276 for t in septagon_atlas.tiles())
+
+
+def test_identical_halfplanes_clip_once_on_the_code_region_path(
+        pentagon_atlas, septagon_atlas, monkeypatch):
+    clips = []
+    clip = obc.geometry._clip
+
+    def counting(chain, hp):
+        clips.append(hp)
+        return clip(chain, hp)
+
+    monkeypatch.setattr(obc.geometry, "_clip", counting)
+    for atlas in (pentagon_atlas, septagon_atlas):
+        for t in atlas.tiles():
+            word = t.code.doubled_even()
+            once = code_region(atlas.polygon, 1, word)
+            count = len(clips)
+            thrice = code_region(atlas.polygon, 1, word * 3)
+            assert len(clips) == 2 * count, t.code
+            assert thrice.polygon.serialize() == once.polygon.serialize()
+            clips.clear()
 
 
 def test_long_tile_codes(n7_3000_atlas):

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from exact_closed_forms import unfold
 from exact_orbits import endpoint_by_wedges
 
 import obc.geometry
@@ -38,7 +39,6 @@ from obc.periodic import (
     iterate_tiles,
     stability_limit,
     tile_from_code,
-    unfold,
     validate_periodic,
 )
 from obc.square import sk_code, square_polygon

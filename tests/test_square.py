@@ -1,4 +1,4 @@
-"""Square family: threshold polynomials, closed forms, degenerate orbits,
+"""Square family: threshold polynomials, closed forms, the index-k cycles,
 attractor counting."""
 
 import hashlib
@@ -7,10 +7,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from exact_closed_forms import qk_closed_form
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import obc.periodic
+from obc.dynamics import iterate
+from obc.field import CycloNum
 from obc.geometry import (
     from_scaled,
     imag_scaled,
@@ -26,20 +29,17 @@ from obc.periodic import (
     code_endpoint,
     code_fixed_point,
     compose_code_map,
-    same_code_region,
+    follows_code,
     validate_periodic,
 )
 from obc.square import (
     count_attractors_detail,
-    degenerate_orbit,
     existence_condition,
     existence_identity_holds,
     lambda_k,
     p_eval,
-    qk_closed_form,
     sk_code,
     square_polygon,
-    yhat,
 )
 
 rng = random.Random(31415)
@@ -155,46 +155,29 @@ def test_validate_periodic_straddles_threshold():
         assert validate_periodic(SQ, code, lo - Fraction(1, 100)) is False
 
 
-def test_degenerate_orbit_k2():
-    lo, hi = lambda_k(2, Fraction(1, 10**9))
-    mid = (lo + hi) / 2
-    d = degenerate_orbit(2, mid)
-    assert len(d.transitions) == 8
-    assert d.all_identities_hold()
-    # exact wedge membership straddles the threshold root
-    for k in (2, 3):
-        lo, hi = lambda_k(k, 1e-9)
-        assert degenerate_orbit(k, hi).all_in_wedges()
-        assert not degenerate_orbit(k, lo).all_in_wedges()
-    # quarter-turn symmetry of the point set
-    for fam_a, fam_b in ((d.E, d.F), (d.F, d.G), (d.G, d.H)):
-        for a, b in zip(fam_a, fam_b):
-            ax, ay = point_xy(a)
-            bx, by = point_xy(b)
-            assert abs(complex(bx, by) - complex(ax, ay) * 1j) < 1e-12
-    # boundary value: the last subdivision point sits near y = -1
-    yh = yhat(2, mid)
-    assert abs(float(yh + 1)) < 1e-7
-    assert imag_scaled(d.E[-1]).coeffs[0] == yh
-
-
-def test_degenerate_orbit_k1_collapses():
-    d = degenerate_orbit(1, Fraction(1, 10))
-    assert len(d.E) == 1
-    assert len(d.transitions) == 4
-    assert d.all_identities_hold()
-    # this is the valid index-1 orbit, strictly inside its wedges
-    assert d.all_in_wedges()
-
-
-def test_yhat_threshold_equivalence():
-    # yhat <= -1 exactly when p_k <= 0
-    for k in (2, 3):
+def test_index_k_cycle_exists_above_lambda_k():
+    # the exact certificate for any polygon: q_k's orbit follows sk_code(k)
+    # and closes just above the root of p_k and at (1 + hi)/2, but not just
+    # below it (k = 1 exists at every rate, lambda_1 = 0); its 4k points are
+    # the quarter turns z -> i z of one another
+    for k in range(1, 13):
         lo, hi = lambda_k(k, Fraction(1, 10**9))
-        below = lo - Fraction(1, 50)
-        above = hi + Fraction(1, 50)
-        assert yhat(k, below) > -1
-        assert yhat(k, above) < -1
+        code = sk_code(k)
+        for lam in (hi, (1 + hi) / 2):
+            if lam == 0:
+                continue
+            q = code_fixed_point(SQ, code, lam)
+            assert follows_code(SQ, lam, q, code), (k, lam)
+            points = iterate(SQ, lam, q, 4 * k).points[:-1]
+            assert len(set(points)) == 4 * k
+            assert {z * CycloNum.zeta(4) for z in points} == set(points), (k, lam)
+        if k >= 2:
+            assert not follows_code(SQ, lo, code_fixed_point(SQ, code, lo), code), k
+        # elsewhere the cycle exists exactly where p_k(lam) <= 0
+        for lam in (Fraction(1, 10), Fraction(1, 2), Fraction(4, 5), Fraction(9, 10),
+                    Fraction(99, 100)):
+            q = code_fixed_point(SQ, code, lam)
+            assert follows_code(SQ, lam, q, code) is existence_condition(k, lam), (k, lam)
 
 
 def test_count_attractors_small_sample():
@@ -251,7 +234,8 @@ def test_capture_region_holds_q_and_maps_into_itself():
         assert reg is not None, (P, lam, w)
         assert reg.word == w
         K = reg.polygon
-        assert K == same_code_region(code_constraints(P, lam, w), lam).polygon
+        box = Fraction(2 * P.vertices[0].n) * (1 + lam) / (1 - lam) + 4
+        assert K == intersect_halfplanes(code_constraints(P, lam, w), half_width=box).polygon
         assert K.locate(code_fixed_point(P, w, lam)) == "interior"
         assert len(reg.edges) == len(K.vertices)
         for v in K.vertices:
@@ -290,8 +274,8 @@ def test_capture_region_needs_q_inside_its_box(monkeypatch):
                              abs(imag_scaled(q).to_complex().real))) - Fraction(1, 2**30)
         small = intersect_halfplanes(code_constraints(P, lam, w), half_width=h)
         assert small.polygon is not None and small.polygon.locate(q) != "interior"
-        monkeypatch.setattr(obc.periodic, "same_code_region",
-                            lambda cons, lam, h=h: intersect_halfplanes(cons, half_width=h))
+        monkeypatch.setattr(obc.periodic, "intersect_halfplanes",
+                            lambda cons, half_width, h=h: intersect_halfplanes(cons, h))
         assert capture_region(P, w, lam) is None, (w, lam)
         monkeypatch.undo()
 
