@@ -113,8 +113,9 @@ def search_tiles(window, polygon=None):
     Every seed runs its float orbit, which proposes the seed's code; only
     where it meets the screen margin does the exact orbit decide, counting
     seeds in the closed polygon or whose orbit meets the singular set as
-    ``singular_skipped``.  A code not yet in the atlas is certified exactly
-    where its tile is built (``tile_from_code``).  Seeds left without a
+    ``singular_skipped``.  A code is looked up by a substring search over
+    the atlas codes; one not yet in the atlas is certified exactly where
+    its tile is built (``tile_from_code``).  Seeds left without a
     certified code count as ``undecided``.
     ``polygon`` replaces ``regular_ngon(window.n)`` (e.g. by the axis-aligned
     square frame); the atlas keeps the polygon it was searched outside.
@@ -131,6 +132,11 @@ def search_tiles(window, polygon=None):
         "undecided": 0,
         "seeds": 0,
     }
+    # per length, a rotation of each atlas code written twice as
+    # chr(label), joined by "\0": a word of that length is a rotation of an
+    # atlas code, so has its canonical code, iff it is a substring of that
+    # string (as in ``is_symmetric``)
+    known = {}
     xs, ts = window.grid()
     for tx in ts:
         for x in xs:
@@ -147,13 +153,18 @@ def search_tiles(window, polygon=None):
             if not word:
                 prov["undecided"] += 1
                 continue
-            code = Code(word)
-            if code.canonical() in atlas.entries:
+            if len(word) % 2:
+                word = word * 2  # the doubled_even() word: canonical codes rotate it
+            text = "".join(map(chr, word))
+            if text in known.get(len(word), ""):
                 continue
             try:
-                atlas.add(tile_from_code(P, code.canonical_code()))
+                tile = tile_from_code(P, Code(word).canonical_code())
             except CodeNotRealizableError:
                 prov["undecided"] += 1
+                continue
+            atlas.add(tile)
+            known[len(word)] = known.get(len(word), "") + "\0" + text * 2
     return atlas
 
 

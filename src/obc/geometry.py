@@ -14,11 +14,11 @@ enclosures of the true coordinates instead.  Half-plane coefficients
 (a, b, c) are real field elements in these (x, ytilde) coordinates; for
 n = 4 the scale factor is 1 and ytilde is the true ordinate.
 
-Point location, and vertex selection wherever its proved float filter
-abstains (``dynamics.select_vertex``), are signs of integer edge forms,
-which each ConvexPolygon builds once: for z = num/den, an integer
-matrix-vector product of num and den with the form of edge i gives the
-numerators of a known positive multiple of cross(v[i+1] - v[i], z - v[i]) / sin(2*pi/n), and
+Vertex selection, wherever its proved float filter abstains
+(``dynamics.select_vertex``), reads signs of integer edge forms, which each
+ConvexPolygon builds once: for z = num/den, an integer matrix-vector product
+of num and den with the form of edge i gives the numerators of a known
+positive multiple of cross(v[i+1] - v[i], z - v[i]) / sin(2*pi/n), and
 sign_of_real decides its sign without building any intermediate element.
 periodic.code_constraints builds the offsets of pulled-back edge half-planes
 from the same integer rows.
@@ -28,11 +28,14 @@ directly, and the pairs become points x + i*sin(2*pi/n)*ytilde once, at the
 end.  Clipping is a filtered predicate, like vertex selection: each chain
 vertex carries floats of its coordinates with a proved error bound, and the
 side of a*x + b*ytilde + c is read from floats whenever it clears the bound
-proved at ``side_filter``; only a vertex within that bound, in practice one
-lying on the clip line, gets the exact value and its sign.  A crossing is the meet
-of the clip line with the line of the crossed edge, which each vertex
-carries, through factors cached per pair of normals, so no crossing takes a
-field inverse.  ``intersect_halfplanes`` clips every half-plane it is given;
+proved at ``_line``; only a vertex within that bound, in practice one lying
+on the clip line, gets the exact value and its sign.  A crossing is the
+meet of the clip line with the line of the crossed edge, which each vertex
+carries.  Its floats come from one float 2x2 solve on the floats of the two
+lines (bound proved at ``_meet_float``); its exact coordinates are built
+only when a side test abstains on it or it survives the last clip, through
+factors cached per pair of normals, so no crossing takes a field inverse.
+``intersect_halfplanes`` clips every half-plane it is given;
 periodic.code_region hands it only those that no already clipped one with
 the same normal implies, decided on floats of the offsets formed from
 integers and the floats of the edge forms each polygon caches
@@ -40,7 +43,9 @@ integers and the floats of the edge forms each polygon caches
 half-planes, needs a few dozen clips and most offsets are never built
 exactly.  Every sign decided from floats is the exact sign, so the vertices
 are those of exact clipping, which needs no cleanup pass afterwards (proof
-at ``intersect_halfplanes``).
+at ``intersect_halfplanes``).  The polygon keeps its clip lines, and point
+location (``ConvexPolygon.locate``) reads the side of a point on each with
+the same filter.
 """
 
 from __future__ import annotations
@@ -192,15 +197,16 @@ def _edge_form(p, q):
 class ConvexPolygon:
     """Strictly convex polygon, vertices in counterclockwise order.
 
-    Vertex selection and location read the signs of integer edge forms,
-    built once per polygon on first use (``edge_forms``); the same forms give
-    the offsets of pulled-back edge half-planes (``periodic.code_constraints``),
-    whose floats come from the floats of the forms (``form_floats``); the 2n
-    edge half-planes are cached next to them (``edge_halfplanes``).
+    Vertex selection reads the signs of integer edge forms, built once per
+    polygon on first use (``edge_forms``); the same forms give the offsets
+    of pulled-back edge half-planes (``periodic.code_constraints``), whose
+    floats come from the floats of the forms (``form_floats``); the 2n edge
+    half-planes are cached next to them (``edge_halfplanes``).  Location
+    reads one line per edge (``edge_lines``).
     """
 
     __slots__ = ("vertices", "_key", "_float", "_extent", "_forms", "_form_floats",
-                 "_halfplanes", "_wedges")
+                 "_halfplanes", "_lines", "_wedges")
 
     def __init__(self, vertices, validate=True):
         vertices = tuple(vertices)
@@ -218,6 +224,7 @@ class ConvexPolygon:
         self._forms = None
         self._form_floats = None
         self._halfplanes = None
+        self._lines = None
         self._wedges = None
 
     def __len__(self):
@@ -309,11 +316,27 @@ class ConvexPolygon:
                 for p, q in zip(vs, vs[1:] + vs[:1]))
         return hps
 
+    def edge_lines(self):
+        """Per edge i, a clip line (``_line``) whose boundary holds v[i] and
+        v[i+1] and whose open side is the left of v[i] -> v[i+1]: the lines
+        that cut out a polygon of ``intersect_halfplanes``, else the first
+        of each ``edge_halfplanes()`` pair, built once."""
+        lines = self._lines
+        if lines is None:
+            lines = self._lines = tuple(_line(hp) for hp, _ in self.edge_halfplanes())
+        return lines
+
     def locate(self, z):
-        """"interior" / "boundary" / "exterior" of the closed polygon."""
+        """"interior" / "boundary" / "exterior" of the closed polygon: the
+        side of z on each edge line (``edge_lines``), from floats where they
+        clear ``_line``'s bound, else exact (``_side``)."""
+        n = self.vertices[0].n
+        if z.n != n:
+            raise ConductorMismatchError(f"conductor mismatch: {n} vs {z.n}")
+        v = _vertex(real_part(z), imag_scaled(z), None)
         on_edge = False
-        for i in range(len(self.vertices)):
-            s = self.edge_sign(i, z)
+        for line in self.edge_lines():
+            s = _side(line, v)
             if s < 0:
                 return "exterior"
             if s == 0:
@@ -494,30 +517,11 @@ def _meet(l1, l2):
     return c2 * f1 - c1 * f2, c1 * f4 - c2 * f3
 
 
-def _vertex(x, t, line):
-    """A chain vertex (x, ytilde, fx, ft, r, e, line): its exact coordinates,
-    their floats (``_real_float``), r = max(|fx|, |ft|), e the larger of their
-    error bounds, and a half-plane whose boundary line holds this vertex and
-    the next one of the chain."""
-    fx, ex = _real_float(x)
-    ft, et = _real_float(t)
-    return (x, t, fx, ft, max(abs(fx), abs(ft)), max(ex, et), line)
-
-
-def _box(w):
-    """The chain of the box [-w, w]^2, each side as a half-plane."""
-    n = w.n
-    one, zero = CycloNum.one(n), CycloNum.zero(n)
-    # side i runs from corner i to corner i + 1: y >= -w, x <= w, y <= w, x >= -w
-    sides = (HalfPlane(zero, one, w), HalfPlane(-one, zero, w),
-             HalfPlane(zero, -one, w), HalfPlane(one, zero, w))
-    corners = ((-w, -w), (w, -w), (w, w), (-w, w))
-    return [_vertex(x, t, side) for (x, t), side in zip(corners, sides)]
-
-
-def side_filter(hp):
-    """(fa, fb, fc, k1, k2, k0): the floats of hp's a, b, c and the constants
-    of a proved bound on the error of its float value.
+def _line(hp):
+    """(hp, fa, fb, fc, k1, k2, k0, ea, eb, ec): a clip line, built once per
+    half-plane: hp, the floats of its a, b, c, the constants of a proved
+    bound on the error of its float value, and the error bounds of the
+    three floats.
 
     With (fa, ea), (fb, eb), (fc, ec) = ``_real_float`` of a, b, c, the
     float v = fa*fx + fb*ft + fc at floats fx, ft within e of a point's
@@ -535,30 +539,137 @@ def side_filter(hp):
     3 * 2^-1075, far below the 1 % slack on ec >= E.  The bound is computed
     as 1.01 M (``_SLACK``): v above it is a positive value, below minus it a
     negative one, and anything else, including a bound that overflowed or is
-    NaN, decides nothing.  ``_clip`` reads it at the error e of its chain
-    vertices; ``periodic.captured_word`` reads it at e = 0, for a float
-    point that is itself the point tested.
+    NaN, decides nothing.  ``_side`` reads it at the error e of a chain
+    vertex or a located point; ``periodic.CaptureRegion.holds`` reads it at
+    e = 0, for a float point that is itself the point tested.
     """
     fa, ea = _real_float(hp.a)
     fb, eb = _real_float(hp.b)
     fc, ec = _real_float(hp.c)
     g = abs(fa) + abs(fb)
-    return fa, fb, fc, 4 * _U * g + ea + eb, g + ea + eb, 4 * _U * abs(fc) + ec
+    return hp, fa, fb, fc, 4 * _U * g + ea + eb, g + ea + eb, 4 * _U * abs(fc) + ec, ea, eb, ec
+
+
+def _vertex(x, t, line):
+    """A chain vertex [x, ytilde, fx, ft, r, e, line, meet] with exact
+    coordinates: their floats (``_real_float``), r = max(|fx|, |ft|), e the
+    larger of their error bounds, the clip line (``_line``) whose boundary
+    holds this vertex and the next one of the chain, and meet None."""
+    fx, ex = _real_float(x)
+    ft, et = _real_float(t)
+    return [x, t, fx, ft, max(abs(fx), abs(ft)), max(ex, et), line, None]
+
+
+def _meet_float(l1, l2):
+    """(fx, ft, r, e): floats of the meet of two clip lines' boundaries
+    (``_meet``), r = max(|fx|, |ft|), and a bound e on the error of both;
+    None where no bound forms: |fD| not above its error, or a float or the
+    bound not finite (an infinite offset).
+
+    With fa_i, fb_i, fc_i the floats of line i's a, b, c, within ea_i,
+    eb_i, ec_i of them (``_line``), the computed fD = fa1 fb2 - fa2 fb1,
+    fNx = fb1 fc2 - fb2 fc1 and fNt = fa2 fc1 - fa1 fc2 are the floats of
+    D, Nx and Nt, and fx = fNx / fD, ft = fNt / fD those of x = Nx / D and
+    ytilde = Nt / D.  Claim, u = 2^-53, g_i = |fa_i| + |fb_i|,
+    h_i = ea_i + eb_i, C_i = |fc_i| + ec_i:
+
+        |fD - D| <= ED = 3u (|fa1 fb2| + |fa2 fb1|)
+                         + ea1 (|fb2| + eb2) + |fa1| eb2 + ea2 (|fb1| + eb1) + |fa2| eb1,
+        |fNx - Nx|, |fNt - Nt| <= EN = 3u (g1 |fc2| + g2 |fc1|)
+                         + h1 C2 + g1 ec2 + h2 C1 + g2 ec1,
+
+    and, when |fD| > ED, |fx - x| and |ft - ytilde| are at most
+    (EN + r (ED + u |fD|)) / (|fD| - ED), up to a factor 1 + 2u.
+    (a) A computed p q - r s errs by at most gamma_2 (|p q| + |r s|),
+    gamma_2 = 2u / (1 - 2u) < 3u, from the exact value at its float inputs
+    (Higham, Accuracy and Stability of Numerical Algorithms, (3.5)); moving
+    the inputs to the exact ones moves p q by at most ep (|q| + eq) + |p| eq.
+    Each term of the two numerators' bounds is at most its term of EN.
+    (b) |D| >= |fD| - ED > 0, and with g = |fNx / fD| <= |fx| / (1 - u),
+    fNx / fD - Nx / D = (fNx - Nx) / D + fNx (D - fD) / (fD D) is at most
+    (EN + g ED) / (|fD| - ED), and the division's rounding adds u g, at
+    most u g |fD| / (|fD| - ED).  (c) ED and e are computed as 1.01 times
+    these sums and quotient (``_SLACK``): their few roundings, of
+    nonnegative terms, of the difference |fD| - ED of floats, which keeps
+    its sign and errs by at most a factor 1 + u, and of the two quotients,
+    lose far less than 1 %.  (d) Underflow adds at most 2^-1075 per
+    product, far below EN and ED, which are at least E^2 > 2^-100, as every
+    error from ``_real_float`` is at least E = ``to_complex_error()``
+    > 2^-50; the quotients fx, ft and e's own quotient may each lose
+    2^-1075 more, which the added 2^-1073 covers.
+    """
+    _, fa1, fb1, fc1, _, _, _, ea1, eb1, ec1 = l1
+    _, fa2, fb2, fc2, _, _, _, ea2, eb2, ec2 = l2
+    fD = fa1 * fb2 - fa2 * fb1
+    ED = _SLACK * (3 * _U * (abs(fa1 * fb2) + abs(fa2 * fb1)) + ea1 * (abs(fb2) + eb2)
+                   + abs(fa1) * eb2 + ea2 * (abs(fb1) + eb1) + abs(fa2) * eb1)
+    den = abs(fD) - ED
+    if not den > 0:  # also an infinite or NaN bound
+        return None
+    g1, g2 = abs(fa1) + abs(fb1), abs(fa2) + abs(fb2)
+    EN = (3 * _U * (g1 * abs(fc2) + g2 * abs(fc1)) + (ea1 + eb1) * (abs(fc2) + ec2)
+          + g1 * ec2 + (ea2 + eb2) * (abs(fc1) + ec1) + g2 * ec1)
+    fx = (fb1 * fc2 - fb2 * fc1) / fD
+    ft = (fa2 * fc1 - fa1 * fc2) / fD
+    r = max(abs(fx), abs(ft))
+    e = _SLACK * (EN + r * (ED + _U * abs(fD))) / den + 2.0**-1073
+    if not r + e < math.inf:
+        return None
+    return fx, ft, r, e
+
+
+def _exact(v):
+    """The exact (x, ytilde) of chain vertex v: a crossing's is built by
+    ``_meet`` of its two lines on first use, and kept."""
+    if v[0] is None:
+        l1, l2 = v[7]
+        v[0], v[1] = _meet(l1[0], l2[0])
+    return v[0], v[1]
+
+
+def _box(w):
+    """The chain of the box [-w, w]^2, each side a clip line."""
+    n = w.n
+    one, zero = CycloNum.one(n), CycloNum.zero(n)
+    # side i runs from corner i to corner i + 1: y >= -w, x <= w, y <= w, x >= -w
+    sides = (HalfPlane(zero, one, w), HalfPlane(-one, zero, w),
+             HalfPlane(zero, -one, w), HalfPlane(one, zero, w))
+    corners = ((-w, -w), (w, -w), (w, w), (-w, w))
+    return [_vertex(x, t, _line(side)) for (x, t), side in zip(corners, sides)]
+
+
+def _side(line, v):
+    """Sign of the clip line's value at chain vertex v: from the floats when
+    they clear ``_line``'s bound at v's error e, else exact."""
+    hp, fa, fb, fc, k1, k2, k0 = line[:7]
+    s = fa * v[2] + fb * v[3] + fc
+    bound = _SLACK * (k1 * v[4] + k2 * v[5] + k0)
+    if s > bound:
+        return 1
+    if s < -bound:
+        return -1
+    x, t = _exact(v)
+    return sign_of_real(hp.a * x + hp.b * t + hp.c, _checked=True)
 
 
 def _clip(chain, hp):
-    """Sutherland-Hodgman clip of a convex CCW chain of ``_vertex`` tuples by
+    """Sutherland-Hodgman clip of a convex CCW chain of ``_vertex`` lists by
     the closed half-plane hp.
 
     Side test.  A vertex's side is read from its floats when they clear the
-    bound of ``side_filter`` at the vertex's error e; otherwise its exact
-    value decides.
+    bound of ``_line`` at the vertex's error e; otherwise its exact
+    value decides (``_side``).
 
     Crossings.  A vertex is kept when its side is >= 0, and a point is added
     on each edge whose ends lie strictly on opposite sides.  That point is
     the meet of the edge's line and hp's line (``_meet``): the two lines are
     transversal, since the ends lie strictly apart, so it is the one point
     p + s*(q - p), s = f(p)/(f(p) - f(q)), of exact Sutherland-Hodgman.
+    It starts as floats with a proved bound (``_meet_float``), and its
+    exact coordinates are built only when a side test abstains on it or it
+    survives the last clip (``_exact``); where no bound forms they are
+    built at once.  Every side decided from floats is the exact side, so
+    the clips, their vertices and their order are those of exact clipping.
     Each output vertex carries the line to its successor in the output: a
     kept vertex keeps its edge's line, since its successor is its old one or
     a crossing on that edge, unless it lies on hp's line with a dropped
@@ -567,26 +678,22 @@ def _clip(chain, hp):
     kept vertex on hp's line; an added point where the chain enters keeps
     the crossed edge's line, which runs on to the next kept vertex.
     """
-    fa, fb, fc, k1, k2, k0 = side_filter(hp)
-    sides = []
-    for x, t, fx, ft, r, e, _ in chain:
-        v = fa * fx + fb * ft + fc
-        bound = _SLACK * (k1 * r + k2 * e + k0)
-        if v > bound:
-            sides.append(1)
-        elif v < -bound:
-            sides.append(-1)
-        else:
-            sides.append(sign_of_real(hp.a * x + hp.b * t + hp.c, _checked=True))
+    line = _line(hp)
+    sides = [_side(line, v) for v in chain]
     out = []
     m = len(chain)
     for i, cur in enumerate(chain):
         sc, sn = sides[i], sides[(i + 1) % m]
         if sc >= 0:
-            out.append(cur if sc > 0 or sn >= 0 else cur[:6] + (hp,))
+            out.append(cur if sc > 0 or sn >= 0 else cur[:6] + [line, cur[7]])
         if sc * sn < 0:
-            line = cur[6]
-            out.append(_vertex(*_meet(line, hp), hp if sc > 0 else line))
+            edge = cur[6]
+            succ = line if sc > 0 else edge
+            f = _meet_float(edge, line)
+            if f is None:
+                out.append(_vertex(*_meet(edge[0], hp), succ))
+            else:
+                out.append([None, None, *f, succ, (edge, line)])
     return out
 
 
@@ -658,6 +765,11 @@ def intersect_halfplanes(constraints, half_width=None):
     segment, which meets the clip line in at most one point, added only where
     an old point is dropped.  Fewer than 3 distinct points is
     "lower_dimensional".
+
+    The polygon keeps the clip line of each edge (``edge_lines``): each
+    output vertex's line holds it and the next one (``_clip``), and the
+    polygon lies on the line's closed side, so its open side is the left of
+    the edge.
     """
     constraints = tuple(constraints)  # any iterable; read twice
     if not constraints:
@@ -672,11 +784,12 @@ def intersect_halfplanes(constraints, half_width=None):
         chain = _clip(chain, hp)
         if not chain:
             return RegionResult("empty", None)
-    pairs = [v[:2] for v in chain]
+    pairs = [_exact(v) for v in chain]
     if len(set(pairs)) < 3:
         return RegionResult("lower_dimensional", None)
     half_eta = _half_eta(n)
     poly = ConvexPolygon([x + half_eta * t for x, t in pairs], validate=False)
+    poly._lines = tuple(v[6] for v in chain)
     for x, t in pairs:
         if x == w or x == -w or t == w or t == -w:
             return RegionResult("unbounded", poly, half_width)

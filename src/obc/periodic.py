@@ -39,9 +39,7 @@ from .geometry import (
     HalfPlane,
     _auto_half_width,
     _half_width,
-    halfplane_left_of,
     intersect_halfplanes,
-    side_filter,
 )
 
 
@@ -155,8 +153,9 @@ def follows_code(P, lam, q, code):
 class CaptureRegion:
     """The capture region K of an even word (``capture_region``): every point
     of K's interior follows the word forever.  ``edges`` holds, per edge of
-    K, the constants (fa, fb, fc, k1, k0) of ``geometry.side_filter`` for the
-    half-plane left of that edge."""
+    K, the constants (fa, fb, fc, k1, k0) of ``geometry._line``'s bound for
+    that edge's clip line, whose open side is the left of the edge
+    (``ConvexPolygon.edge_lines``)."""
 
     __slots__ = ("word", "polygon", "edges")
 
@@ -168,7 +167,7 @@ class CaptureRegion:
     def holds(self, x, t):
         """True only if the point with floats (x, ytilde) = (x, t), read
         exactly, lies in K's interior: its float value on each edge's
-        half-plane clears ``side_filter``'s bound at input error 0, so the
+        clip line clears ``geometry._line``'s bound at input error 0, so the
         exact value is positive.  False proves nothing: a point within the
         bound of some edge is just not captured."""
         r = max(abs(x), abs(t))
@@ -206,12 +205,8 @@ def capture_region(P, W, lam):
     K = code_region(P, lam, W).polygon
     if K is None or K.locate(q) != "interior":
         return None
-    vs = K.vertices
-    edges = []
-    for p, r in zip(vs, vs[1:] + vs[:1]):
-        fa, fb, fc, k1, _, k0 = side_filter(halfplane_left_of(p, r))
-        edges.append((fa, fb, fc, k1, k0))
-    return CaptureRegion(W, K, tuple(edges))
+    edges = tuple((fa, fb, fc, k1, k0) for _, fa, fb, fc, k1, _, k0, *_ in K.edge_lines())
+    return CaptureRegion(W, K, edges)
 
 
 def captured_word(P, x, y, lam, max_steps, regions):

@@ -58,3 +58,15 @@ def septagon_atlas(septagon_fixture_path):
     atlas = load_atlas(septagon_fixture_path)
     assert not atlas.provenance["diagnostics"]
     return atlas
+
+
+@pytest.fixture(scope="session")
+def window_atlases():
+    """The n = 7, 8, 10 and 12 atlases of the window [3/10, 4]^2, grid 1/12,
+    periods up to 300, by n."""
+    from obc.atlas import SearchWindow, search_tiles
+
+    bounds = (Fraction(3, 10), Fraction(4), Fraction(3, 10), Fraction(4))
+    return {n: search_tiles(SearchWindow(n=n, bounds=bounds, grid_resolution=Fraction(1, 12),
+                                         max_period=300))
+            for n in (7, 8, 10, 12)}

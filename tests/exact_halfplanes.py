@@ -6,7 +6,8 @@ is read.  It keeps ``obc.geometry.intersect_halfplanes``'s contract (the same
 box, the same kinds), so the library's filtered clip must return the same
 vertex sequence, clip for clip.  Its skip of a half-plane implied by a
 clipped one with the identical normal is the reference for the skip of
-``obc.periodic.code_region``.
+``obc.periodic.code_region``.  ``locate_by_edge_forms`` is the reference for
+``ConvexPolygon.locate``: the exact sign of every edge's integer form.
 """
 
 from fractions import Fraction
@@ -75,3 +76,13 @@ def intersect_halfplanes(constraints, half_width=None, skip=True):
     if any(v == w or v == -w for p in pairs for v in p):
         return RegionResult("unbounded", poly), clips
     return RegionResult("polygon", poly), clips
+
+
+def locate_by_edge_forms(P, z):
+    """"interior" / "boundary" / "exterior" of the closed polygon P from the
+    exact sign of cross(v[i+1] - v[i], z - v[i]) on every edge
+    (``ConvexPolygon.edge_sign``), no float read."""
+    signs = [P.edge_sign(i, z) for i in range(len(P.vertices))]
+    if min(signs) < 0:
+        return "exterior"
+    return "boundary" if 0 in signs else "interior"

@@ -300,8 +300,10 @@ def test_clipping_keeps_the_chain_strictly_convex(n, box, clips):
         chain = geo._box(CycloNum.from_rational(n, 5))
     else:
         pairs = [(real_part(v), imag_scaled(v)) for v in regular_ngon(n).vertices]
-        chain = [geo._vertex(*p, _left_of(p, q)) for p, q in zip(pairs, pairs[1:] + pairs[:1])]
-    pairs = [v[:2] for v in chain]
+        chain = [geo._vertex(*p, geo._line(_left_of(p, q)))
+                 for p, q in zip(pairs, pairs[1:] + pairs[:1])]
+    # a crossing keeps floats until asked: materialize the exact chain
+    pairs = [geo._exact(v) for v in chain]
     for kind, ca, cb, cc, i, j, flip in clips:
         a, b = _real(n, ca), _real(n, cb)
         p, q = pairs[i % len(pairs)], pairs[j % len(pairs)]
@@ -316,7 +318,7 @@ def test_clipping_keeps_the_chain_strictly_convex(n, box, clips):
         chain = geo._clip(chain, hp)
         if not chain:
             return
-        pairs = [v[:2] for v in chain]
+        pairs = [geo._exact(v) for v in chain]
         assert len(set(pairs)) <= 2 or _strictly_convex(pairs)
 
 

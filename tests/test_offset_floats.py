@@ -183,9 +183,9 @@ def _symmetric_by_canonical_codes(n, code):
                for j in range(1, n))
 
 
-def test_is_symmetric_matches_canonical_codes(pentagon_atlas, septagon_atlas, n7_3000_atlas):
-    atlases = [pentagon_atlas, septagon_atlas, n7_3000_atlas] + [
-        _window(n, 300) for n in (7, 8, 10, 12)]
+def test_is_symmetric_matches_canonical_codes(pentagon_atlas, septagon_atlas, n7_3000_atlas,
+                                              window_atlases):
+    atlases = [pentagon_atlas, septagon_atlas, n7_3000_atlas, *window_atlases.values()]
     verdicts = set()
     for atlas in atlases:
         n = len(atlas.polygon.vertices)

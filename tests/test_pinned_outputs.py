@@ -18,6 +18,16 @@ WINDOW = ["--window", "0.3,4,0.3,4", "--resolution", "1/12", "--max-period", "30
 RESEED_START = ("5:-32281802128991715319/6917529027641081856,"
                 "-28823037615171174397/3458764513820540928,"
                 "4611686018427387905/2305843009213693952,4611686018427387905/2305843009213693952")
+# the certified non-symmetric, unstable period-276 septagon tile, as
+# tests/data/septagon.atlas writes its code
+CODE_276 = ("1,3,6,1,4,6,2,4,7,3,5,1,4,6,2,5,7,3,6,1,4,7,2,5,7,3,5,1,3,6,2,4,7,3,5,"
+            "1,3,6,1,4,6,2,5,7,3,6,1,4,7,2,5,1,3,6,2,4,7,2,5,7,3,5,1,4,6,2,5,1,3,6,"
+            "2,5,7,3,6,1,4,6,2,4,7,2,5,1,3,6,2,5,7,3,6,2,4,7,3,5,1,3,6,1,4,6,2,5,7,"
+            "3,6,2,4,7,3,6,1,4,7,2,5,7,3,5,1,3,6,2,4,7,3,5,1,4,6,2,5,7,3,6,1,4,6,2,"
+            "4,7,2,5,1,3,6,2,5,7,3,6,2,4,7,3,5,1,3,6,1,4,6,2,5,7,3,6,2,4,7,3,6,1,4,"
+            "7,2,5,7,3,5,1,3,6,2,4,7,3,6,1,4,7,3,5,1,4,6,2,4,7,2,5,7,3,6,1,4,7,2,5,"
+            "1,3,6,2,4,7,3,5,1,3,6,1,4,6,2,5,7,3,6,2,4,7,3,6,1,4,7,2,5,7,3,5,1,3,6,"
+            "2,4,7,3,6,1,4,7,3,5,1,4,6,2,4,7,2,5,7,3,6,1,4,7,3,5,1,4,7,2,5")
 
 # (name, argv, file the command writes or None for stdout, sha256, a line
 # its stdout must hold or None)
@@ -45,6 +55,11 @@ PINS = [
                         "--max-period", "3000", "--out"], "n7-3000.atlas",
      "5ac02ece3096d52bf2a5f47a0078926fa60726602010907d613eb64d6ba07e9f",
      "found 30 tile orbits (2025 seeds, 57 singular, 63 undecided)"),
+    # one tile and its two verdicts, read from the clip lines of the tile
+    ("tile_276", ["tile", "--n", "7", "--code", CODE_276], None,
+     "75ec5684b7e14f2b61da62ca0a35baa3e8dd92504a76f61a199f942756b682dc", "period=276"),
+    ("stability_276", ["stability", "--n", "7", "--code", CODE_276], None,
+     "822b5a7537b72f1a719f05c0a8c2389f40ae7bcf1e9ed76854fc36a82d4dd3dd", None),
     ("scr", ["scr", "--n", "12", "--seed", "2.51,0.33", "--lambda", "4/5", "--depth", "40"],
      None, "2b496dc38088a6acd7759d037fdea8bca006c1173ed1c395c800a6ef78a590ae", None),
     # offsets near 2^1100, past the largest float: the clip's float tests
