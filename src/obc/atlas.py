@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .dynamics import Code, float_select, iterate, seed_code
 from .errors import AtlasFormatError, CodeNotRealizableError, ObcError
-from .field import CycloNum, check_conductor
+from .field import CycloNum, check_conductor, context
 from .geometry import (
     ConvexPolygon,
     from_scaled,
@@ -110,13 +110,15 @@ def _float_periodic_code(orders, x, y, max_period):
 def search_tiles(window, polygon=None):
     """Scan the window grid for periodic tiles of the uncontracted map.
 
-    Every seed runs its float orbit, which proposes the seed's code; only
-    where it meets the screen margin does the exact orbit decide, counting
-    seeds in the closed polygon or whose orbit meets the singular set as
-    ``singular_skipped``.  A code is looked up by a substring search over
-    the atlas codes; one not yet in the atlas is certified exactly where
-    its tile is built (``tile_from_code``).  Seeds left without a
-    certified code count as ``undecided``.
+    Every seed runs its float orbit from (float(x), float(ytilde) * s), s
+    the float of sin(2 pi/n) (``Cyclotomic.float_sine``), which proposes
+    the seed's code; only where it meets the screen margin is the exact
+    seed built and its exact orbit decides, counting seeds in the closed
+    polygon or whose orbit meets the singular set as ``singular_skipped``.
+    A code is looked up by a substring search over the atlas codes; one
+    not yet in the atlas is certified exactly where its tile is built
+    (``tile_from_code``).  Seeds left without a certified code count as
+    ``undecided``.
     ``polygon`` replaces ``regular_ngon(window.n)`` (e.g. by the axis-aligned
     square frame); the atlas keeps the polygon it was searched outside.
     """
@@ -138,14 +140,14 @@ def search_tiles(window, polygon=None):
     # string (as in ``is_symmetric``)
     known = {}
     xs, ts = window.grid()
+    fxs, sine = [float(x) for x in xs], context(n).float_sine()
     for tx in ts:
-        for x in xs:
-            z = from_scaled(n, x, tx)
+        fy = float(tx) * sine
+        for x, fx in zip(xs, fxs):
             prov["seeds"] += 1
-            zf = z.to_complex()
-            word = _float_periodic_code(orders, zf.real, zf.imag, window.max_period)
+            word = _float_periodic_code(orders, fx, fy, window.max_period)
             if word is None:
-                rec = iterate(P, 1, z, window.max_period)
+                rec = iterate(P, 1, from_scaled(n, x, tx), window.max_period)
                 if rec.termination in ("inside", "hit_singular"):
                     prov["singular_skipped"] += 1
                     continue

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -20,8 +21,8 @@ from .atlas import (
 )
 from .dynamics import Code, iterate, orbit_to_text, seed_code
 from .errors import ObcError
-from .field import CycloNum, check_conductor
-from .geometry import from_xy_approx, hausdorff_distance, point_xy, regular_ngon
+from .field import _U, CycloNum, check_conductor
+from .geometry import float_point, from_xy_approx, hausdorff_distance, point_xy, regular_ngon
 from .periodic import tile_from_code
 from .render import RenderSpec, render_atlas_svg, render_orbit_svg
 from .square import (
@@ -121,8 +122,31 @@ def _polygon_for(args):
 
 
 def _fmt_pt(z):
-    x, y = point_xy(z)
-    return f"({x:.9g}, {y:.9g})"
+    """``point_xy(z)`` as "(x, y)", 9 significant digits each.
+
+    Each coordinate is read first from ``z.to_complex()``.  Its float f is
+    within e of the true c (``float_point``), and point_xy's float g is
+    within 2^-60 + u (|c| + 2^-60) of c, u = 2^-53 (proof there).  So
+    |g - f| <= (1 + u)(e + 2^-60) + u |f| <= b = fl(1.01 (e + 2^-59 +
+    u |f|)), whose three roundings lose at most a factor (1 - u)^3 and
+    underflow at most 2^-1074.  The ends lo <= f - b and hi >= f + b are
+    one float past the rounded f - b and f + b.  Rounding to 9 significant
+    digits (half to even, as ``format`` does) is monotone, never rounds a
+    nonzero value to 0, and the string names the rounded value.  So when
+    lo and hi print alike, every float between them prints so, g included.
+    Otherwise point_xy decides; an infinite e, for a point too large for
+    its floats, gives the ends "-inf" and "inf".
+    """
+    fx, fy, e = float_point(z)
+    texts = []
+    for f in (fx, fy):
+        b = 1.01 * (e + 2.0**-59 + _U * abs(f))
+        text = f"{math.nextafter(f - b, -math.inf):.9g}"
+        if text != f"{math.nextafter(f + b, math.inf):.9g}":
+            texts = [f"{c:.9g}" for c in point_xy(z)]
+            break
+        texts.append(text)
+    return f"({texts[0]}, {texts[1]})"
 
 
 def cmd_orbit(args):

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .errors import GeometryError, ObcError, StepDomainError
 from .field import _U, CycloNum, _raw, context, sign_of_real  # noqa: F401, perfbench/selftest.py checks it
-from .geometry import point_xy
+from .geometry import float_point, point_xy
 
 
 @dataclass(frozen=True)
@@ -82,21 +82,13 @@ def select_vertex(P, x):
 
 
 def _fresh_float(P, x):
-    """(fx, fy, e): the coordinates of ``x.to_complex()`` and a bound e on
-    the error of each; e = math.inf, which certifies nothing, for a point
-    of another conductor or one too large for its floats.
-
-    e = 1.01 E (fl(T) + 1), with E = ``context(n).to_complex_error()`` and
-    T = sum |num_k| / den: ``CycloNum.to_complex`` proves each coordinate
-    within E (T + 1), and the division, the sum and the two products round
-    down by a factor of at most (1 - u)^5 > 1/1.01, u = 2^-53.  The bit
-    lengths give T < 2^501, so fx, fy and e are finite.
-    """
-    den, total = x.den, sum(map(abs, x.num))
-    if x.n != P.vertices[0].n or total.bit_length() > den.bit_length() + 500:
+    """``geometry.float_point(x)``: the coordinates of ``x.to_complex()``
+    and a bound e on the error of each; e = math.inf, which certifies
+    nothing, for a point of another conductor or one too large for its
+    floats."""
+    if x.n != P.vertices[0].n:
         return 0.0, 0.0, math.inf  # the exact path decides, or refuses a foreign point
-    f = x.to_complex()
-    return f.real, f.imag, 1.01 * context(x.n).to_complex_error() * (total / den + 1.0)
+    return float_point(x)
 
 
 def _select_margin(w, e):
@@ -245,7 +237,10 @@ def iterate(P, lam, x, max_steps):
     """Iterate the map, recording points and code.
 
     Stops at max_steps, at an exact point repetition (hash on the normal
-    form; no tolerances), on the singular set, or at once inside P.
+    form; no tolerances), on the singular set, or at once inside P.  Below
+    lam = 1 the repeat check stops at the first point whose den is divisible
+    by free = q L, for lam = p/q in lowest terms and L the lcm of the
+    vertex dens: no later point repeats any point (proof at the end).
 
     Every point is exact, but its vertex is certified from a float image
     (fx, fy) carried along the orbit with a proved bound d on the error of
@@ -286,6 +281,20 @@ def iterate(P, lam, x, max_steps):
     bound is below 2^501.  That is far below the slack of 0.2 u (V + 1).
     So every certified label is the exact one, and every point, code and
     termination is that of selecting each vertex with ``select_vertex``.
+
+    Proof that an orbit at q > 1 repeats no point from the first point z_k
+    whose den free divides.  Take a prime r | q and let m(z) be minus the
+    least r-adic valuation of z's power-basis coefficients; in normal form
+    m(z) = nu_r(den) when r divides den.  r divides neither p nor p + q,
+    so m(lam z) = m(z) + nu_r(q) and m((1 + lam) v) = m(v) + nu_r(q), and
+    m(v) <= nu_r(L) for every vertex v.  If m(z) > nu_r(L), as free | den
+    gives for z_k, the two terms of z' = (1 + lam) v - lam z have distinct
+    m, so m(z') = m(z) + nu_r(q) (the ultrametric inequality, coefficient
+    by coefficient), again above nu_r(L).  So m increases strictly from z_k
+    on, and z_k, z_(k+1), ... are distinct.  A point z_j, j >= k, equal to
+    an earlier z_i would make the orbit periodic from i on with period
+    j - i, so z_k' = z_(k' + j - i) for k' = max(i, k): impossible.  At
+    lam = 1 every point is hashed.
     """
     lam = Fraction(lam)
     if max_steps < 1:
@@ -295,8 +304,11 @@ def iterate(P, lam, x, max_steps):
         raise ValueError("need 0 < lam <= 1")
     rec = OrbitRecord(start=x, lam=lam, points=[x])
     points, code = rec.points, rec.code
-    seen = {x: 0}
     vertices, orders, extent = P.vertices, P.float_wedges(), P.float_extent()
+    # below 1, a point whose den free divides repeats no point (proof above);
+    # seen is None from the first such point on
+    free = q * math.lcm(*(v.den for v in vertices))
+    seen = {x: 0} if q == 1 or x.den % free else None
     g, l = float(1 + lam), float(lam)  # correctly rounded int divisions
     grow = l * (1 + 8 * _U)
     fx, fy, d = _fresh_float(P, x)
@@ -320,6 +332,9 @@ def iterate(P, lam, x, max_steps):
         order = orders[label]
         code.append(label)
         points.append(cur)
+        if seen is None or (q > 1 and cur.den % free == 0):
+            seen = None
+            continue
         prev = seen.setdefault(cur, k + 1)
         if prev <= k:
             rec.termination = "exact_repeat"

@@ -279,6 +279,12 @@ class Cyclotomic:
             self._float_checked = True
         return (self.phi + 2) * _U + FLOAT_TRIG_ERROR
 
+    def float_sine(self):
+        """sin(2 pi/n) as the float of the trig table, proved within
+        FLOAT_TRIG_ERROR (``to_complex_error``)."""
+        self.to_complex_error()
+        return self._float_trig[1][1]
+
 _CONTEXTS = {}
 
 

@@ -122,8 +122,7 @@ def from_xy_approx(n, x, y):
     y = Fraction(y)
     if n == 4:
         return from_scaled(4, x, y)
-    sigma = math.sin(2.0 * math.pi / n)
-    t = Fraction(round(float(y) / sigma * (1 << 20)), 1 << 20)
+    t = Fraction(round(float(y) / context(n).float_sine() * (1 << 20)), 1 << 20)
     return from_scaled(n, x, t)
 
 
@@ -141,6 +140,24 @@ def point_xy(z, bits=60):
     """
     (rl, rh), (il, ih) = approximate(z, bits)
     return (float(rl + rh) / 2.0, float(il + ih) / 2.0)
+
+
+def float_point(z):
+    """(fx, fy, e): the coordinates of ``z.to_complex()`` and a bound e on
+    the error of each; e = math.inf, which certifies nothing, for a point
+    too large for its floats.
+
+    e = 1.01 E (fl(T) + 1), with E = ``context(n).to_complex_error()`` and
+    T = sum |num_k| / den: ``CycloNum.to_complex`` proves each coordinate
+    within E (T + 1), and the division, the sum and the two products round
+    down by a factor of at most (1 - u)^5 > 1/1.01, u = 2^-53.  The bit
+    lengths give T < 2^501, so fx, fy and e are finite.
+    """
+    den, total = z.den, sum(map(abs, z.num))
+    if total.bit_length() > den.bit_length() + 500:
+        return 0.0, 0.0, math.inf
+    f = z.to_complex()
+    return f.real, f.imag, 1.01 * context(z.n).to_complex_error() * (total / den + 1.0)
 
 
 def cross_scaled(u, w):

@@ -233,7 +233,7 @@ def captured_word(P, x, y, lam, max_steps, regions):
     orders = P.float_wedges()
     lbl = 0  # orders[0] is the label order: no label taken yet
     grow = 1 + lamf
-    scale = math.sin(2.0 * math.pi / P.vertices[0].n)
+    scale = context(P.vertices[0].n).float_sine()
     code = []
     for i in range(1, max_steps + 1):
         row = float_select(orders[lbl], x, y)

@@ -4,14 +4,15 @@
 ``periodic.code_endpoint`` and ``atlas.scr_region`` read its record.
 These loops do not call it.  ``reference_step`` selects each vertex with
 ``select_vertex`` at the point itself and reduces the new point by the full
-gcd of its numerators and denominator; ``endpoint_by_wedges`` confirms each
-expected label by the exact wedge test alone (``in_wedge``), selecting
-nothing.
+gcd of its numerators and denominator; ``reference_iterate`` records an
+orbit of such steps and hashes every point to find a repeat;
+``endpoint_by_wedges`` confirms each expected label by the exact wedge
+test alone (``in_wedge``), selecting nothing.
 """
 
 from fractions import Fraction
 
-from obc.dynamics import reflect_contract, select_vertex
+from obc.dynamics import OrbitRecord, reflect_contract, select_vertex
 from obc.errors import ObcError, StepDomainError
 from obc.field import _reduced
 
@@ -26,6 +27,32 @@ def reference_step(P, lam, x):
     a, b = (p + q) * x.den, p * v.den
     num = [a * vk - b * xk for vk, xk in zip(v.num, x.num)]
     return _reduced(x.n, num, q * v.den * x.den), sel.label
+
+
+def reference_iterate(P, lam, x, max_steps):
+    """The orbit record of ``iterate``, one ``reference_step`` per step and
+    every point hashed for the repeat check."""
+    lam = Fraction(lam)
+    rec = OrbitRecord(start=x, lam=lam, points=[x])
+    seen = {x: 0}
+    cur = x
+    for k in range(max_steps):
+        try:
+            cur, label = reference_step(P, lam, cur)
+        except StepDomainError as exc:
+            rec.termination = "inside" if exc.kind == "inside" else "hit_singular"
+            rec.singular_step = None if exc.kind == "inside" else k
+            return rec
+        rec.code.append(label)
+        rec.points.append(cur)
+        prev = seen.get(cur)
+        if prev is not None:
+            rec.termination = "exact_repeat"
+            rec.preperiod = prev
+            rec.period = k + 1 - prev
+            return rec
+        seen[cur] = k + 1
+    return rec
 
 
 def in_wedge(P, a, z):

@@ -308,6 +308,21 @@ def test_each_tile_built_once(tmp_path, monkeypatch):
     assert len(builds) == 1
 
 
+def test_census_builds_an_exact_seed_only_where_the_float_orbit_abstains(monkeypatch):
+    built = []
+
+    def counting(n, x, ytilde):
+        built.append((x, ytilde))
+        return from_scaled(n, x, ytilde)
+
+    monkeypatch.setattr(obc.atlas, "from_scaled", counting)
+    window = SearchWindow(5, (Fraction(3, 10), Fraction(33, 10), Fraction(3, 10),
+                              Fraction(33, 10)), Fraction(1, 7), 120)
+    prov = search_tiles(window).provenance
+    assert (prov["seeds"], prov["singular_skipped"], prov["undecided"]) == (484, 13, 24)
+    assert len(built) == 13
+
+
 def test_search_runs_no_centre_orbit(pentagon_atlas, monkeypatch):
     # tile_from_code certifies each code from its alternating vertex sum,
     # so the census finds its 8 codes without following any code exactly

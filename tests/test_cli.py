@@ -1,15 +1,21 @@
 """Command-line surface: subcommands, formats, exit codes."""
 
+import hashlib
 import os
+import random
 import resource
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import pytest
 
 import obc
-from obc.cli import run_cli
+import obc.cli
+from obc.cli import _fmt_pt, run_cli
+from obc.field import CycloNum, context
+from obc.geometry import from_scaled, point_xy
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -244,3 +250,77 @@ def test_huge_decimal_input_is_a_domain_error(tmp_path, capsys, argv):
     code, out, err = run(capsys, *(a.format(svg=svg) for a in argv))
     assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, (out, err)
     assert not svg.exists()
+
+
+def _point_xy_text(z):
+    x, y = point_xy(z)
+    return f"({x:.9g}, {y:.9g})"
+
+
+@pytest.fixture
+def slow_formats(monkeypatch):
+    """The points that _fmt_pt hands to point_xy, in order."""
+    asked = []
+
+    def counted(z, bits=60):
+        asked.append(z)
+        return point_xy(z, bits)
+
+    monkeypatch.setattr(obc.cli, "point_xy", counted)
+    return asked
+
+
+def test_fmt_pt_prints_point_xy_on_random_points(slow_formats):
+    rnd = random.Random(29)
+    for _ in range(600):
+        n = rnd.choice((4, 5, 7, 12))
+        den = rnd.choice((1, 3, 7, 2**rnd.randint(0, 80), 10**rnd.randint(0, 30)))
+        top = 10**rnd.randint(1, 40)
+        z = CycloNum(n, [Fraction(rnd.randint(-top, top), den) for _ in range(context(n).phi)])
+        assert _fmt_pt(z) == _point_xy_text(z), z.serialize()
+    assert len(slow_formats) < 60  # the fast path decides the rest
+    huge = CycloNum(5, [Fraction(3**300), Fraction(-(2**600)), Fraction(1, 7), Fraction(0)])
+    assert _fmt_pt(huge) == _point_xy_text(huge)
+    assert slow_formats[-1] is huge  # too large for its floats: point_xy decides
+
+
+def test_fmt_pt_abstains_at_a_9_digit_rounding_boundary(slow_formats):
+    # x within 10^-12 of beta, the midpoint between two 9-digit decimals
+    # (exact in x for every n, and in y too at n = 4, where ytilde = y).
+    # The fast interval holds the true coordinate +- (b - e) >= 0.01 e, and
+    # e >= 2^-47 (T + 1) with T >= |beta|, so a point that near beta must
+    # go to point_xy; every point prints as point_xy does
+    rnd = random.Random(2929)
+    offsets = [Fraction(0)] + [Fraction(s, 10**k) for k in (12, 13, 15, 17) for s in (1, -1)]
+    abstained = 0
+    for _ in range(40):
+        beta = Fraction(rnd.randint(10**8, 10**9 - 1) * 10 + 5, 10**9) * Fraction(10) ** rnd.randint(-4, 6)
+        beta *= rnd.choice((1, -1))
+        t = Fraction(rnd.randint(-10**6, 10**6), 10**5)
+        for off in offsets:
+            must = abs(off) < Fraction(1, 200) * Fraction(2.0**-47) * (abs(beta) + 1)
+            for n, z in [(n, from_scaled(n, beta + off, t)) for n in (4, 5, 7)] + [
+                    (4, from_scaled(4, t, beta + off))]:
+                del slow_formats[:]
+                assert _fmt_pt(z) == _point_xy_text(z), (n, beta, off)
+                if must:
+                    assert slow_formats == [z], (n, beta, off)
+                    abstained += 1
+    assert abstained > 200
+
+
+@pytest.mark.parametrize("seed, steps, sha, last", [
+    ("2.51,0.33", 400, "5dda4cc5f1efbb6f9396245050eda04533f0b5627bb73cb78746da5cc8c6f1d5",
+     "termination=cap_reached"),
+    ("5:-275/991,-1980/991,-1650/991,396/991", 20,
+     "6e560bd1337d33dcd7646e4e6ebccfdfcb88f1475dc100f317f65894acf113de",
+     "termination=exact_repeat preperiod=0 period=5"),
+], ids=["generic", "q_W"])
+def test_contracted_pentagon_orbits_at_five_sixths(capsys, seed, steps, sha, last):
+    # the CI pins: q = 6 has two primes; a generic start runs to the cap and
+    # the exact fixed point of the word 1,3,5,2,4 closes
+    code, out, _ = run(capsys, "orbit", "--n", "5", "--lambda", "5/6", "--seed", seed,
+                       "--steps", str(steps))
+    assert code == 0
+    assert out.splitlines()[-1] == last
+    assert hashlib.sha256(out.encode()).hexdigest() == sha

@@ -153,6 +153,19 @@ def test_float_trig_tables_are_proved_within_their_error():
         assert ctx.to_complex_error() == (ctx.phi + 2) * 2.0**-53 + FLOAT_TRIG_ERROR
 
 
+def test_float_sine_is_the_proved_table_entry():
+    # the one float of sin(2 pi/n) read by search_tiles, captured_word and
+    # from_xy_approx: libm's value at these n, refused when the table entry
+    # is off by more than FLOAT_TRIG_ERROR
+    for n in (3, 4, 5, 6, 7, 8, 10, 12):
+        assert Cyclotomic(n).float_sine() == math.sin(2.0 * math.pi / n)
+    ctx = Cyclotomic(7)
+    c, s = ctx._float_trig[1]
+    ctx._float_trig = [ctx._float_trig[0], (c, s + 2.0**-40)] + ctx._float_trig[2:]
+    with pytest.raises(ArithmeticError):
+        ctx.float_sine()
+
+
 @pytest.mark.parametrize("shift", [2.0**-48, 2.0**-40])
 def test_float_trig_check_accepts_within_and_rejects_beyond_its_error(monkeypatch, shift):
     # every entry errs by at most 2^-49.8, so a 2^-48 shift stays within

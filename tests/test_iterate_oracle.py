@@ -1,9 +1,10 @@
 """``iterate`` against the stepwise loop it replaced.
 
-``reference_iterate`` is the orbit loop as it was before orbits carried
-their float image: one ``exact_orbits.reference_step`` per step, each
+``exact_orbits.reference_iterate`` is the orbit loop as it was before
+orbits carried their float image: one ``reference_step`` per step, each
 selecting its vertex with ``select_vertex`` at the point itself and
-reducing the new point by the full gcd of its numerators and denominator.
+reducing the new point by the full gcd of its numerators and denominator,
+and every point hashed for the repeat check.
 ``iterate`` must agree with it on every point, label and termination,
 including where its carried error bound abstains and the image is re-seeded
 from the exact point; ``step`` must agree with its first step.
@@ -14,7 +15,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from exact_orbits import reference_step
+from exact_orbits import reference_iterate
 
 from obc import dynamics
 from obc.dynamics import (
@@ -28,38 +29,14 @@ from obc.dynamics import (
     select_vertex,
     step,
 )
-from obc.errors import ConductorMismatchError, StepDomainError
+from obc.errors import ConductorMismatchError
 from obc.field import _U, CycloNum
-from obc.geometry import from_scaled, regular_ngon
-from obc.periodic import code_fixed_point, tile_from_code
+from obc.geometry import ConvexPolygon, from_scaled, regular_ngon
+from obc.periodic import captured_word, code_fixed_point, tile_from_code
 from obc.square import sk_code, square_polygon
 
 POLYGONS = [(n, regular_ngon(n)) for n in (3, 4, 5, 7, 8, 12)] + [(4, square_polygon())]
 RATES = (Fraction(1, 2), Fraction(4, 5), Fraction(99, 100), Fraction(1))
-
-
-def reference_iterate(P, lam, x, max_steps):
-    lam = Fraction(lam)
-    rec = OrbitRecord(start=x, lam=lam, points=[x])
-    seen = {x: 0}
-    cur = x
-    for k in range(max_steps):
-        try:
-            cur, label = reference_step(P, lam, cur)
-        except StepDomainError as exc:
-            rec.termination = "inside" if exc.kind == "inside" else "hit_singular"
-            rec.singular_step = None if exc.kind == "inside" else k
-            return rec
-        rec.code.append(label)
-        rec.points.append(cur)
-        prev = seen.get(cur)
-        if prev is not None:
-            rec.termination = "exact_repeat"
-            rec.preperiod = prev
-            rec.period = k + 1 - prev
-            return rec
-        seen[cur] = k + 1
-    return rec
 
 
 def _same_orbit(P, lam, x, steps):
@@ -250,3 +227,67 @@ def test_reflect_contract_reduces_by_the_full_gcd():
         assert (z.num, z.den) == (tuple(c // full for c in num), den // full)
         reduced += full > 1
     assert reduced > 1000, reduced
+
+
+# a quadrilateral with vertex dens 3, 1, 1, 3: at lam = p/q the repeat check
+# stops at a den divisible by 3q, and a later den can lose its factor 3
+MIXED_DENS = ConvexPolygon([from_scaled(4, Fraction(4, 3), 0), from_scaled(4, 0, 1),
+                            from_scaled(4, -1, 0), from_scaled(4, Fraction(1, 3), Fraction(-2, 3))])
+OPEN_RATES = (Fraction(1, 2), Fraction(2, 3), Fraction(5, 6), Fraction(9, 10))
+OPEN_POLYGONS = [(n, regular_ngon(n)) for n in (4, 5, 7)] + [(4, square_polygon()), (4, MIXED_DENS)]
+
+
+@pytest.fixture
+def hashed(monkeypatch):
+    """The field elements hashed while the test runs, in order."""
+    seen = []
+    real = CycloNum.__hash__
+
+    def counted(z):
+        seen.append(z)
+        return real(z)
+
+    monkeypatch.setattr(CycloNum, "__hash__", counted)
+    return seen
+
+
+@pytest.mark.parametrize("lam", OPEN_RATES, ids=str)
+@pytest.mark.parametrize("n, P", OPEN_POLYGONS, ids=["n4", "n5", "n7", "square_frame", "vertex_den_3"])
+def test_iterate_hashes_until_the_orbit_provably_stays_open(n, P, lam):
+    # random starts over dens 1, 3, 16 and 48, and for each that runs to
+    # the cap the exact fixed point of the word its float orbit is captured
+    # by, which closes: the same record as hashing every point
+    rnd = random.Random(f"open-{n}-{len(P.vertices)}-{lam}")
+    closed = 0
+    for _ in range(4):
+        x = from_scaled(n, Fraction(rnd.randint(-64, 64), rnd.choice((1, 3, 16, 48))),
+                        Fraction(rnd.randint(-64, 64), rnd.choice((1, 3, 16, 48))))
+        rec = _same_orbit(P, lam, x, 120)
+        if rec.termination != "cap_reached":
+            continue
+        f = x.to_complex()
+        word = captured_word(P, f.real, f.imag, lam, 3000, {})
+        if word is None:
+            continue
+        q = code_fixed_point(P, word, lam)
+        cycle = _same_orbit(P, lam, q, 3 * len(word))
+        assert cycle.termination == "exact_repeat" and cycle.preperiod == 0
+        assert tuple(cycle.code) == word[:cycle.period]
+        closed += 1
+    assert closed
+
+
+def test_iterate_hashes_no_point_of_an_open_contracted_orbit(hashed):
+    # lam = 1/2 outside the square from starts over den 16 and 1: free = 2
+    # divides the den of the first at once and of the second after a step
+    P = regular_ngon(4)
+    for start in (from_scaled(4, Fraction(5, 2), Fraction(7, 16)), from_scaled(4, 3, 1)):
+        del hashed[:]
+        rec = iterate(P, Fraction(1, 2), start, 500)
+        assert rec.termination == "cap_reached"
+        assert len(hashed) <= 1 and all(z == start for z in hashed)
+    # a closed orbit hashes every point, as at lam = 1
+    q = code_fixed_point(P, (1, 2, 3, 4), Fraction(1, 2))
+    del hashed[:]
+    rec = iterate(P, Fraction(1, 2), q, 20)
+    assert (rec.termination, rec.period) == ("exact_repeat", 4) and len(hashed) == 5
