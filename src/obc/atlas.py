@@ -14,12 +14,11 @@ independent of traversal order.  Same-code regions take the polygon first.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .dynamics import Code, float_select, iterate, seed_code
 from .errors import AtlasFormatError, CodeNotRealizableError, ObcError
-from .field import CycloNum, check_conductor, context
+from .field import check_conductor, context
 from .geometry import (
     ConvexPolygon,
     from_scaled,
@@ -27,18 +26,18 @@ from .geometry import (
     regular_ngon,
 )
 from .periodic import code_region, tile_from_code
+from .record import FrozenRecord, Record
 
 
-@dataclass(frozen=True)
-class SearchWindow:
-    """Rational search rectangle in (x, ytilde) coordinates."""
+class SearchWindow(FrozenRecord):
+    """Rational search rectangle in (x, ytilde) coordinates; ``bounds`` is
+    (x0, x1, t0, t1).  ``mode`` is accepted for old callers and selects
+    nothing: every search runs one pipeline."""
 
-    n: int
-    bounds: tuple  # (x0, x1, t0, t1) Fractions
-    grid_resolution: Fraction
-    max_period: int
-    # accepted for old callers; selects nothing, every search runs one pipeline
-    mode: str = "exact"
+    __slots__ = ("n", "bounds", "grid_resolution", "max_period", "mode")
+
+    def __init__(self, n, bounds, grid_resolution, max_period, mode="exact"):
+        self._set(n, bounds, grid_resolution, max_period, mode)
 
     def grid(self):
         x0, x1, t0, t1 = (Fraction(b) for b in self.bounds)
@@ -58,16 +57,17 @@ class SearchWindow:
         return xs, ts
 
 
-@dataclass
-class Atlas:
+class Atlas(Record):
     """Tiles outside ``polygon`` keyed by canonical code, with search
     provenance.  Codes label the polygon's vertices in order; ``n`` is the
     conductor of those vertices.
     """
 
-    polygon: ConvexPolygon
-    entries: dict = field(default_factory=dict)
-    provenance: dict = field(default_factory=dict)
+    __slots__ = ("polygon", "entries", "provenance")
+
+    def __init__(self, polygon, entries=None, provenance=None):
+        self._set(polygon, {} if entries is None else entries,
+                  {} if provenance is None else provenance)
 
     @property
     def n(self):
@@ -173,14 +173,13 @@ def search_tiles(window, polygon=None):
 # -- same-code regions --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SCRegion:
+class SCRegion(FrozenRecord):
     """Truncated region of points sharing the first ``depth`` code symbols."""
 
-    x: CycloNum
-    lam: Fraction
-    depth: int
-    polygon: ConvexPolygon
+    __slots__ = ("x", "lam", "depth", "polygon")
+
+    def __init__(self, x, lam, depth, polygon):
+        self._set(x, lam, depth, polygon)
 
 
 def _scr_word(P, lam, x, depth):

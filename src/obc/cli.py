@@ -135,16 +135,23 @@ def _fmt_pt(z):
     nonzero value to 0, and the string names the rounded value.  So when
     lo and hi print alike, every float between them prints so, g included.
     Otherwise point_xy decides; an infinite e, for a point too large for
-    its floats, gives the ends "-inf" and "inf".
+    its floats, gives the ends "-inf" and "inf".  A coordinate that is
+    exactly 0 prints "0": its ends print with opposite signs, so when
+    |f| <= b the exact z decides it first (x = 0 iff conj(z) = -z, y = 0
+    iff conj(z) = z).
     """
     fx, fy, e = float_point(z)
     texts = []
-    for f in (fx, fy):
+    g = None
+    for is_y, f in enumerate((fx, fy)):
         b = 1.01 * (e + 2.0**-59 + _U * abs(f))
+        if abs(f) <= b and z.conj() == (z if is_y else -z):
+            texts.append("0")
+            continue
         text = f"{math.nextafter(f - b, -math.inf):.9g}"
         if text != f"{math.nextafter(f + b, math.inf):.9g}":
-            texts = [f"{c:.9g}" for c in point_xy(z)]
-            break
+            g = g or point_xy(z)
+            text = f"{g[is_y]:.9g}"
         texts.append(text)
     return f"({texts[0]}, {texts[1]})"
 

@@ -22,19 +22,21 @@ gcd that divides a small integer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import GeometryError, ObcError, StepDomainError
-from .field import _U, CycloNum, _raw, context, sign_of_real  # noqa: F401, perfbench/selftest.py checks it
+from .field import _U, _raw, sign_of_real  # noqa: F401, perfbench/selftest.py checks it
 from .geometry import float_point, point_xy
+from .record import FrozenRecord, Record
 
 
-@dataclass(frozen=True)
-class Selection:
-    kind: str  # "vertex" | "singular" | "inside"
-    label: int | None = None
-    candidates: tuple[int, ...] = ()
+class Selection(FrozenRecord):
+    """``kind`` is "vertex" (with its ``label``), "singular" or "inside"."""
+
+    __slots__ = ("kind", "label", "candidates")
+
+    def __init__(self, kind, label=None, candidates=()):
+        self._set(kind, label, candidates)
 
 
 # The screen margin of the float orbits (``atlas._float_periodic_code``,
@@ -191,8 +193,7 @@ def reflect_contract(v, p, q, x):
     return _raw(x.n, tuple(num), den)
 
 
-@dataclass
-class OrbitRecord:
+class OrbitRecord(Record):
     """Recorded orbit with its code and termination reason.
 
     termination is "cap_reached", "exact_repeat" (with preperiod/period),
@@ -200,14 +201,13 @@ class OrbitRecord:
     polygon).  code[i] is the label the i-th recorded point reflects on.
     """
 
-    start: CycloNum
-    lam: Fraction
-    points: list = field(default_factory=list)
-    code: list = field(default_factory=list)
-    termination: str = "cap_reached"
-    preperiod: int | None = None
-    period: int | None = None
-    singular_step: int | None = None
+    __slots__ = ("start", "lam", "points", "code", "termination", "preperiod", "period",
+                 "singular_step")
+
+    def __init__(self, start, lam, points=None, code=None, termination="cap_reached",
+                 preperiod=None, period=None, singular_step=None):
+        self._set(start, lam, [] if points is None else points, [] if code is None else code,
+                  termination, preperiod, period, singular_step)
 
     def cycle_code(self):
         if self.termination != "exact_repeat":

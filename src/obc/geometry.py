@@ -51,12 +51,12 @@ the same filter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ConductorMismatchError, GeometryError
 from .field import _U, CycloNum, _apply, _raw, approximate, context, sign_of_real
+from .record import FrozenRecord
 
 # A plane point is just a CycloNum used as a complex coordinate.
 ExactPoint = CycloNum
@@ -455,20 +455,18 @@ def regular_ngon(n):
     return ConvexPolygon([CycloNum.zeta(n, k) for k in range(n)], validate=False)
 
 
-@dataclass(frozen=True)
-class HalfPlane:
+class HalfPlane(FrozenRecord):
     """{z : a*x + b*ytilde + c > 0}.
 
     a, b, c are real field elements in (x, ytilde) coordinates.
     """
 
-    a: CycloNum
-    b: CycloNum
-    c: CycloNum
+    __slots__ = ("a", "b", "c")
 
-    def __post_init__(self):
-        if self.a.is_zero() and self.b.is_zero():
+    def __init__(self, a, b, c):
+        if a.is_zero() and b.is_zero():
             raise GeometryError("half-plane normal must be nonzero")
+        self._set(a, b, c)
 
 
 def halfplane_left_of(p, q):
@@ -484,14 +482,15 @@ def halfplane_left_of(p, q):
     return HalfPlane(a, b, c)
 
 
-@dataclass(frozen=True)
-class RegionResult:
-    """Outcome of a half-plane intersection; with a polygon, the half-width
-    of the box [-w, w]^2 in (x, ytilde) that it was clipped to."""
+class RegionResult(FrozenRecord):
+    """Outcome of a half-plane intersection, of ``kind`` "polygon", "empty",
+    "lower_dimensional" or "unbounded"; with a polygon, the half-width of
+    the box [-w, w]^2 in (x, ytilde) that it was clipped to."""
 
-    kind: str  # "polygon" | "empty" | "lower_dimensional" | "unbounded"
-    polygon: ConvexPolygon | None = None
-    half_width: Fraction | None = None
+    __slots__ = ("kind", "polygon", "half_width")
+
+    def __init__(self, kind, polygon=None, half_width=None):
+        self._set(kind, polygon, half_width)
 
 
 def _real_float(z):

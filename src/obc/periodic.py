@@ -22,7 +22,6 @@ a cyclic shift of the code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 
@@ -35,30 +34,32 @@ from .field import CycloNum, _reduced, context, sign_of_real
 from .dynamics import Code, float_select, iterate, reflect_contract
 from .geometry import (
     _SLACK,
-    ConvexPolygon,
     HalfPlane,
     _auto_half_width,
     _half_width,
     intersect_halfplanes,
 )
+from .record import FrozenRecord, Record
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    limit_point: CycloNum
-    verdict: str      # "stable" | "unstable" | "marginal"
-    membership: str   # "interior" | "exterior" | "boundary"
+class StabilityReport(FrozenRecord):
+    """``verdict`` is "stable", "unstable" or "marginal"; ``membership`` of
+    the limit point is "interior", "exterior" or "boundary"."""
+
+    __slots__ = ("limit_point", "verdict", "membership")
+
+    def __init__(self, limit_point, verdict, membership):
+        self._set(limit_point, verdict, membership)
 
 
-@dataclass
-class Tile:
+class Tile(Record):
     """Open convex tile of mutually periodic points sharing a code, with the
     verdicts that tile_from_code fills in (None in a Tile made by hand)."""
 
-    polygon: ConvexPolygon
-    code: Code
-    symmetric: bool | None = None
-    stability: StabilityReport | None = None
+    __slots__ = ("polygon", "code", "symmetric", "stability")
+
+    def __init__(self, polygon, code, symmetric=None, stability=None):
+        self._set(polygon, code, symmetric, stability)
 
     @property
     def period(self):

@@ -10,20 +10,23 @@ same orbit is drawn the same color in every run and every file.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 from .geometry import point_xy
 from .periodic import iterate_tiles
+from .record import FrozenRecord
 
 _SCALE = 64.0  # pixels per unit
 _STROKE_WIDTH = 0.6
 _POLYGON_FILL = "#d0d0d8"
 
 
-@dataclass(frozen=True)
-class RenderSpec:
-    viewport: tuple = (-8.0, 8.0, -8.0, 8.0)  # (x0, x1, y0, y1)
-    precision_bits: int = 53
+class RenderSpec(FrozenRecord):
+    """``viewport`` is (x0, x1, y0, y1)."""
+
+    __slots__ = ("viewport", "precision_bits")
+
+    def __init__(self, viewport=(-8.0, 8.0, -8.0, 8.0), precision_bits=53):
+        self._set(viewport, precision_bits)
 
     def size(self):
         x0, x1, y0, y1 = self.viewport

@@ -309,6 +309,28 @@ def test_fmt_pt_abstains_at_a_9_digit_rounding_boundary(slow_formats):
     assert abstained > 200
 
 
+def test_fmt_pt_decides_zero_coordinates_exactly(slow_formats):
+    # the fast interval of an exactly-zero coordinate straddles 0, so its
+    # ends print with opposite signs; the exact point decides it instead
+    on_axis = [CycloNum.zero(5)] + [
+        z for n in (4, 5, 6, 7, 12) for v in (3, Fraction(-7, 3), Fraction(5, 7))
+        for z in (from_scaled(n, v, 0), from_scaled(n, 0, v))]
+    for z in on_axis:
+        assert _fmt_pt(z) == _point_xy_text(z), z.serialize()
+        assert "0" in _fmt_pt(z)[1:-1].split(", ")  # and never "-0"
+    assert slow_formats == []
+    # x a midpoint between two 9-digit decimals: point_xy decides x alone
+    z = from_scaled(4, Fraction(1234567895, 10**9), 0)
+    assert _fmt_pt(z) == _point_xy_text(z) == "(1.2345679, 0)"
+    assert slow_formats == [z]
+    # a nonzero coordinate whose interval straddles 0 is point_xy's to print
+    # (its 60-bit enclosure gives y = 1.08e-19 here, x = 0 below)
+    tiny = Fraction(1, 10**30)
+    for z in (from_scaled(7, 3, tiny), from_scaled(7, -tiny, 3)):
+        assert _fmt_pt(z) == _point_xy_text(z), z.serialize()
+    assert slow_formats[1:] == [from_scaled(7, 3, tiny), from_scaled(7, -tiny, 3)]
+
+
 @pytest.mark.parametrize("seed, steps, sha, last", [
     ("2.51,0.33", 400, "5dda4cc5f1efbb6f9396245050eda04533f0b5627bb73cb78746da5cc8c6f1d5",
      "termination=cap_reached"),
