@@ -11,8 +11,6 @@ orbit of tiles, and carries the polygon those codes label; results are
 independent of traversal order.  Same-code regions take the polygon first.
 """
 
-from __future__ import annotations
-
 import os
 from fractions import Fraction
 

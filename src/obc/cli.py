@@ -4,8 +4,6 @@ verification suite, window searches, same-code regions and SVG rendering.
 Exit codes: 0 success, 1 domain error, 2 usage error.
 """
 
-from __future__ import annotations
-
 import argparse
 import math
 import sys

@@ -19,8 +19,6 @@ step is one integer combination of the numerators of v and x, reduced by a
 gcd that divides a small integer.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 

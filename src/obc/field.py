@@ -19,8 +19,6 @@ outward; see ``Cyclotomic.fixed_trig``); an enclosure is then an exact
 integer dot product, so it is mathematically guaranteed.
 """
 
-from __future__ import annotations
-
 import math
 from decimal import Decimal
 from fractions import Fraction

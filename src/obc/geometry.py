@@ -48,8 +48,6 @@ location (``ConvexPolygon.locate``) reads the side of a point on each with
 the same filter.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 from functools import lru_cache

@@ -19,8 +19,6 @@ point lies in its interior, and symmetric when a label shift of its code is
 a cyclic shift of the code.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -37,7 +35,10 @@ from .geometry import (
     HalfPlane,
     _auto_half_width,
     _half_width,
+    _real_float,
+    imag_scaled,
     intersect_halfplanes,
+    real_part,
 )
 from .record import FrozenRecord, Record
 
@@ -156,14 +157,16 @@ class CaptureRegion:
     of K's interior follows the word forever.  ``edges`` holds, per edge of
     K, the constants (fa, fb, fc, k1, k0) of ``geometry._line``'s bound for
     that edge's clip line, whose open side is the left of the edge
-    (``ConvexPolygon.edge_lines``)."""
+    (``ConvexPolygon.edge_lines``); ``box`` is a float box (x0, x1, t0, t1)
+    that holds K in (x, ytilde) (``_float_box``)."""
 
-    __slots__ = ("word", "polygon", "edges")
+    __slots__ = ("word", "polygon", "edges", "box")
 
-    def __init__(self, word, polygon, edges):
+    def __init__(self, word, polygon, edges, box):
         self.word = word
         self.polygon = polygon
         self.edges = edges
+        self.box = box
 
     def holds(self, x, t):
         """True only if the point with floats (x, ytilde) = (x, t), read
@@ -176,6 +179,21 @@ class CaptureRegion:
             if not fa * x + fb * t + fc > _SLACK * (k1 * r + k0):
                 return False
         return True
+
+
+def _float_box(K):
+    """(x0, x1, t0, t1): floats with x0 <= x <= x1 and t0 <= ytilde <= t1
+    at every vertex of K, so on all of K, and strictly inside for each point
+    of its interior.  Per vertex coordinate z, ``_real_float`` gives f within
+    e of z; the float next below fl(f - e) is at most f - e, as fl rounds to
+    one of the two floats around it, and likewise above fl(f + e).  An
+    infinite e gives an infinite side, which excludes nothing."""
+    xs, ts = [], []
+    for v in K.vertices:
+        for z, out in ((real_part(v), xs), (imag_scaled(v), ts)):
+            f, e = _real_float(z)
+            out += (math.nextafter(f - e, -math.inf), math.nextafter(f + e, math.inf))
+    return min(xs), max(xs), min(ts), max(ts)
 
 
 def capture_region(P, W, lam):
@@ -207,45 +225,77 @@ def capture_region(P, W, lam):
     if K is None or K.locate(q) != "interior":
         return None
     edges = tuple((fa, fb, fc, k1, k0) for _, fa, fb, fc, k1, _, k0, *_ in K.edge_lines())
-    return CaptureRegion(W, K, edges)
+    return CaptureRegion(W, K, edges, _float_box(K))
 
 
-def captured_word(P, x, y, lam, max_steps, regions):
+class Captures:
+    """The capture state of ``captured_word`` for the polygon P and the rate
+    lam, 0 < lam < 1 (else ValueError), shared by every orbit handed to it.
+
+    It keeps the float constants of the float step (lamf = float(lam),
+    1 + lamf, ``P.float_wedges()`` and sin(2*pi/n)), ``tails``, which maps
+    each tail of labels met so far to its ``capture_region`` (None where it
+    is not certified), and ``boxes``: per label a, one row
+    (x0, x1, t0, t1, holds, word) per certified region whose word starts
+    with a, in the order certified, with the region's float box
+    (``CaptureRegion.box``), its float test and its canonical word.
+    """
+
+    __slots__ = ("P", "lam", "lamf", "grow", "orders", "scale", "tails", "boxes")
+
+    def __init__(self, P, lam):
+        if not 0 < lam < 1:  # before Fraction(lam), which an infinite float overflows
+            raise ValueError("need 0 < lam < 1")
+        self.P = P
+        self.lam = lam = Fraction(lam)
+        self.lamf = float(lam)
+        self.grow = 1 + self.lamf
+        self.orders = P.float_wedges()
+        self.scale = context(P.vertices[0].n).float_sine()
+        self.tails = {}
+        self.boxes = [[] for _ in range(len(P.vertices) + 1)]
+
+    def certify(self, tail):
+        """Build the capture region of a tail (a tuple of labels) not met
+        before, and file it under its first label when it is certified."""
+        region = self.tails[tail] = capture_region(self.P, tail, self.lam)
+        if region is not None:
+            self.boxes[tail[0]].append(
+                (*region.box, region.holds, Code(tail).canonical()))
+
+
+def captured_word(captures, x, y, max_steps):
     """Canonical word of the cycle that provably captures the float orbit
     of the point (x, y), or None if none does within max_steps.
 
-    Before each float step the point, read as (x, y / sin(2*pi/n)), is
-    tested against each capture region (``capture_region``) whose word
-    starts with the label the float screen just chose
-    (``CaptureRegion.holds``); the orbit stops in the first that holds it,
-    every point of which follows the region's word forever.  Every 16 float
-    steps, p is the least period <= 120 of the recent labels, and the
-    region of the last p labels is certified if it is new.  The float orbit
-    before capture is not proved; after label a it screens ``orders[a]``
-    (``P.float_wedges()``).  ``regions`` maps each label a to a dict from
-    the tails of p labels that start with a to their region (or None) and
-    canonical word; calls may share it for the same P and lam.  Needs
-    0 < lam < 1.
+    ``captures`` is the ``Captures`` state of the polygon and the rate.
+    Before each float step the point, read as (x, t) = (x, y / sin(2*pi/n)),
+    is tested against the certified capture regions (``capture_region``)
+    whose word starts with the label the float screen just chose: first
+    against the region's float box, which holds every point its float test
+    accepts, then by that test (``CaptureRegion.holds``).  The orbit stops
+    in the first region that holds it, every point of which follows the
+    region's word forever.  Every 16 float steps, p is the least period
+    <= 120 of the recent labels: a period p needs the label p back to equal
+    the last one, and only then are the two last p-label slices compared.
+    The region of the last p labels is certified if that tail is new
+    (``Captures.certify``).  The float orbit before capture is not proved;
+    after label a it screens ``orders[a]`` (``P.float_wedges()``).
     """
-    lamf = float(lam)
-    # rounding is monotone and keeps 0 and 1, so 0 < lamf < 1 proves 0 < lam < 1
-    if not 0.0 < lamf < 1.0 and not 0 < lam < 1:
-        raise ValueError("need 0 < lam < 1")
-    orders = P.float_wedges()
+    orders, boxes, tails = captures.orders, captures.boxes, captures.tails
+    grow, lamf, scale = captures.grow, captures.lamf, captures.scale
     lbl = 0  # orders[0] is the label order: no label taken yet
-    grow = 1 + lamf
-    scale = context(P.vertices[0].n).float_sine()
     code = []
     for i in range(1, max_steps + 1):
         row = float_select(orders[lbl], x, y)
         if row is None:
             return None
         lbl, vx, vy = row[0], row[1], row[2]
-        tails = regions.get(lbl)
-        if tails:
+        held = boxes[lbl]
+        if held:
             t = y / scale
-            for region, word in tails.values():
-                if region is not None and region.holds(x, t):
+            for x0, x1, t0, t1, holds, word in held:
+                if x0 < x < x1 and t0 < t < t1 and holds(x, t):
                     return word
         x = grow * vx - lamf * x
         y = grow * vy - lamf * y
@@ -253,13 +303,12 @@ def captured_word(P, x, y, lam, max_steps, regions):
         if i % 16:
             continue
         p = next((p for p in range(1, min(120, i // 2) + 1)
-                  if code[-p:] == code[-2 * p : -p]), None)
+                  if code[-1 - p] == lbl and code[-p:] == code[-2 * p : -p]), None)
         if p is None:
             continue
-        key = tuple(code[-p:])
-        tails = regions.setdefault(key[0], {})
-        if key not in tails:
-            tails[key] = capture_region(P, key, lam), Code(key).canonical()
+        tail = tuple(code[-p:])
+        if tail not in tails:
+            captures.certify(tail)
     return None
 
 

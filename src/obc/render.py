@@ -7,10 +7,6 @@ precision; colors are keyed by a stable hash of the canonical code, so the
 same orbit is drawn the same color in every run and every file.
 """
 
-from __future__ import annotations
-
-import hashlib
-
 from .geometry import point_xy
 from .periodic import iterate_tiles
 from .record import FrozenRecord
@@ -39,6 +35,8 @@ class RenderSpec(FrozenRecord):
 
 def code_color(code_word):
     """Stable color for a canonical code (same code, same color, always)."""
+    import hashlib  # here, not at the top: importing obc then skips OpenSSL
+
     digest = hashlib.sha256(",".join(str(a) for a in code_word).encode()).digest()
     hue = digest[0] * 360.0 / 256.0
     # fixed saturation/lightness; small deterministic lightness jitter

@@ -12,18 +12,19 @@ Attractor counts sample random starts outside the square and hand each
 float orbit to the polygon-generic capture of ``periodic.captured_word``,
 which stops it once it enters a certified capture region, the same-code
 region of a cycle phase: every point of its interior provably follows the
-cycle forever.  Not proved: the float orbit before capture, and that no
+cycle forever.  One capture state per rate (``periodic.Captures``) holds
+the regions certified so far for all samples, each behind a float box
+that provably encloses it, so most steps are turned away by four float
+comparisons.  Not proved: the float orbit before capture, and that no
 attractor was missed.
 """
-
-from __future__ import annotations
 
 import random
 from fractions import Fraction
 
 from .dynamics import orbit_bound, seed_code
 from .geometry import ConvexPolygon, from_scaled
-from .periodic import captured_word
+from .periodic import Captures, captured_word
 
 
 def square_polygon():
@@ -171,18 +172,16 @@ def count_attractors_detail(lam, samples=200, max_steps=10_000, seed=0):
 
     A sample counts toward a word when its float orbit enters a capture
     region of that word (``periodic.captured_word``), tested at every float
-    step; a region is certified at most once per cycle phase, when a
-    sample's period search first finds that phase, and shared by all
-    samples.  A sample is undecided when no region captures its orbit within
-    ``max_steps`` float steps, or when the float screen meets a wedge
-    boundary.
+    step, first against the region's proved float box.  The regions live in
+    one ``periodic.Captures`` state built for the rate: a region is
+    certified at most once per cycle phase, when a sample's period search
+    first finds that phase, and shared by all samples.  A sample is
+    undecided when no region captures its orbit within ``max_steps`` float
+    steps, or when the float screen meets a wedge boundary.
     """
-    lam = Fraction(lam)
-    if not 0 < lam < 1:
-        raise ValueError("need 0 < lam < 1")
-    radius = orbit_bound(_sq(), lam)
+    captures = Captures(_sq(), lam)
+    radius = orbit_bound(_sq(), captures.lam)
     rng = random.Random(seed)
-    regions = {}
     found = set()
     undecided = 0
     for _ in range(samples):
@@ -191,7 +190,7 @@ def count_attractors_detail(lam, samples=200, max_steps=10_000, seed=0):
             y = rng.uniform(-radius, radius)
             if x * x + y * y <= radius * radius and max(abs(x), abs(y)) > 1.0:
                 break
-        word = captured_word(_sq(), x, y, lam, max_steps, regions)
+        word = captured_word(captures, x, y, max_steps)
         if word is None:
             undecided += 1
         else:

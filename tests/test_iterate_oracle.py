@@ -32,7 +32,7 @@ from obc.dynamics import (
 from obc.errors import ConductorMismatchError
 from obc.field import _U, CycloNum
 from obc.geometry import ConvexPolygon, from_scaled, regular_ngon
-from obc.periodic import captured_word, code_fixed_point, tile_from_code
+from obc.periodic import Captures, captured_word, code_fixed_point, tile_from_code
 from obc.square import sk_code, square_polygon
 
 POLYGONS = [(n, regular_ngon(n)) for n in (3, 4, 5, 7, 8, 12)] + [(4, square_polygon())]
@@ -266,7 +266,7 @@ def test_iterate_hashes_until_the_orbit_provably_stays_open(n, P, lam):
         if rec.termination != "cap_reached":
             continue
         f = x.to_complex()
-        word = captured_word(P, f.real, f.imag, lam, 3000, {})
+        word = captured_word(Captures(P, lam), f.real, f.imag, 3000)
         if word is None:
             continue
         q = code_fixed_point(P, word, lam)

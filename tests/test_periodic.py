@@ -8,7 +8,7 @@ from exact_closed_forms import unfold
 from exact_orbits import endpoint_by_wedges
 
 import obc.geometry
-from obc.dynamics import Code, iterate, seed_code
+from obc.dynamics import Code, iterate, orbit_bound, seed_code
 from obc.errors import (
     CodeNotRealizableError,
     IndeterminateFixedPointError,
@@ -26,6 +26,7 @@ from obc.geometry import (
     regular_ngon,
 )
 from obc.periodic import (
+    Captures,
     Tile,
     alternating_vertex_sum,
     captured_word,
@@ -526,10 +527,43 @@ def test_unstable_n12_centres_are_captured_by_stable_cycles(n12_atlas):
     centres = [t.center() for t in n12_atlas.tiles()
                if t.period == 24 and not t.symmetric and t.stability.verdict == "unstable"]
     assert len(centres) == 2
-    regions = {}
+    captures = Captures(P, Fraction(999, 1000))
     for c in centres:
-        word = captured_word(P, *point_xy(c), Fraction(999, 1000), 4000, regions)
+        word = captured_word(captures, *point_xy(c), 4000)
         assert word is not None and len(word) == 4 and word in stable4, word
+
+
+# (n, lam): (attractors, undecided) of 300 float orbits, seed 0, each run
+# for up to 20 000 steps from a point drawn uniformly from the trapping disc
+# of radius orbit_bound(P, lam) outside radius 1.2
+SAMPLED_COUNTS = {
+    # a known sampling miss: the certified box census of this rate finds 3
+    # cycles (periods 5, 5 and 10)
+    (5, Fraction(4, 5)): (2, 0),
+    (8, Fraction(19, 20)): (7, 0),
+    (8, Fraction(49, 50)): (11, 0),
+    (12, Fraction(19, 20)): (15, 0),
+}
+
+
+@pytest.mark.parametrize("n, lam", SAMPLED_COUNTS, ids=str)
+def test_sampled_attractor_counts_of_regular_polygons(n, lam):
+    P = regular_ngon(n)
+    captures = Captures(P, lam)
+    radius = orbit_bound(P, lam)
+    rnd = random.Random(0)
+    found, undecided = set(), 0
+    for _ in range(300):
+        while True:
+            x, y = rnd.uniform(-radius, radius), rnd.uniform(-radius, radius)
+            if 1.44 < x * x + y * y <= radius * radius:
+                break
+        word = captured_word(captures, x, y, 20_000)
+        if word is None:
+            undecided += 1
+        else:
+            found.add(word)
+    assert (len(found), undecided) == SAMPLED_COUNTS[n, lam]
 
 
 def test_chain_barycenter_is_the_limit_point(tile_phases):

@@ -78,9 +78,10 @@ def test_halfplane_refuses_a_zero_normal():
 
 
 def test_import_generates_no_code():
-    # a fresh interpreter, since pytest itself has loaded these modules
+    # a fresh interpreter, since pytest itself has loaded these modules;
+    # hashlib loads only when render colors a code
     probe = ("import sys, obc, obc.cli; print(obc.__file__); "
-             "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))")
+             "print(sorted({'dataclasses', 'inspect', 'ast', 'hashlib'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout.splitlines()

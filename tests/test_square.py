@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import obc.periodic
 from obc.dynamics import iterate
-from obc.field import CycloNum
+from obc.field import CycloNum, sign_of_real
 from obc.geometry import (
     from_scaled,
     imag_scaled,
@@ -23,6 +23,7 @@ from obc.geometry import (
     regular_ngon,
 )
 from obc.periodic import (
+    Captures,
     capture_region,
     captured_word,
     code_constraints,
@@ -288,19 +289,26 @@ def test_capture_region_needs_a_real_periodic_point():
 
 def test_capture_region_needs_a_contraction(monkeypatch):
     # at lam = 1 the even word's fixed point is indeterminate; the rate is
-    # rejected before any fixed point or tile is built, and captured_word
-    # rejects it on entry, before any float step
+    # rejected before any fixed point or tile is built, and the capture
+    # state of captured_word rejects it, before any float step
     def no_tile(*args):
         raise AssertionError("capture_region built a tile")
 
+    def no_step(*args):
+        raise AssertionError("captured_word took a float step")
+
     monkeypatch.setattr(obc.periodic, "tile_from_code", no_tile)
+    monkeypatch.setattr(obc.periodic, "float_select", no_step)
     for P, w in ((regular_ngon(12), (1, 4, 7, 10)), (SQ, P8)):
         for lam in (1, 0, Fraction(3, 2), 1.0, 1 + Fraction(1, 10**30)):
             with pytest.raises(ValueError):
                 capture_region(P, w, lam)
             for steps in (0, 15, 100):
                 with pytest.raises(ValueError):
-                    captured_word(P, 3.0, 0.5, lam, steps, {})
+                    captured_word(Captures(P, lam), 3.0, 0.5, steps)
+        for lam in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                Captures(P, lam)
 
 
 def _float_box(K, pad):
@@ -325,6 +333,44 @@ def test_float_capture_test_accepts_only_interior_points(case, i, j):
         assert reg.polygon.locate(z) == "interior"
         end = code_endpoint(P, lam, z, w)
         assert end is not None and reg.polygon.locate(end) == "interior"
+
+
+def test_float_box_encloses_the_region_exactly():
+    # x0 <= Re(v) <= x1 and t0 <= ytilde(v) <= t1 at every vertex v of K,
+    # by exact signs, and the box reaches at most 1e-9 past the vertices' floats
+    for P, lam, w in BOXED:
+        reg = capture_region(P, w, lam)
+        n = P.vertices[0].n
+        x0, x1, t0, t1 = reg.box
+        for v in reg.polygon.vertices:
+            for c, lo, hi in ((real_part(v), x0, x1), (imag_scaled(v), t0, t1)):
+                for bound, side in ((lo, 1), (hi, -1)):
+                    gap = (c - CycloNum.from_rational(n, Fraction(bound))) * side
+                    assert sign_of_real(gap) >= 0, (w, lam, bound, side)
+        xs = [real_part(v).to_complex().real for v in reg.polygon.vertices]
+        ts = [imag_scaled(v).to_complex().real for v in reg.polygon.vertices]
+        assert max(min(xs) - x0, x1 - max(xs), min(ts) - t0, t1 - max(ts)) < 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(BOXED), st.integers(0, 63), st.integers(-2**20, 2**20),
+       st.integers(-2**20, 2**20), st.integers(0, 60))
+def test_float_capture_test_accepts_only_points_inside_the_box(case, i, a, b, e):
+    # points near a vertex of K, offset by up to 2^-e in each coordinate,
+    # and points anywhere in K's float extents padded by a quarter: each
+    # the float test accepts lies strictly inside the region's box, so the
+    # box test of captured_word turns away only points it would reject
+    P, lam, w = case
+    reg = capture_region(P, w, lam)
+    x0, x1, t0, t1 = reg.box
+    vs = reg.polygon.vertices
+    v = vs[i % len(vs)]
+    for x, t in ((real_part(v).to_complex().real + a * 2.0**(-20 - e),
+                  imag_scaled(v).to_complex().real + b * 2.0**(-20 - e)),
+                 ((x0 + x1) / 2 + (x1 - x0) * 0.75 * a / 2**20,
+                  (t0 + t1) / 2 + (t1 - t0) * 0.75 * b / 2**20)):
+        if reg.holds(x, t):
+            assert x0 < x < x1 and t0 < t < t1, (w, lam, x, t)
 
 
 def test_float_capture_test_near_region_edges():
