@@ -42,17 +42,16 @@ class SearchWindow(FrozenRecord):
         res = Fraction(self.grid_resolution)
         if res <= 0:
             raise ValueError("grid_resolution must be positive")
-        xs = []
-        v = x0
-        while v <= x1:
-            xs.append(v)
-            v += res
-        ts = []
-        v = t0
-        while v <= t1:
-            ts.append(v)
-            v += res
-        return xs, ts
+        return _axis(x0, x1, res), _axis(t0, t1, res)
+
+
+def _axis(v, end, step):
+    """v, v + step, v + 2 step, ... while at most end."""
+    out = []
+    while v <= end:
+        out.append(v)
+        v += step
+    return out
 
 
 class Atlas(Record):

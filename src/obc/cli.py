@@ -20,7 +20,7 @@ from .atlas import (
 from .dynamics import Code, iterate, orbit_to_text, seed_code
 from .errors import ObcError
 from .field import _U, CycloNum, check_conductor
-from .geometry import float_point, from_xy_approx, hausdorff_distance, point_xy, regular_ngon
+from .geometry import from_xy_approx, hausdorff_distance, point_xy, regular_ngon
 from .periodic import tile_from_code
 from .render import RenderSpec, render_atlas_svg, render_orbit_svg
 from .square import (
@@ -122,8 +122,8 @@ def _polygon_for(args):
 def _fmt_pt(z):
     """``point_xy(z)`` as "(x, y)", 9 significant digits each.
 
-    Each coordinate is read first from ``z.to_complex()``.  Its float f is
-    within e of the true c (``float_point``), and point_xy's float g is
+    Each coordinate is read first from ``z.float_image()``: its float f is
+    within e of the true c, and point_xy's float g is
     within 2^-60 + u (|c| + 2^-60) of c, u = 2^-53 (proof there).  So
     |g - f| <= (1 + u)(e + 2^-60) + u |f| <= b = fl(1.01 (e + 2^-59 +
     u |f|)), whose three roundings lose at most a factor (1 - u)^3 and
@@ -138,7 +138,7 @@ def _fmt_pt(z):
     |f| <= b the exact z decides it first (x = 0 iff conj(z) = -z, y = 0
     iff conj(z) = z).
     """
-    fx, fy, e = float_point(z)
+    fx, fy, e = z.float_image()
     texts = []
     g = None
     for is_y, f in enumerate((fx, fy)):

@@ -9,8 +9,8 @@ sides of P, where two vertices qualify and the choice is ambiguous.
 Vertex selection is a filtered predicate: the float orientations of the
 polygon's cached wedge table, tested against a margin proved from the error
 of the float point (``_select_margin``), certify a vertex without any exact
-arithmetic; only a point the filter cannot decide reads the signs of the
-polygon's integer edge forms (``ConvexPolygon.edge_sign``), one per edge.
+arithmetic; only a point the filter cannot decide reads its exact side of
+each edge (``ConvexPolygon.edge_sides``), as point location does.
 ``iterate`` is the one loop that selects and reflects along an orbit
 (``step``, ``periodic.code_endpoint`` and ``atlas.scr_region`` read its
 record); it carries a float image of each point with a running error
@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import GeometryError, ObcError, StepDomainError
 from .field import _U, _raw, sign_of_real  # noqa: F401, perfbench/selftest.py checks it
-from .geometry import float_point, point_xy
+from .geometry import point_xy
 from .record import FrozenRecord, Record
 
 
@@ -69,26 +69,18 @@ def select_vertex(P, x):
     left of the edge leaving it and strictly right of the edge entering it.
     That certificate also proves x is outside the closed polygon and off
     the singular set.  The float orientations of the wedge table at
-    ``x.to_complex()`` prove it when they clear the margin of
+    ``x.float_image()`` prove it when they clear the margin of
     ``_select_margin``; any other point, on or near the singular set or
-    inside P, is decided by one exact edge sign per edge.
+    inside P, is decided by its exact side of each edge.  A point of
+    another conductor skips the floats, and the exact path refuses it.
     """
-    fx, fy, e = _fresh_float(P, x)
-    w = max(abs(fx), abs(fy)) + P.float_extent()
-    row = float_select(P.float_wedges()[0], fx, fy, _select_margin(w, e))
-    if row is not None:
-        return Selection("vertex", row[0])
+    if x.n == P.vertices[0].n:
+        fx, fy, e = x.float_image()
+        w = max(abs(fx), abs(fy)) + P.float_extent()
+        row = float_select(P.float_wedges()[0], fx, fy, _select_margin(w, e))
+        if row is not None:
+            return Selection("vertex", row[0])
     return _select_exhaustive(P, x)
-
-
-def _fresh_float(P, x):
-    """``geometry.float_point(x)``: the coordinates of ``x.to_complex()``
-    and a bound e on the error of each; e = math.inf, which certifies
-    nothing, for a point of another conductor or one too large for its
-    floats."""
-    if x.n != P.vertices[0].n:
-        return 0.0, 0.0, math.inf  # the exact path decides, or refuses a foreign point
-    return float_point(x)
 
 
 def _select_margin(w, e):
@@ -99,9 +91,9 @@ def _select_margin(w, e):
     max(|fx|, |fy|) and V + 1 = ``P.float_extent()``.  math.inf, which
     certifies nothing, when w is not below 2^502 (see the end).
 
-    ``select_vertex`` passes the error e of ``x.to_complex()``
-    (``_fresh_float``); ``iterate`` passes the error it carries along the
-    orbit.  So this one proof serves both.
+    ``select_vertex`` passes the error e of ``x.float_image()``;
+    ``iterate`` passes the error it carries along the orbit.  So this one
+    proof serves both.
 
     Proof.  Let X = |f| + V + 1, exactly; w >= (1 - u)^2 X after the two
     roundings that make V + 1 and w.  Each float vertex coordinate is
@@ -124,7 +116,7 @@ def _select_margin(w, e):
     exceeds that.  Gradual underflow adds at most a few 2^-1075, far below
     the slack of 3.9 u w^2 >= 3.9 u.  The first orientation is (v_(a+1) -
     v_a) x (p - v_a), a positive multiple of edge a - 1's value at p, and
-    the second is minus that of edge a - 2 (``edge_sign``, 0-based); both
+    the second is minus that of edge a - 2 (``edge_sides``, 0-based); both
     above M prove x strictly inside the wedge of v_a.  With w < 2^502 no
     difference or product overflows.  A NaN coordinate makes every
     orientation NaN, and an infinite or NaN w or e makes M so: no comparison
@@ -136,12 +128,12 @@ def _select_margin(w, e):
 
 
 def _select_exhaustive(P, x):
-    # one exact sign per edge; edge i runs from vertex i to vertex i + 1
+    # one exact side per edge; edge i runs from vertex i to vertex i + 1
     # (0-based).  Vertex i qualifies when P lies in the closed left
     # half-plane of the ray from x through it, i.e. (P convex) when both of
     # its neighbours do: s[i] >= 0 and s[i - 1] <= 0.
     m = len(P.vertices)
-    s = [P.edge_sign(i, x) for i in range(m)]
+    s = list(P.edge_sides(x))
     if min(s) >= 0:
         return Selection("inside")
     cands = tuple(i + 1 for i in range(m) if s[i] >= 0 and s[i - 1] <= 0)
@@ -244,11 +236,12 @@ def iterate(P, lam, x, max_steps):
     (fx, fy) carried along the orbit with a proved bound d on the error of
     each coordinate: ``float_select`` under ``_select_margin(w, d)``, after
     label a from ``orders[a]`` as the float orbits screen.  Only where that
-    filter abstains does ``select_vertex`` decide, from the point's fresh
-    float and else its exact edge signs, and the image is then re-seeded
-    from the exact point (``_fresh_float``).  Each step maps the image by
-    f' = fl(fl(g v) - fl(l f)), with g = fl(1 + lam), l = fl(lam) and v the
-    float vertex, and the bound by
+    filter abstains does ``select_vertex`` decide, from the point's own
+    float image and else its exact edge sides, and the image is then
+    re-seeded from the exact point (``CycloNum.float_image``).  A start of
+    another conductor gets no image, so ``select_vertex`` refuses it.
+    Each step maps the image by f' = fl(fl(g v) - fl(l f)), with
+    g = fl(1 + lam), l = fl(lam) and v the float vertex, and the bound by
 
         d' = fl(fl(L d) + fl(K w)),   L = fl(l (1 + 8u)),   K = 8.25 u,
 
@@ -309,7 +302,7 @@ def iterate(P, lam, x, max_steps):
     seen = {x: 0} if q == 1 or x.den % free else None
     g, l = float(1 + lam), float(lam)  # correctly rounded int divisions
     grow = l * (1 + 8 * _U)
-    fx, fy, d = _fresh_float(P, x)
+    fx, fy, d = x.float_image() if x.n == vertices[0].n else (0.0, 0.0, math.inf)
     order = orders[0]
     cur = x
     for k in range(max_steps):
@@ -322,7 +315,7 @@ def iterate(P, lam, x, max_steps):
                 rec.singular_step = None if sel.kind == "inside" else k
                 return rec
             row = orders[0][sel.label - 1]
-            fx, fy, d = _fresh_float(P, cur)
+            fx, fy, d = cur.float_image()
             w = max(abs(fx), abs(fy)) + extent
         label, vx, vy = row[0], row[1], row[2]
         cur = reflect_contract(vertices[label - 1], p, q, cur)

@@ -596,21 +596,43 @@ class CycloNum:
         at most (u (1 + delta) + delta) T + gamma_phi (1 + u)(1 + delta) T
         <= E T; the + 1 covers underflow, at most 2^-1075 per operation.
 
-        ``dynamics.select_vertex`` certifies vertices with this bound, so it
-        holds for this loop as written: another summation order, fsum or
-        table must restate it there.
+        Every proved float filter reads this bound through ``float_image``,
+        so it holds for this loop as written: another summation order,
+        fsum or table must restate it there.
+        """
+        ctx = context(self.n)
+        den = self.den
+        re = im = 0.0
+        for a, (ck, sk) in zip(self.num, ctx._float_trig):
+            if a:
+                f = a / den  # correctly rounded, as float(Fraction(a, den))
+                re += f * ck
+                im += f * sk
+        return complex(re, im)
+
+    def float_image(self):
+        """(fx, fy, e), computed once: the coordinates of ``to_complex()``
+        and a bound e on the error of each; (0.0, 0.0, math.inf), which
+        certifies nothing, once sum |num_k| has more than 500 bits beyond
+        den.
+
+        e = 1.01 E (fl(T) + 1), with E = ``context(n).to_complex_error()``
+        and T = sum |num_k| / den: ``to_complex`` proves each coordinate
+        within E (T + 1), and the division, the sum, the two products and
+        the float 1.01 round down by a factor of at most (1 - u)^5 > 1/1.01,
+        u = 2^-53.  So e >= E.  The bit lengths give T < 2^501, so fx and
+        fy, sums of phi terms each at most T (1 + u) in size, and e are
+        finite.
         """
         v = self._cfloat
         if v is None:
-            ctx = context(self.n)
-            den = self.den
-            re = im = 0.0
-            for a, (ck, sk) in zip(self.num, ctx._float_trig):
-                if a:
-                    f = a / den  # correctly rounded, as float(Fraction(a, den))
-                    re += f * ck
-                    im += f * sk
-            v = complex(re, im)
+            den, total = self.den, sum(map(abs, self.num))
+            if total.bit_length() > den.bit_length() + 500:
+                v = (0.0, 0.0, math.inf)
+            else:
+                e = 1.01 * context(self.n).to_complex_error() * (total / den + 1.0)
+                f = self.to_complex()
+                v = (f.real, f.imag, e)
             self._cfloat = v
         return v
 
@@ -664,10 +686,7 @@ def sign_of_real(z, _checked=False):
 
     Zero is decided by the normal form alone; for provably nonzero input the
     enclosure is refined with doubling precision until it excludes zero,
-    which it does once the precision reaches ``_sign_cap(z)`` bits.  Neither
-    step needs the numerators in lowest terms, only that they are integers,
-    so z may also be an unreduced integer vector over denominator 1 (as
-    ``ConvexPolygon.edge_sign`` passes).
+    which it does once the precision reaches ``_sign_cap(z)`` bits.
     """
     if not _checked and not z.is_real():
         raise NotRealError(f"element is not real: {z.serialize()}")

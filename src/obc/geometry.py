@@ -14,14 +14,12 @@ enclosures of the true coordinates instead.  Half-plane coefficients
 (a, b, c) are real field elements in these (x, ytilde) coordinates; for
 n = 4 the scale factor is 1 and ytilde is the true ordinate.
 
-Vertex selection, wherever its proved float filter abstains
-(``dynamics.select_vertex``), reads signs of integer edge forms, which each
-ConvexPolygon builds once: for z = num/den, an integer matrix-vector product
-of num and den with the form of edge i gives the numerators of a known
-positive multiple of cross(v[i+1] - v[i], z - v[i]) / sin(2*pi/n), and
-sign_of_real decides its sign without building any intermediate element.
-periodic.code_constraints builds the offsets of pulled-back edge half-planes
-from the same integer rows.
+Every proved float filter reads one float image per field element
+(``CycloNum.float_image``).  Each ConvexPolygon builds integer edge forms
+once: for z = num/den, an integer matrix-vector product of num and den with
+the form of edge i gives the numerators of a known positive multiple of
+cross(v[i+1] - v[i], z - v[i]) / sin(2*pi/n).  periodic.code_constraints
+builds the offsets of pulled-back edge half-planes from these integer rows.
 
 Half-plane intersection clips (x, ytilde) pairs of real field elements
 directly, and the pairs become points x + i*sin(2*pi/n)*ytilde once, at the
@@ -43,9 +41,11 @@ integers and the floats of the edge forms each polygon caches
 half-planes, needs a few dozen clips and most offsets are never built
 exactly.  Every sign decided from floats is the exact sign, so the vertices
 are those of exact clipping, which needs no cleanup pass afterwards (proof
-at ``intersect_halfplanes``).  The polygon keeps its clip lines, and point
-location (``ConvexPolygon.locate``) reads the side of a point on each with
-the same filter.
+at ``intersect_halfplanes``).  The polygon keeps its clip lines, and the
+side of a point on each edge (``ConvexPolygon.edge_sides``) is read from
+them with the same filter: point location (``ConvexPolygon.locate``) and
+vertex selection wherever its own float filter abstains
+(``dynamics.select_vertex``) both take it.
 """
 
 import math
@@ -140,24 +140,6 @@ def point_xy(z, bits=60):
     return (float(rl + rh) / 2.0, float(il + ih) / 2.0)
 
 
-def float_point(z):
-    """(fx, fy, e): the coordinates of ``z.to_complex()`` and a bound e on
-    the error of each; e = math.inf, which certifies nothing, for a point
-    too large for its floats.
-
-    e = 1.01 E (fl(T) + 1), with E = ``context(n).to_complex_error()`` and
-    T = sum |num_k| / den: ``CycloNum.to_complex`` proves each coordinate
-    within E (T + 1), and the division, the sum and the two products round
-    down by a factor of at most (1 - u)^5 > 1/1.01, u = 2^-53.  The bit
-    lengths give T < 2^501, so fx, fy and e are finite.
-    """
-    den, total = z.den, sum(map(abs, z.num))
-    if total.bit_length() > den.bit_length() + 500:
-        return 0.0, 0.0, math.inf
-    f = z.to_complex()
-    return f.real, f.imag, 1.01 * context(z.n).to_complex_error() * (total / den + 1.0)
-
-
 def cross_scaled(u, w):
     """cross(u, w) / sin(2*pi/n) as an exact real field element."""
     p = u.conj() * w
@@ -212,12 +194,12 @@ def _edge_form(p, q):
 class ConvexPolygon:
     """Strictly convex polygon, vertices in counterclockwise order.
 
-    Vertex selection reads the signs of integer edge forms, built once per
-    polygon on first use (``edge_forms``); the same forms give the offsets
-    of pulled-back edge half-planes (``periodic.code_constraints``), whose
-    floats come from the floats of the forms (``form_floats``); the 2n edge
-    half-planes are cached next to them (``edge_halfplanes``).  Location
-    reads one line per edge (``edge_lines``).
+    Integer edge forms, built once per polygon on first use
+    (``edge_forms``), give the offsets of pulled-back edge half-planes
+    (``periodic.code_constraints``), whose floats come from the floats of
+    the forms (``form_floats``); the 2n edge half-planes are cached next to
+    them (``edge_halfplanes``).  The side of a point on each edge is read
+    from one clip line per edge (``edge_sides``, ``edge_lines``).
     """
 
     __slots__ = ("vertices", "_key", "_float", "_extent", "_forms", "_form_floats",
@@ -258,22 +240,6 @@ class ConvexPolygon:
             s = s + v
         return s * Fraction(1, len(self.vertices))
 
-    def _edge_acc(self, i, z):
-        """The numerators of D*den*cross(v[i+1] - v[i], z - v[i]) / sin(2*pi/n)
-        for z = num/den, D the constant of edge i's form (``_edge_form``):
-        one integer matrix-vector product with the cached form."""
-        n = self.vertices[0].n
-        if z.n != n:
-            raise ConductorMismatchError(f"conductor mismatch: {n} vs {z.n}")
-        rows, const, _ = self.edge_forms()[i]
-        den = z.den
-        acc = [den * c for c in const]
-        for a, row in zip(z.num, rows):
-            if a:
-                for k, r in row:
-                    acc[k] += a * r
-        return acc
-
     def edge_forms(self):
         """Per edge i, the integer form (rows, const, D) of v[i] -> v[i+1]
         (``_edge_form``), built once."""
@@ -288,9 +254,10 @@ class ConvexPolygon:
         """Per edge i, floats of the real values of its integer form
         (``edge_forms``), built once on first use: (fc, wc, fr, wr), with fc
         the float of const and fr[j] that of row j, each read as a real
-        element over denominator 1 (``_real_float``, error bound e), and
-        with the weight w = e + (phi + 6) u |f| of each, u = 2^-53: the term
-        per input of ``periodic._offset_float``'s error bound."""
+        element over denominator 1 (``CycloNum.float_image``, error bound
+        e), and with the weight w = e + (phi + 6) u |f| of each,
+        u = 2^-53: the term per input of ``periodic._offset_float``'s error
+        bound."""
         ff = self._form_floats
         if ff is None:
             n = self.vertices[0].n
@@ -304,21 +271,12 @@ class ConvexPolygon:
                     for j, x in row:
                         v[j] = x
                     dense.append(tuple(v))
-                pairs = [_real_float(_raw(n, v, 1)) for v in (const, *dense)]
-                fs = tuple(f for f, _ in pairs)
-                ws = tuple(e + k * abs(f) for f, e in pairs)
+                images = [_raw(n, v, 1).float_image() for v in (const, *dense)]
+                fs = tuple(f for f, _, _ in images)
+                ws = tuple(e + k * abs(f) for f, _, e in images)
                 ff.append((fs[0], ws[0], fs[1:], ws[1:]))
             ff = self._form_floats = tuple(ff)
         return ff
-
-    def edge_sign(self, i, z):
-        """Exact sign of cross(v[i+1] - v[i], z - v[i]); +1 left of edge i.
-
-        One sign_of_real on the unreduced edge form product over denominator
-        1 (the sign proof uses only that the numerators are integers).
-        Negative i counts from the last edge.
-        """
-        return sign_of_real(_raw(z.n, tuple(self._edge_acc(i, z)), 1), _checked=True)
 
     def edge_halfplanes(self):
         """Per edge i, the half-planes strictly left of v[i] -> v[i+1] and
@@ -341,17 +299,24 @@ class ConvexPolygon:
             lines = self._lines = tuple(_line(hp) for hp, _ in self.edge_halfplanes())
         return lines
 
-    def locate(self, z):
-        """"interior" / "boundary" / "exterior" of the closed polygon: the
-        side of z on each edge line (``edge_lines``), from floats where they
-        clear ``_line``'s bound, else exact (``_side``)."""
+    def edge_sides(self, z):
+        """The exact sign of cross(v[i+1] - v[i], z - v[i]) for each edge i
+        in turn, +1 left of the edge: the side of z on each edge line
+        (``edge_lines``), from floats where they clear ``_line``'s bound,
+        else exact (``_side``).  A lazy iterator, so a caller may stop at
+        the side it needs; ConductorMismatchError at once for a point of
+        another conductor."""
         n = self.vertices[0].n
         if z.n != n:
             raise ConductorMismatchError(f"conductor mismatch: {n} vs {z.n}")
         v = _vertex(real_part(z), imag_scaled(z), None)
+        return (_side(line, v) for line in self.edge_lines())
+
+    def locate(self, z):
+        """"interior" / "boundary" / "exterior" of the closed polygon, from
+        the side of z on each edge (``edge_sides``)."""
         on_edge = False
-        for line in self.edge_lines():
-            s = _side(line, v)
+        for s in self.edge_sides(z):
             if s < 0:
                 return "exterior"
             if s == 0:
@@ -491,24 +456,6 @@ class RegionResult(FrozenRecord):
         self._set(kind, polygon, half_width)
 
 
-def _real_float(z):
-    """(f, e): the float f = ``z.to_complex().real`` of a real element z and
-    a bound e >= |f - z|; (0.0, math.inf), which certifies nothing, when z
-    is too large for its float.
-
-    e = 1.01 E (fl(T) + 1), with E = ``context(n).to_complex_error()`` and
-    T = sum |num_k| / den: ``CycloNum.to_complex`` proves |f - z| <= E (T + 1),
-    and the division, the sum and the two products round down by a factor
-    of at most (1 - u)^4 > 1/1.01, u = 2^-53.  The bit lengths give
-    T < 2^1001, so f, a sum of phi terms each at most T in size, and e are
-    finite; a larger z would overflow ``to_complex``.
-    """
-    den, total = z.den, sum(map(abs, z.num))
-    if total.bit_length() > den.bit_length() + 1000:
-        return 0.0, math.inf
-    return z.to_complex().real, _SLACK * context(z.n).to_complex_error() * (total / den + 1.0)
-
-
 @lru_cache(maxsize=1024)
 def _inverse(d):
     return d.inverse()
@@ -537,9 +484,10 @@ def _line(hp):
     bound on the error of its float value, and the error bounds of the
     three floats.
 
-    With (fa, ea), (fb, eb), (fc, ec) = ``_real_float`` of a, b, c, the
-    float v = fa*fx + fb*ft + fc at floats fx, ft within e of a point's
-    coordinates x, ytilde, r = max(|fx|, |ft|), is within
+    With (fa, ea), (fb, eb), (fc, ec) the real floats of a, b, c and their
+    error bounds (``CycloNum.float_image``), the float v = fa*fx + fb*ft + fc
+    at floats fx, ft within e of a point's coordinates x, ytilde,
+    r = max(|fx|, |ft|), is within
 
         M = k1 r + k2 e + k0,   k1 = 4u g + ea + eb,   k2 = g + ea + eb,
         k0 = 4u |fc| + ec,      g = |fa| + |fb|,       u = 2^-53,
@@ -557,20 +505,21 @@ def _line(hp):
     vertex or a located point; ``periodic.CaptureRegion.holds`` reads it at
     e = 0, for a float point that is itself the point tested.
     """
-    fa, ea = _real_float(hp.a)
-    fb, eb = _real_float(hp.b)
-    fc, ec = _real_float(hp.c)
+    fa, _, ea = hp.a.float_image()
+    fb, _, eb = hp.b.float_image()
+    fc, _, ec = hp.c.float_image()
     g = abs(fa) + abs(fb)
     return hp, fa, fb, fc, 4 * _U * g + ea + eb, g + ea + eb, 4 * _U * abs(fc) + ec, ea, eb, ec
 
 
 def _vertex(x, t, line):
     """A chain vertex [x, ytilde, fx, ft, r, e, line, meet] with exact
-    coordinates: their floats (``_real_float``), r = max(|fx|, |ft|), e the
-    larger of their error bounds, the clip line (``_line``) whose boundary
-    holds this vertex and the next one of the chain, and meet None."""
-    fx, ex = _real_float(x)
-    ft, et = _real_float(t)
+    coordinates: their real floats (``CycloNum.float_image``), r =
+    max(|fx|, |ft|), e the larger of their error bounds, the clip line
+    (``_line``) whose boundary holds this vertex and the next one of the
+    chain, and meet None."""
+    fx, _, ex = x.float_image()
+    ft, _, et = t.float_image()
     return [x, t, fx, ft, max(abs(fx), abs(ft)), max(ex, et), line, None]
 
 
@@ -608,7 +557,7 @@ def _meet_float(l1, l2):
     its sign and errs by at most a factor 1 + u, and of the two quotients,
     lose far less than 1 %.  (d) Underflow adds at most 2^-1075 per
     product, far below EN and ED, which are at least E^2 > 2^-100, as every
-    error from ``_real_float`` is at least E = ``to_complex_error()``
+    error from ``CycloNum.float_image`` is at least E = ``to_complex_error()``
     > 2^-50; the quotients fx, ft and e's own quotient may each lose
     2^-1075 more, which the added 2^-1073 covers.
     """

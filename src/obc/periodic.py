@@ -35,7 +35,6 @@ from .geometry import (
     HalfPlane,
     _auto_half_width,
     _half_width,
-    _real_float,
     imag_scaled,
     intersect_halfplanes,
     real_part,
@@ -184,14 +183,15 @@ class CaptureRegion:
 def _float_box(K):
     """(x0, x1, t0, t1): floats with x0 <= x <= x1 and t0 <= ytilde <= t1
     at every vertex of K, so on all of K, and strictly inside for each point
-    of its interior.  Per vertex coordinate z, ``_real_float`` gives f within
-    e of z; the float next below fl(f - e) is at most f - e, as fl rounds to
-    one of the two floats around it, and likewise above fl(f + e).  An
-    infinite e gives an infinite side, which excludes nothing."""
+    of its interior.  Per vertex coordinate z, ``CycloNum.float_image``
+    gives a real float f within e of z; the float next below fl(f - e) is
+    at most f - e, as fl rounds to one of the two floats around it, and
+    likewise above fl(f + e).  An infinite e gives an infinite side, which
+    excludes nothing."""
     xs, ts = [], []
     for v in K.vertices:
         for z, out in ((real_part(v), xs), (imag_scaled(v), ts)):
-            f, e = _real_float(z)
+            f, _, e = z.float_image()
             out += (math.nextafter(f - e, -math.inf), math.nextafter(f + e, math.inf))
     return min(xs), max(xs), min(ts), max(ts)
 
@@ -355,7 +355,7 @@ def _offset_float(entry, fs, fB, fQ):
     s, B and Q, here the whole denominator D*Q of ``_edge_offset``.
     ``entry`` is the edge's row of ``P.form_floats()``: floats fC and fR_j
     within eC and eR_j of the real values C of const and R_j of row j
-    (``_real_float``), with the weights wC = eC + (m + 5) u |fC| and
+    (``CycloNum.float_image``), with the weights wC = eC + (m + 5) u |fC| and
     wR_j = eR_j + (m + 5) u |fR_j|, m = phi + 1 products, u = 2^-53.
 
     Claim: with x the integers (s, -B_j), y the reals (C, R_j) and fx, fy

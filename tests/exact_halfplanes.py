@@ -6,14 +6,14 @@ is read.  It keeps ``obc.geometry.intersect_halfplanes``'s contract (the same
 box, the same kinds), so the library's filtered clip must return the same
 vertex sequence, clip for clip.  Its skip of a half-plane implied by a
 clipped one with the identical normal is the reference for the skip of
-``obc.periodic.code_region``.  ``locate_by_edge_forms`` is the reference for
-``ConvexPolygon.locate``: the exact sign of every edge's integer form.
+``obc.periodic.code_region``.  ``locate_by_orientation`` is the reference for
+``ConvexPolygon.locate``: the exact orientation of every edge and the point.
 """
 
 from fractions import Fraction
 
 from obc.field import CycloNum, sign_of_real
-from obc.geometry import ConvexPolygon, RegionResult, _auto_half_width, _half_eta
+from obc.geometry import ConvexPolygon, RegionResult, _auto_half_width, _half_eta, orientation
 
 
 def clip(pairs, hp):
@@ -78,11 +78,12 @@ def intersect_halfplanes(constraints, half_width=None, skip=True):
     return RegionResult("polygon", poly), clips
 
 
-def locate_by_edge_forms(P, z):
+def locate_by_orientation(P, z):
     """"interior" / "boundary" / "exterior" of the closed polygon P from the
     exact sign of cross(v[i+1] - v[i], z - v[i]) on every edge
-    (``ConvexPolygon.edge_sign``), no float read."""
-    signs = [P.edge_sign(i, z) for i in range(len(P.vertices))]
+    (``orientation``), no float read."""
+    vs = P.vertices
+    signs = [orientation(p, q, z) for p, q in zip(vs, vs[1:] + vs[:1])]
     if min(signs) < 0:
         return "exterior"
     return "boundary" if 0 in signs else "interior"

@@ -15,6 +15,7 @@ from fractions import Fraction
 from obc.dynamics import OrbitRecord, reflect_contract, select_vertex
 from obc.errors import ObcError, StepDomainError
 from obc.field import _reduced
+from obc.geometry import orientation
 
 
 def reference_step(P, lam, x):
@@ -58,8 +59,10 @@ def reference_iterate(P, lam, x, max_steps):
 def in_wedge(P, a, z):
     """True iff z lies strictly inside the wedge of label a (1-based), so
     selects v_a off the singular set: strictly left of the edge leaving
-    v_a and strictly right of the edge entering it (exact)."""
-    return P.edge_sign(a - 1, z) > 0 and P.edge_sign(a - 2, z) < 0
+    v_a and strictly right of the edge entering it (exact ``orientation``)."""
+    vs = P.vertices
+    return (orientation(vs[a - 1], vs[a % len(vs)], z) > 0
+            and orientation(vs[a - 2], vs[a - 1], z) < 0)
 
 
 def endpoint_by_wedges(P, lam, z, word):

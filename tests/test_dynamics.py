@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from obc.dynamics import (
     _FLOAT_MARGIN,
     Code,
-    _fresh_float,
     _select_exhaustive,
     _select_margin,
     float_select,
@@ -27,7 +26,7 @@ from obc.dynamics import (
 )
 from obc.errors import StepDomainError
 from obc.field import CycloNum, sign_of_real
-from obc.geometry import cross_scaled, from_scaled, point_xy, regular_ngon
+from obc.geometry import cross_scaled, from_scaled, orientation, point_xy, regular_ngon
 from obc.square import square_polygon
 
 rng = random.Random(11)
@@ -119,11 +118,12 @@ def test_float_select_answer_does_not_depend_on_the_order(case):
         return
     band = 2.0**-48 * (abs(f) + 2) ** 2
     scale = math.sin(2 * math.pi / z.n)
-    for i, bad in ((label - 1, P.edge_sign(label - 1, z) <= 0),
-                   (label - 2, P.edge_sign(label - 2, z) >= 0)):
+    vs = P.vertices
+    for i, bad in ((label - 1, orientation(vs[label - 1], vs[label % len(vs)], z) <= 0),
+                   (label - 2, orientation(vs[label - 2], vs[label - 1], z) >= 0)):
         if bad:
-            d = P.vertices[(i + 1) % len(P.vertices)] - P.vertices[i]
-            assert abs(cross_scaled(d, z - P.vertices[i]).to_complex().real) * scale <= band
+            d = vs[(i + 1) % len(vs)] - vs[i]
+            assert abs(cross_scaled(d, z - vs[i]).to_complex().real) * scale <= band
 
 
 def test_select_vertex_square_examples():
@@ -167,7 +167,7 @@ def _same_selection(P, z):
     fast, slow = select_vertex(P, z), _select_exhaustive(P, z)
     assert (fast.kind, fast.label, fast.candidates) == (
         slow.kind, slow.label, slow.candidates), z
-    fx, fy, e = _fresh_float(P, z)
+    fx, fy, e = z.float_image()
     margin = _select_margin(max(abs(fx), abs(fy)) + P.float_extent(), e)
     row = float_select(P.float_wedges()[0], fx, fy, margin)
     if row is not None:

@@ -1,17 +1,19 @@
 """Exact planar predicates, half-plane intersections, metric utilities."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from exact_halfplanes import clipped_pairs
+from exact_halfplanes import intersect_halfplanes as exact_intersect
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import obc.geometry
-from obc.dynamics import iterate
+from obc.dynamics import _select_exhaustive, iterate, select_vertex
 from obc.errors import ConductorMismatchError, GeometryError
-from obc.field import CycloNum, sign_of_real
+from obc.field import CycloNum, approximate, sign_of_real
 from obc.geometry import (
     ConvexPolygon,
     HalfPlane,
@@ -368,13 +370,63 @@ def test_edge_value_is_the_scaled_cross():
         for _ in range(10):
             z = CycloNum(n, [Fraction(rng.randint(-99, 99), rng.randint(1, 30))
                              for _ in range(phi)])
+            sides = list(P.edge_sides(z))
             for i, (hp, _) in enumerate(P.edge_halfplanes()):
                 d = vs[(i + 1) % len(vs)] - vs[i]
                 value = cross_scaled(d, z - vs[i])
                 assert hp.a * real_part(z) + hp.b * imag_scaled(z) + hp.c == value
-                assert P.edge_sign(i, z) == sign_of_real(value, _checked=True)
+                assert sides[i] == sign_of_real(value, _checked=True)
         with pytest.raises(ConductorMismatchError):
-            P.edge_sign(0, CycloNum.zeta(n + 1))
+            P.edge_sides(CycloNum.zeta(n + 1))
+
+
+# sum |num| / den near 2^k around the cap of CycloNum.float_image, which
+# gives up (e = inf) once sum |num| has more than 500 bits beyond den
+CAP_BITS = (499, 501, 700, 1002)
+
+
+def _image_holds(z):
+    """Each float of z.float_image() lies within e of the midpoint of z's
+    80-bit enclosure, widened by half its width, or e is infinite."""
+    fx, fy, e = z.float_image()
+    if e == math.inf:
+        return True
+    return all(abs(Fraction(f) - (lo + hi) / 2) <= Fraction(e) + (hi - lo) / 2
+               for f, (lo, hi) in zip((fx, fy), approximate(z, 80)))
+
+
+@pytest.mark.parametrize("bits", CAP_BITS)
+@pytest.mark.parametrize("n", (5, 7, 12))
+def test_float_image_at_its_cap(n, bits):
+    P = regular_ngon(n)
+    R = Fraction(2**bits + 1, 3)
+    points = [from_scaled(n, R * x, R * t) for x, t in ((3, 1), (-1, 5), (Fraction(7, 5), -2))]
+    # on the singular ray of edge 0, beyond vertex 1, and 2^-60 R off it
+    v, w = P.vertices[0], P.vertices[1]
+    ray = v + (w - v) * R
+    points += [ray, ray + from_scaled(n, R / 2**60, 0)]
+    edges = [hp for hp, _ in P.edge_halfplanes()]
+    big = [HalfPlane(hp.a, hp.b, hp.c * R) for hp in edges]  # the polygon R P
+    cut = HalfPlane(-edges[0].a, -edges[0].b, -big[0].c + R / 2)
+    for z in points + [hp.c for hp in big + [cut]]:
+        assert _image_holds(z), (n, bits, z.serialize())
+        excess = sum(map(abs, z.num)).bit_length() - z.den.bit_length()
+        assert (z.float_image()[2] < math.inf) == (excess <= 500)
+    for z in points:
+        fast, slow = select_vertex(P, z), _select_exhaustive(P, z)
+        assert (fast.kind, fast.label, fast.candidates) == (slow.kind, slow.label, slow.candidates)
+    for cons in (big, big + [cut]):
+        got = intersect_halfplanes(cons)
+        ref, _ = exact_intersect(cons, skip=False)
+        assert got.kind == ref.kind == "polygon"
+        assert got.polygon.serialize() == ref.polygon.serialize()
+
+
+def test_a_point_of_another_conductor_is_refused():
+    P, z = regular_ngon(5), from_scaled(7, 3, 1)  # outside P, where floats would certify
+    for refuse in (lambda: select_vertex(P, z), lambda: P.locate(z), lambda: iterate(P, 1, z, 5)):
+        with pytest.raises(ConductorMismatchError):
+            refuse()
 
 
 def test_polygon_locate_and_validation():

@@ -21,7 +21,6 @@ from obc import dynamics
 from obc.dynamics import (
     _STEP_ERROR,
     OrbitRecord,
-    _fresh_float,
     _select_margin,
     float_select,
     iterate,
@@ -137,7 +136,7 @@ def _replay_carried_filter(P, lam, x, steps):
     orders, extent = P.float_wedges(), P.float_extent()
     g, l = float(1 + lam), float(lam)
     grow = l * (1 + 8 * _U)
-    fx, fy, d = _fresh_float(P, x)
+    fx, fy, d = x.float_image()
     order = orders[0]
     abstained = []
     for k, (z, label) in enumerate(zip(rec.points, rec.code)):
@@ -149,7 +148,7 @@ def _replay_carried_filter(P, lam, x, steps):
         row = float_select(order, fx, fy, _select_margin(w, d))
         if row is None:
             abstained.append(k)
-            fx, fy, d = _fresh_float(P, z)
+            fx, fy, d = z.float_image()
             w = max(abs(fx), abs(fy)) + extent
             row = orders[0][label - 1]
         assert row[0] == label, k

@@ -11,8 +11,8 @@ filter, and an exact sign only where it abstains.  Checked here:
   septagon fixture, the square frame and the n = 7, 8, 10, 12 windows, and
   on random half-plane sets;
 * the septagon fixture's tiles build an exact meet only for their vertices;
-* ``locate`` agrees with the exact edge-form signs
-  (``exact_halfplanes.locate_by_edge_forms``) at each tile's limit point,
+* ``locate`` agrees with the exact orientation of each edge and the point
+  (``exact_halfplanes.locate_by_orientation``) at each tile's limit point,
   at its vertices and edge midpoints ("boundary") and at points 2^-k off an
   edge midpoint, inwards and outwards, both on the clip lines of the tile
   and on the edge half-planes of the same vertices.
@@ -21,7 +21,7 @@ filter, and an exact sign only where it abstains.  Checked here:
 from fractions import Fraction
 
 import pytest
-from exact_halfplanes import locate_by_edge_forms
+from exact_halfplanes import locate_by_orientation
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -156,7 +156,7 @@ def test_locate_on_clip_lines_matches_edge_forms(tile_atlases):
             assert K == t.polygon and K._lines is not None
             plain = ConvexPolygon(K.vertices, validate=False)
             for z, where in _probes(t, K):
-                want = locate_by_edge_forms(K, z)
+                want = locate_by_orientation(K, z)
                 assert want == where, (t.code, z.serialize())
                 assert K.locate(z) == want, (t.code, z.serialize())
                 assert plain.locate(z) == want, (t.code, z.serialize())

@@ -87,6 +87,13 @@ PINS = [
     ("reseeded_pentagon_orbit", ["orbit", "--n", "5", "--seed", RESEED_START, "--steps", "1000"],
      None, "9632109a32b1606e06714b2fdbb9dd9bbaf0d6f0420a81b40569c26010f94d92",
      "termination=exact_repeat preperiod=0 period=750"),
+    # a start near 2^664, past the float image's cap: 623 of the 700
+    # vertices are selected from the exact side of each edge, until the
+    # orbit contracts into the range where the float filter certifies
+    ("far_seed_orbit", ["orbit", "--n", "5", "--seed", "1e200,1e200", "--lambda", "1/2",
+                        "--steps", "700"],
+     None, "678a5accb0a643a8d8e0cec68a60affaf87b0fef9ed2f54acf851cb9e642ef12",
+     "termination=cap_reached"),
 ]
 
 
